@@ -32,7 +32,6 @@ from .processes import (
     IntermittentMap,
     Path,
     PolynomialCoeffs,
-    calibrate_reference_cdf,
     generate,
     generate_batch,
     intermittent_step,

@@ -40,6 +40,8 @@ __all__ = [
 
 _REPLICATE_CHUNK = 256
 SCHEMA_VERSION = 1
+_CONFIG_KEYS = {"schema_version", "process", "n_values", "replications", "base_seed",
+                "reference", "tail_tol"}
 
 
 def ks_two_sample(x, y) -> float:
@@ -64,16 +66,10 @@ class ExperimentConfig:
     n_values: list[int]
     replications: int
     base_seed: int
-    grid_size: int = 256
-    grid_scheme: str = "quantile"  # "quantile" | "vartail"
-    lag_cutoff: int = 0
-    sim_length: int = 100_000
-    limit_replications: int = 10_000
     reference_model: DistributionModel | None = None
-    calibration_length: int | None = None  # None => 10 * max(n) when calibrating
+    calibration_length: int | None = None  # orbit length when calibrating
     calibration_grid_size: int = 2048
     tail_tol: float = 1e-12
-    out_dir: str = "out"
 
     def __post_init__(self):
         if len(self.n_values) == 0 or any(
@@ -83,36 +79,34 @@ class ExperimentConfig:
         if self.replications < 2:
             raise ValidationError("need at least 2 replications")
         if self.reference_model is None and self.calibration_length is None:
-            # calibration is still possible with the auto length rule; an
-            # explicit opt-in distinguishes it from a forgotten reference.
             raise ValidationError(
                 "no reference CDF: supply reference_model or calibration_length"
             )
+        if self.calibration_length is not None and self.calibration_length < 1:
+            raise ValidationError("calibration_length must be >= 1")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if d.get("schema_version") != SCHEMA_VERSION:
             raise ValidationError(f"config schema_version must be {SCHEMA_VERSION}")
+        unknown = sorted(set(d) - _CONFIG_KEYS)
+        if unknown:
+            raise ValidationError(f"unknown experiment config key(s) {unknown}")
+        n_values = [int(v) for v in d["n_values"]]
         ref = d.get("reference", {})
         model = model_from_dict(ref["analytic"]) if "analytic" in ref else None
         cal = ref.get("calibration_length")
-        grid = d.get("grid", {})
-        limit = d.get("limit", {})
+        if cal == "auto":
+            cal = 10 * max(n_values, default=0)
         return cls(
             process=spec_from_dict(d["process"]),
-            n_values=[int(v) for v in d["n_values"]],
+            n_values=n_values,
             replications=int(d["replications"]),
             base_seed=int(d["base_seed"]),
-            grid_size=int(grid.get("size", 256)),
-            grid_scheme=str(grid.get("scheme", "quantile")),
-            lag_cutoff=int(limit.get("lag_cutoff", 0)),
-            sim_length=int(limit.get("sim_length", 100_000)),
-            limit_replications=int(limit.get("replications", 10_000)),
             reference_model=model,
-            calibration_length=None if cal in (None, "auto") else int(cal),
+            calibration_length=None if cal is None else int(cal),
             calibration_grid_size=int(ref.get("calibration_grid_size", 2048)),
             tail_tol=float(d.get("tail_tol", 1e-12)),
-            out_dir=str(d.get("out_dir", "out")),
         )
 
     @classmethod
@@ -175,16 +169,16 @@ def auto_calibration_grid(values: np.ndarray, size: int) -> np.ndarray:
 
 
 def resolve_reference(cfg: ExperimentConfig) -> tuple[DistributionModel, dict]:
+    """The analytic reference, or the CDF tabulated from one long calibration orbit."""
     if cfg.reference_model is not None:
         return cfg.reference_model, {"reference": "analytic"}
-    length = cfg.calibration_length or 10 * max(cfg.n_values)
-    path = generate(cfg.process, length, cfg.base_seed + 0x5EED, stream=0)
+    path = generate(cfg.process, cfg.calibration_length, cfg.base_seed + 0x5EED, stream=0)
     # one long orbit; the calibration stream is disjoint from every replicate
     grid = auto_calibration_grid(path.values, cfg.calibration_grid_size)
     model = tabulate_cdf(path.values, grid)
     meta = {
         "reference": "calibrated",
-        "calibration_length": length,
+        "calibration_length": cfg.calibration_length,
         "calibration_grid_size": len(grid),
     }
     return model, meta
@@ -230,6 +224,8 @@ def _tn_sample(spec: ProcessSpec, reference: DistributionModel, n: int,
 
 def run_clt_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict[int, StatisticSample]:
     """R replicates of T_n = sqrt(n) * d1(F_n, F) for each configured n."""
+    if threads < 1:
+        raise ValidationError("threads must be >= 1")
     reference, ref_meta = resolve_reference(cfg)
     out: dict[int, StatisticSample] = {}
     for i, n in enumerate(cfg.n_values):
@@ -304,24 +300,26 @@ def divergence_probe(gamma: float, a: float, n_values: list[int], replications: 
 
     "non-stabilizing" needs strictly increasing medians with cumulative growth
     >= growth_factor; "stabilizing" needs all consecutive ratios inside
-    [0.8, 1.25].
+    [0.8, 1.25].  The replicates and the reference, calibrated from an orbit
+    of calibration_factor * max(n) values, come from run_clt_experiment.
     """
+    if threads < 1:
+        raise ValidationError("threads must be >= 1")
     if len(n_values) < 2:
         return ProbeReport({int(n): math.nan for n in n_values}, [], "insufficient data",
                            growth_factor)
-    if any(b <= a_ for a_, b in zip(n_values, n_values[1:])):
-        raise ValidationError("n_values must be increasing")
-    spec = IntermittentMap(gamma, a, burn_in)
-    length = calibration_factor * max(n_values)
-    cal_path = generate(spec, length, seed + 0x5EED, stream=0)
-    reference = tabulate_cdf(
-        cal_path.values, auto_calibration_grid(cal_path.values, calibration_grid_size)
+    n_values = [int(n) for n in n_values]
+    cfg = ExperimentConfig(
+        process=IntermittentMap(gamma, a, burn_in),
+        n_values=n_values,
+        replications=replications,
+        base_seed=seed,
+        calibration_length=calibration_factor * max(n_values),
+        calibration_grid_size=calibration_grid_size,
     )
-    medians = {}
-    for i, n in enumerate(sorted(n_values)):
-        t_vals = _tn_sample(spec, reference, int(n), replications, seed, i, 1e-12, threads)
-        medians[int(n)] = float(np.median(t_vals))
-    med_list = [medians[n] for n in sorted(medians)]
+    samples = run_clt_experiment(cfg, threads)
+    medians = {n: float(np.median(samples[n].values)) for n in n_values}
+    med_list = list(medians.values())
     ratios = [m2 / m1 for m1, m2 in zip(med_list, med_list[1:])]
     cumulative = med_list[-1] / med_list[0]
     if all(r > 1.0 for r in ratios) and cumulative >= growth_factor:

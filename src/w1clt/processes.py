@@ -1,4 +1,4 @@
-"""Seeded generators for stationary sequences and reference-CDF calibration.
+"""Seeded generators for stationary sequences and empirical CDF tabulation.
 
 Four stationary mechanisms are provided: iid draws from a reference model,
 forward orbits of the intermittent interval map with the neutral fixed point
@@ -39,7 +39,6 @@ __all__ = [
     "intermittent_step",
     "generate",
     "generate_batch",
-    "calibrate_reference_cdf",
     "tabulate_cdf",
     "spec_from_dict",
 ]
@@ -282,65 +281,77 @@ def intermittent_step(x: float, gamma: float) -> float:
     if not (0.0 < gamma < 1.0):
         raise ValidationError("gamma must lie in (0, 1)")
     if x < 0.5:
-        x = x * (1.0 + 2.0**gamma * x**gamma)
+        x = x * (1.0 + 2.0**gamma * float(np.power(x, np.float64(gamma))))
     else:
         x = 2.0 * x - 1.0
     return min(max(x, _TINY), _BELOW_ONE)
 
 
-def _intermittent_orbit_scalar(spec: IntermittentMap, n: int, rng: np.random.Generator,
-                               reseed_rng_factory) -> np.ndarray:
-    gamma = spec.gamma
-    c = 2.0**gamma
+# Single orbits and batches realize the same floats: both take x**gamma from
+# numpy's pow (libm's differs in the last ulp), share the rules below and
+# clamp every state into [_TINY, _BELOW_ONE].
+
+def _intermittent_start(rng: np.random.Generator) -> float:
+    """Lebesgue-random initial state; an exact 0 (the neutral fixed point) is redrawn."""
     x = float(rng.random())
     while x == 0.0:
         x = float(rng.random())
+    return x
+
+
+def _reseed(rngs: dict, seed: int, stream: int) -> float:
+    """New state for a lane at exact 0: one PURPOSE_RESEED generator per lane, drawn in order."""
+    if stream not in rngs:
+        rngs[stream] = spawn_rng(seed, stream, PURPOSE_RESEED)
+    return max(float(rngs[stream].random()), _TINY)
+
+
+def _log_reseeds(count: int) -> None:
+    if count:
+        logger.info("intermittent orbit re-randomized %d exact-zero state(s)", count)
+
+
+def _intermittent_orbit(spec: IntermittentMap, n: int, seed: int, stream: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    # A one-lane batch would give the same floats at over 10x the cost per step.
+    gamma = np.float64(spec.gamma)
+    c = 2.0**spec.gamma
+    x = _intermittent_start(rng)
+    rngs, reseeds = {}, 0
     out = np.empty(n)
-    reseed = None
-    reseeds = 0
-    total = spec.burn_in + n
-    for i in range(total):
+    for i in range(spec.burn_in + n):
         if x < 0.5:
-            x = x * (1.0 + c * x**gamma)
+            x = x * (1.0 + c * float(np.power(x, gamma)))
         else:
             x = 2.0 * x - 1.0
         if x == 0.0:
-            if reseed is None:
-                reseed = reseed_rng_factory()
-            x = float(reseed.random())
+            x = _reseed(rngs, seed, stream)
             reseeds += 1
-        elif x > _BELOW_ONE:
+        elif x > _BELOW_ONE:  # any other state is >= _TINY already
             x = _BELOW_ONE
         if i >= spec.burn_in:
             out[i - spec.burn_in] = x
-    if reseeds:
-        logger.info("intermittent orbit re-randomized %d exact-zero state(s)", reseeds)
+    _log_reseeds(reseeds)
     return out ** (-spec.observable_exponent)
 
 
 def _intermittent_orbit_batch(spec: IntermittentMap, n: int, seed: int,
                               streams: np.ndarray) -> np.ndarray:
-    gamma = spec.gamma
-    c = 2.0**gamma
-    x = np.empty(len(streams))
-    for i, s in enumerate(streams):
-        x[i] = spawn_rng(seed, int(s), PURPOSE_PATH).random()
-    x = np.where(x == 0.0, 0.5, x)  # measure-zero guard on the initial draw
+    gamma = np.float64(spec.gamma)
+    c = 2.0**spec.gamma
+    x = np.array([_intermittent_start(spawn_rng(seed, int(s), PURPOSE_PATH)) for s in streams])
+    rngs, reseeds = {}, 0
     out = np.empty((len(streams), n))
-    reseeds = 0
     for i in range(spec.burn_in + n):
-        xg = x**gamma
-        x = np.where(x < 0.5, x * (1.0 + c * xg), 2.0 * x - 1.0)
-        zero = x == 0.0
-        if zero.any():
-            for lane in np.nonzero(zero)[0]:
-                x[lane] = spawn_rng(seed, int(streams[lane]), PURPOSE_RESEED).random()
+        x = np.where(x < 0.5, x * (1.0 + c * np.power(x, gamma)), 2.0 * x - 1.0)
+        if not x.all():  # some lane is at exact 0
+            for lane in np.flatnonzero(x == 0.0):
+                x[lane] = _reseed(rngs, seed, int(streams[lane]))
                 reseeds += 1
         np.clip(x, _TINY, _BELOW_ONE, out=x)
         if i >= spec.burn_in:
             out[:, i - spec.burn_in] = x
-    if reseeds:
-        logger.info("intermittent batch re-randomized %d exact-zero state(s)", reseeds)
+    _log_reseeds(reseeds)
     return out ** (-spec.observable_exponent)
 
 
@@ -425,9 +436,7 @@ def generate(spec: ProcessSpec, n: int, seed: int, stream: int = 0) -> Path:
     if isinstance(spec, IID):
         values = np.asarray(spec.model.quantile(rng.random(n)), dtype=float)
     elif isinstance(spec, IntermittentMap):
-        values = _intermittent_orbit_scalar(
-            spec, n, rng, lambda: spawn_rng(seed, stream, PURPOSE_RESEED)
-        )
+        values = _intermittent_orbit(spec, n, seed, stream, rng)
     elif isinstance(spec, DoublingMap):
         values = _doubling_orbit(spec, n, rng)
     elif isinstance(spec, CausalLinear):
@@ -441,12 +450,10 @@ def generate_batch(spec: ProcessSpec, n: int, n_paths: int, seed: int,
                    first_stream: int = 0) -> np.ndarray:
     """Stack of ``n_paths`` trajectories, one per stream, shape (n_paths, n).
 
-    Row r equals ``generate(spec, n, seed, first_stream + r).values`` for
-    every variant except the intermittent map, whose batch path iterates all
-    lanes through numpy's vectorized power kernel (last-ulp differences from
-    the scalar libm orbit).  Both realizations are bitwise reproducible and
-    lane values do not depend on how a batch is chunked, so parallel
-    replication is scheduling-invariant either way.
+    Row r equals ``generate(spec, n, seed, first_stream + r).values`` bit for
+    bit.  The intermittent map iterates all lanes at once; lane values do not
+    depend on how a batch is chunked, so parallel replication is
+    scheduling-invariant.
     """
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")
@@ -472,9 +479,3 @@ def tabulate_cdf(values, grid) -> Tabulated:
     cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
     cdf[-1] = 1.0
     return Tabulated(grid, cdf, interp="linear")
-
-
-def calibrate_reference_cdf(spec: ProcessSpec, length: int, grid, seed: int) -> Tabulated:
-    """Tabulated reference CDF from a single long trajectory with burn-in."""
-    path = generate(spec, length, seed, stream=0)
-    return tabulate_cdf(path.values, grid)

@@ -124,8 +124,6 @@ def test_config_json_roundtrip():
         "n_values": [8, 32],
         "replications": 4,
         "base_seed": 5,
-        "grid": {"size": 64, "scheme": "quantile"},
-        "limit": {"lag_cutoff": 0, "sim_length": 1000, "replications": 100},
         "reference": {"analytic": {"kind": "uniform", "lo": 0, "hi": 1}},
     }
     cfg = ExperimentConfig.from_json(json.dumps(d))
@@ -133,6 +131,47 @@ def test_config_json_roundtrip():
     assert cfg.reference_model == Uniform(0, 1)
     with pytest.raises(ValidationError):
         ExperimentConfig.from_dict({**d, "schema_version": 2})
+    # sections nothing reads are rejected, not silently ignored
+    for key, value in (("grid", {"size": 64}), ("limit", {"lag_cutoff": 0}),
+                       ("out_dir", "out"), ("replication", 4)):
+        with pytest.raises(ValidationError, match=key):
+            ExperimentConfig.from_dict({**d, key: value})
+
+
+def _calibrated_dict(length):
+    return {
+        "schema_version": 1,
+        "process": {"variant": "iid", "model": {"kind": "uniform", "lo": 0, "hi": 1}},
+        "n_values": [8, 32],
+        "replications": 4,
+        "base_seed": 5,
+        "reference": {"calibration_length": length, "calibration_grid_size": 64},
+    }
+
+
+def test_config_auto_calibration_length():
+    cfg = ExperimentConfig.from_dict(_calibrated_dict("auto"))
+    assert cfg.calibration_length == 320  # 10 * max(n_values)
+    assert cfg.calibration_grid_size == 64
+    out = run_clt_experiment(cfg)
+    assert out[32].metadata["calibration_length"] == 320
+
+
+@pytest.mark.parametrize("length", [0, -5])
+def test_config_rejects_calibration_length_below_one(length):
+    with pytest.raises(ValidationError, match="calibration_length"):
+        ExperimentConfig.from_dict(_calibrated_dict(length))
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_rejected(threads, tmp_path):
+    with pytest.raises(ValidationError, match="threads"):
+        run_clt_experiment(_uniform_config(), threads=threads)
+    with pytest.raises(ValidationError, match="threads"):
+        divergence_probe(0.25, 0.1, [64, 128], replications=8, seed=3, threads=threads)
+    assert cli_main(["probe", "--gamma", "0.25", "--a", "0.1", "--n-values", "64,128",
+                     "--replications", "8", "--threads", str(threads),
+                     "--out-dir", str(tmp_path)]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +294,9 @@ def test_cli_validation_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema_version": 99}))
     assert cli_main(["experiment", "--config", str(bad)]) == 1
+    unread = tmp_path / "unread.json"
+    unread.write_text(json.dumps({**_calibrated_dict("auto"), "out_dir": "out"}))
+    assert cli_main(["experiment", "--config", str(unread)]) == 1
     assert cli_main(["check", "--config", str(tmp_path / "missing.json")]) == 1
 
 

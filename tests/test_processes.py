@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import w1clt.processes as processes
 from w1clt.errors import ValidationError
 from w1clt.models import Exponential, Uniform
 from w1clt.processes import (
@@ -13,7 +14,6 @@ from w1clt.processes import (
     IID,
     IntermittentMap,
     PolynomialCoeffs,
-    calibrate_reference_cdf,
     generate,
     generate_batch,
     intermittent_step,
@@ -73,8 +73,6 @@ def test_generate_bitwise_reproducible(spec):
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
 def test_batch_rows_match_single_streams(spec):
-    if isinstance(spec, IntermittentMap):
-        pytest.skip("intermittent batch is a separate float realization; see below")
     batch = generate_batch(spec, 150, 5, seed=123, first_stream=2)
     for r in range(5):
         single = generate(spec, 150, seed=123, stream=2 + r)
@@ -90,18 +88,42 @@ def test_intermittent_batch_chunk_invariant():
     assert np.array_equal(full, np.vstack([left, right]))
 
 
-def test_intermittent_batch_lane_close_to_scalar_orbit():
-    # same seed/stream: the two realizations differ only by last-ulp pow
-    # rounding, so the orbits agree until a (late) divergence and always share
-    # the marginal law; check the early segment exactly and the rest in law
-    spec = IntermittentMap(0.25, 0.2, burn_in=0)
-    batch = generate_batch(spec, 5000, 1, seed=9)[0]
-    single = generate(spec, 5000, seed=9).values
-    agree = np.nonzero(batch != single)[0]
-    first_diff = agree[0] if agree.size else 5000
-    assert first_diff > 3
-    if agree.size:
-        assert abs(batch[first_diff - 1] - single[first_diff - 1]) == 0.0
+class _ScriptedRng:
+    """Returns the scripted draws first, then those of the real generator."""
+
+    def __init__(self, script, rng):
+        self.script, self.rng = list(script), rng
+
+    def random(self):
+        return self.script.pop(0) if self.script else self.rng.random()
+
+
+def test_intermittent_exact_zero_states_reseed_in_order(monkeypatch, caplog):
+    # Start draws 0 (redrawn) then 0.75; 0.75 -> 0.5 -> 0 hits the neutral
+    # fixed point.  The first reseed draws 0.75 again, so the lane hits 0 a
+    # second time and its second reseed must take the generator's next draw.
+    real_spawn = processes.spawn_rng
+    scripts = {processes.PURPOSE_PATH: [0.0, 0.75], processes.PURPOSE_RESEED: [0.75]}
+
+    def scripted_spawn(seed, stream=0, purpose=processes.PURPOSE_PATH):
+        rng = real_spawn(seed, stream, purpose)
+        return _ScriptedRng(scripts[purpose], rng) if stream == 1 else rng
+
+    monkeypatch.setattr(processes, "spawn_rng", scripted_spawn)
+    spec = IntermittentMap(0.25, 1.0, burn_in=0)
+    with caplog.at_level("INFO", logger="w1clt.processes"):
+        single = generate(spec, 40, seed=5, stream=1).values
+    second = real_spawn(5, 1, processes.PURPOSE_RESEED).random()  # follows the scripted 0.75
+    assert second != 0.75
+    # states: the redrawn start 0.75 maps to 0.5 (not a guard value), the first
+    # reseed, 0.5 again, then the second reseed takes the next draw in order
+    expected = np.array([0.5, 0.75, 0.5, second]) ** -1.0
+    assert np.array_equal(single[:4], expected)
+    assert any("re-randomized" in r.msg and r.args[0] == 2 for r in caplog.records)
+    batch = generate_batch(spec, 40, 3, seed=5, first_stream=0)
+    assert np.array_equal(batch[1], single)
+    for r in (0, 2):
+        assert np.array_equal(batch[r], generate(spec, 40, seed=5, stream=r).values)
 
 
 def test_spawn_rng_streams_differ():
@@ -246,14 +268,14 @@ def test_coefficient_family_sums():
 
 def test_calibrate_iid_uniform_dkw():
     grid = np.linspace(0.0, 1.0, 512)
-    model = calibrate_reference_cdf(IID(Uniform(0, 1)), 1_000_000, grid, seed=13)
+    model = tabulate_cdf(generate(IID(Uniform(0, 1)), 1_000_000, seed=13).values, grid)
     gap = np.abs(np.asarray(model.cdf(grid)) - np.clip(grid, 0, 1))
     assert np.max(gap) < 2e-3
 
 
 def test_calibrate_doubling_matches_closed_form():
     grid = np.linspace(1.0, 15.0, 800)
-    model = calibrate_reference_cdf(DoublingMap(0.25, burn_in=0), 1_000_000, grid, seed=19)
+    model = tabulate_cdf(generate(DoublingMap(0.25, burn_in=0), 1_000_000, seed=19).values, grid)
     exact = 1.0 - grid**-4.0
     # interior gap; the final grid point is forced to 1 by the tail cutoff
     f = np.asarray(model.cdf(grid[:-1]))
@@ -261,7 +283,7 @@ def test_calibrate_doubling_matches_closed_form():
 
 
 def test_calibrate_two_point_grid():
-    model = calibrate_reference_cdf(IID(Uniform(0, 1)), 1000, [0.5, 2.0], seed=1)
+    model = tabulate_cdf(generate(IID(Uniform(0, 1)), 1000, seed=1).values, [0.5, 2.0])
     assert model.cdf(0.5) == pytest.approx(0.5, abs=0.05)
     assert model.cdf(2.0) == 1.0
 
