@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: generate, w1, check, limit, experiment, compare, probe, report.
-Each reads flags or a JSON config (schema_version 1, documented in the
-README), writes CSV/JSON artifacts, and exits 0 on success, 1 on validation
-errors, 2 on numerical failures.
+Each takes only the flags it reads, and every config key is either read or
+rejected.  Configs are JSON with schema_version 1 (documented in the README).
+Exit codes: 0 on success, 1 on validation errors, 2 on numerical failures.
 """
 from __future__ import annotations
 
@@ -15,18 +15,33 @@ import sys
 import numpy as np
 
 from . import conditions, harness, limitlaw
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, read_key, read_tag, reject_unknown_keys
 from .limitlaw import StatisticSample
 from .models import model_from_dict
-from .processes import generate, spec_from_dict
+from .processes import coeffs_from_dict, generate, spec_from_dict
 from .transport import w1_two_samples
 
 __all__ = ["cli_main", "main"]
 
+_GENERATE_KEYS = ("schema_version", "process", "n", "seed", "stream", "out")
+_LIMIT_KEYS = ("schema_version", "model", "grid", "replications", "seed", "out")
+_DEPENDENT_LIMIT_KEYS = ("process", "lag_cutoff", "sim_length")
+_GRIDS = {"quantile": limitlaw.quantile_grid, "vartail": limitlaw.variance_length_grid}
+_CHECK_KEYS = {
+    "threshold": ("schema_version", "gamma", "a"),
+    "phi": ("schema_version", "c1", "rho", "model"),
+    "alpha": ("schema_version", "c_gamma", "gamma", "model", "terms"),
+    "linear": ("schema_version", "coefficients", "innovation", "mode", "r", "marginal", "terms"),
+}
+_REPORT_KEYS = ("schema_version", "finite_n", "limit")
+
 
 def _load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict) or cfg.get("schema_version") != harness.SCHEMA_VERSION:
+        raise ValidationError(f"config schema_version must be {harness.SCHEMA_VERSION}")
+    return cfg
 
 
 def _read_values(path: str) -> np.ndarray:
@@ -35,6 +50,8 @@ def _read_values(path: str) -> np.ndarray:
 
 
 def _out_path(args, name: str) -> str:
+    if os.path.basename(name) != name:  # a path would bypass --out-dir
+        raise ValidationError(f"'out' must be a file name inside --out-dir, got {name!r}")
     os.makedirs(args.out_dir, exist_ok=True)
     return os.path.join(args.out_dir, name)
 
@@ -46,14 +63,19 @@ def _emit(obj: dict, args, name: str) -> None:
         fh.write(text + "\n")
 
 
+def _seed(args, cfg: dict, what: str) -> int:
+    """--seed when given, else the config's seed (default 0)."""
+    seed = read_key(cfg, "seed", int, what, 0)
+    return seed if args.seed is None else args.seed
+
+
 def _cmd_generate(args) -> int:
-    cfg = _load_config(args.config)
-    if cfg.get("schema_version") != harness.SCHEMA_VERSION:
-        raise ValidationError("config schema_version must be 1")
-    spec = spec_from_dict(cfg["process"])
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    path = generate(spec, int(cfg["n"]), seed, stream=int(cfg.get("stream", 0)))
-    out = _out_path(args, cfg.get("out", "path.csv"))
+    what = "generate config"
+    cfg = reject_unknown_keys(_load_config(args.config), _GENERATE_KEYS, what)
+    spec = spec_from_dict(read_key(cfg, "process", dict, what))
+    out = _out_path(args, read_key(cfg, "out", str, what, "path.csv"))
+    path = generate(spec, read_key(cfg, "n", int, what), _seed(args, cfg, what),
+                    stream=read_key(cfg, "stream", int, what, 0))
     with open(out, "w", encoding="utf-8") as fh:
         path.to_csv(fh)
     print(out)
@@ -68,70 +90,72 @@ def _cmd_w1(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.gamma is not None and args.a is not None:
-        report = conditions.check_intermittent_threshold(args.gamma, args.a)
-        _emit(report.to_dict(), args, "check.json")
-        return 0
-    if args.config is None:
-        raise ValidationError("check needs either --gamma/--a or --config")
-    cfg = _load_config(args.config)
-    kind = cfg.get("kind")
+    if args.config is not None and args.gamma is None and args.a is None:
+        cfg = _load_config(args.config)
+    elif args.config is None and args.gamma is not None and args.a is not None:
+        cfg = {"schema_version": harness.SCHEMA_VERSION, "kind": "threshold",
+               "gamma": args.gamma, "a": args.a}
+    else:
+        raise ValidationError("check needs either --gamma and --a, or --config")
+    kind = read_tag(cfg, "kind", _CHECK_KEYS, "check config")
+    what = f"{kind} check config"
     if kind == "threshold":
-        report = conditions.check_intermittent_threshold(float(cfg["gamma"]), float(cfg["a"]))
-    elif kind == "phi":
-        bound = conditions.PhiGeometric(float(cfg.get("c1", 1.0)), float(cfg["rho"]))
-        report = conditions.check_phi_condition(bound, model_from_dict(cfg["model"]))
-    elif kind == "alpha":
-        bound = conditions.AlphaPolynomial(float(cfg.get("c_gamma", 1.0)), float(cfg["gamma"]))
-        report = conditions.check_alpha_condition(
-            bound, model_from_dict(cfg["model"]), int(cfg.get("terms", 200))
+        report = conditions.check_intermittent_threshold(
+            read_key(cfg, "gamma", float, what), read_key(cfg, "a", float, what)
         )
-    elif kind == "linear":
-        from .processes import coeffs_from_dict
-
-        marginal = cfg.get("marginal")
-        report = conditions.check_linear_conditions(
-            coeffs_from_dict(cfg["coefficients"]),
-            model_from_dict(cfg["innovation"]),
-            cfg["mode"],
-            r=cfg.get("r"),
-            marginal=model_from_dict(marginal) if marginal else None,
-            terms=int(cfg.get("terms", 200)),
+    elif kind == "phi":
+        bound = conditions.PhiGeometric(read_key(cfg, "c1", float, what, 1.0),
+                                        read_key(cfg, "rho", float, what))
+        report = conditions.check_phi_condition(
+            bound, model_from_dict(read_key(cfg, "model", dict, what))
+        )
+    elif kind == "alpha":
+        bound = conditions.AlphaPolynomial(read_key(cfg, "c_gamma", float, what, 1.0),
+                                           read_key(cfg, "gamma", float, what))
+        report = conditions.check_alpha_condition(
+            bound, model_from_dict(read_key(cfg, "model", dict, what)),
+            read_key(cfg, "terms", int, what, 200),
         )
     else:
-        raise ValidationError(f"unknown check kind {kind!r}")
+        marginal = read_key(cfg, "marginal", dict, what, None)
+        report = conditions.check_linear_conditions(
+            coeffs_from_dict(read_key(cfg, "coefficients", dict, what)),
+            model_from_dict(read_key(cfg, "innovation", dict, what)),
+            read_key(cfg, "mode", str, what),
+            r=read_key(cfg, "r", float, what, None),
+            marginal=None if marginal is None else model_from_dict(marginal),
+            terms=read_key(cfg, "terms", int, what, 200),
+        )
     _emit(report.to_dict(), args, "check.json")
     return 0
 
 
 def _cmd_limit(args) -> int:
+    what = "limit config"
     cfg = _load_config(args.config)
-    if cfg.get("schema_version") != harness.SCHEMA_VERSION:
-        raise ValidationError("config schema_version must be 1")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    grid_cfg = cfg.get("grid", {})
-    size = int(grid_cfg.get("size", 256))
-    scheme = grid_cfg.get("scheme", "quantile")
-    model = model_from_dict(cfg["model"]) if "model" in cfg else None
-    if model is None:
-        raise ValidationError("limit config needs a 'model' for the grid/reference")
-    grid = (
-        limitlaw.variance_length_grid(model, size)
-        if scheme == "vartail"
-        else limitlaw.quantile_grid(model, size)
-    )
-    if "process" in cfg:
+    dependent = "process" in cfg  # lag_cutoff and sim_length only mean something with it
+    reject_unknown_keys(cfg, _LIMIT_KEYS + (_DEPENDENT_LIMIT_KEYS if dependent else ()), what)
+    grid_cfg = reject_unknown_keys(cfg.get("grid", {}), ("size", "scheme"), "limit grid")
+    scheme = read_key(grid_cfg, "scheme", str, "limit grid", "quantile")
+    if scheme not in _GRIDS:
+        raise ValidationError(f"limit grid scheme must be one of {sorted(_GRIDS)}, got {scheme!r}")
+    size = read_key(grid_cfg, "size", int, "limit grid", 256)
+    model = model_from_dict(read_key(cfg, "model", dict, what))
+    seed = _seed(args, cfg, what)
+    replications = read_key(cfg, "replications", int, what, 10_000)
+    out = _out_path(args, read_key(cfg, "out", str, what, "limit.csv"))
+    grid = _GRIDS[scheme](model, size)
+    if dependent:
         cg = limitlaw.covariance_dependent(
             spec_from_dict(cfg["process"]),
             grid,
-            int(cfg["lag_cutoff"]),
-            int(cfg["sim_length"]),
+            read_key(cfg, "lag_cutoff", int, what),
+            read_key(cfg, "sim_length", int, what),
             seed,
         )
     else:
         cg = limitlaw.covariance_iid(model, grid)
-    sample = limitlaw.sample_limit_functional(cg, int(cfg.get("replications", 10_000)), seed)
-    out = _out_path(args, cfg.get("out", "limit.csv"))
+    sample = limitlaw.sample_limit_functional(cg, replications, seed)
     with open(out, "w", encoding="utf-8") as fh:
         sample.to_csv(fh)
     _emit(
@@ -165,123 +189,96 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    if args.config:
-        cfg = _load_config(args.config)
-        gamma, a = float(cfg["gamma"]), float(cfg["a"])
-        n_values = [int(v) for v in cfg["n_values"]]
-        reps = int(cfg.get("replications", 200))
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        growth = float(cfg.get("growth_factor", 1.5))
-    else:
-        if args.gamma is None or args.a is None or args.n_values is None:
-            raise ValidationError("probe needs --gamma, --a and --n-values (or --config)")
-        gamma, a = args.gamma, args.a
-        n_values = [int(v) for v in args.n_values.split(",")]
-        reps = args.replications
-        seed = args.seed if args.seed is not None else 0
-        growth = args.growth_factor
     report = harness.divergence_probe(
-        gamma, a, n_values, reps, seed, growth_factor=growth, threads=args.threads
+        args.gamma, args.a, args.n_values, args.replications, args.seed,
+        growth_factor=args.growth_factor, threads=args.threads,
     )
     _emit(report.to_dict(), args, "probe.json")
     return 0
 
 
 def _cmd_report(args) -> int:
-    cfg = _load_config(args.config)
+    what = "report config"
+    cfg = reject_unknown_keys(_load_config(args.config), _REPORT_KEYS, what)
+    finite_n = read_key(cfg, "finite_n", dict, what)
     finite = {}
-    for key, path in cfg["finite_n"].items():
+    for key in finite_n:
+        if not key.isdecimal() or int(key) in finite:
+            raise ValidationError(f"{what} 'finite_n' keys must be distinct sample sizes, "
+                                  f"got {key!r}")
+        path = read_key(finite_n, key, str, f"{what} 'finite_n'")
         finite[int(key)] = StatisticSample(
             _read_values(path), "finite_n", metadata={"n": int(key)}
         )
-    limit_sample = StatisticSample(_read_values(cfg["limit"]), "limit_functional")
+    limit_sample = StatisticSample(
+        _read_values(read_key(cfg, "limit", str, what)), "limit_functional"
+    )
     report = harness.compare_against_limit(finite, limit_sample)
     _emit(report.to_dict(), args, "report.json")
     return 0
 
 
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is bad input: exit 1 through cli_main, not argparse's exit 2
+        self.print_usage(sys.stderr)
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="w1clt",
         description="L1-Wasserstein empirical CLT simulation and verification",
     )
-    sub = parser.add_subparsers(dest="command")
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--out-dir", default="out")
-
-    p = sub.add_parser("generate", help="simulate a trajectory to CSV")
-    p.add_argument("--config", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("w1", help="exact W1 between two sample CSVs")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_w1)
-
-    p = sub.add_parser("check", help="evaluate a convergence condition")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--config")
-    common(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("limit", help="covariance grid + limit functional sample")
-    p.add_argument("--config", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_limit)
-
-    p = sub.add_parser("experiment", help="finite-n Monte Carlo experiment")
-    p.add_argument("--config", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_experiment)
-
-    p = sub.add_parser("compare", help="KS/W1/mean comparison of two statistic CSVs")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("probe", help="intermittent-map growth probe")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--n-values")
-    p.add_argument("--replications", type=int, default=200)
-    p.add_argument("--growth-factor", type=float, default=1.5)
-    p.add_argument("--config")
-    common(p)
-    p.set_defaults(func=_cmd_probe)
-
-    p = sub.add_parser("report", help="per-n comparison table against a limit sample")
-    p.add_argument("--config", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_report)
-
+    sub = parser.add_subparsers(dest="command", required=True)
+    config = ("--config", {"required": True})
+    config_seed = ("--seed", {"type": int, "default": None, "help": "overrides the config's seed"})
+    threads = ("--threads", {"type": int, "default": 1})
+    out_dir = ("--out-dir", {"default": "out"})
+    commands = [
+        ("generate", _cmd_generate, "simulate a trajectory to CSV", config, config_seed, out_dir),
+        ("w1", _cmd_w1, "exact W1 between two sample CSVs",
+         ("--x", {"required": True}), ("--y", {"required": True})),
+        ("check", _cmd_check, "evaluate a convergence condition",
+         ("--gamma", {"type": float}), ("--a", {"type": float}), ("--config", {}), out_dir),
+        ("limit", _cmd_limit, "covariance grid + limit functional sample",
+         config, config_seed, out_dir),
+        ("experiment", _cmd_experiment, "finite-n Monte Carlo experiment",
+         config, threads, out_dir),
+        ("compare", _cmd_compare, "KS/W1/mean comparison of two statistic CSVs",
+         ("--a", {"required": True}), ("--b", {"required": True}), out_dir),
+        ("probe", _cmd_probe, "intermittent-map growth probe",
+         ("--gamma", {"type": float, "required": True}),
+         ("--a", {"type": float, "required": True}),
+         ("--n-values", {"type": _int_list, "required": True}),
+         ("--replications", {"type": int, "default": 200}),
+         ("--growth-factor", {"type": float, "default": 1.5}),
+         ("--seed", {"type": int, "default": 0}), threads, out_dir),
+        ("report", _cmd_report, "per-n comparison table against a limit sample",
+         config, out_dir),
+    ]
+    for name, func, help_text, *flags in commands:
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors; remap to 1
-        return 0 if exc.code == 0 else 1
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except ValidationError as exc:
+    except SystemExit as exc:  # --help
+        return 0 if exc.code == 0 else 1
+    except (ValidationError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
-        if isinstance(exc, (FileNotFoundError, json.JSONDecodeError, KeyError)):
-            print(f"validation error: {exc!r}", file=sys.stderr)
-            return 1
+    except NumericalError as exc:
         diag = getattr(exc, "diagnostic", None)
         print(f"numerical failure: {exc}" + (f" [{diag}]" if diag else ""), file=sys.stderr)
         return 2

@@ -7,13 +7,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, read_key, reject_unknown_keys
 from .limitlaw import StatisticSample
 from .models import DistributionModel, model_from_dict
 from .processes import (
@@ -42,6 +41,7 @@ _REPLICATE_CHUNK = 256
 SCHEMA_VERSION = 1
 _CONFIG_KEYS = {"schema_version", "process", "n_values", "replications", "base_seed",
                 "reference", "tail_tol"}
+_REFERENCE_KEYS = ("analytic", "calibration_length", "calibration_grid_size")
 
 
 def ks_two_sample(x, y) -> float:
@@ -87,26 +87,29 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        what = "experiment config"
+        reject_unknown_keys(d, _CONFIG_KEYS, what)
         if d.get("schema_version") != SCHEMA_VERSION:
             raise ValidationError(f"config schema_version must be {SCHEMA_VERSION}")
-        unknown = sorted(set(d) - _CONFIG_KEYS)
-        if unknown:
-            raise ValidationError(f"unknown experiment config key(s) {unknown}")
-        n_values = [int(v) for v in d["n_values"]]
-        ref = d.get("reference", {})
-        model = model_from_dict(ref["analytic"]) if "analytic" in ref else None
-        cal = ref.get("calibration_length")
-        if cal == "auto":
+        n_values = read_key(d, "n_values", [int], what)
+        ref = reject_unknown_keys(d.get("reference", {}), _REFERENCE_KEYS, "reference")
+        model = None
+        if "analytic" in ref:  # nothing is calibrated, so no calibration key is read
+            reject_unknown_keys(ref, ("analytic",), "analytic reference")
+            model = model_from_dict(ref["analytic"])
+        if ref.get("calibration_length") == "auto":
             cal = 10 * max(n_values, default=0)
+        else:
+            cal = read_key(ref, "calibration_length", int, "reference", None)
         return cls(
-            process=spec_from_dict(d["process"]),
+            process=spec_from_dict(read_key(d, "process", dict, what)),
             n_values=n_values,
-            replications=int(d["replications"]),
-            base_seed=int(d["base_seed"]),
+            replications=read_key(d, "replications", int, what),
+            base_seed=read_key(d, "base_seed", int, what),
             reference_model=model,
-            calibration_length=None if cal is None else int(cal),
-            calibration_grid_size=int(ref.get("calibration_grid_size", 2048)),
-            tail_tol=float(d.get("tail_tol", 1e-12)),
+            calibration_length=cal,
+            calibration_grid_size=read_key(ref, "calibration_grid_size", int, "reference", 2048),
+            tail_tol=read_key(d, "tail_tol", float, what, 1e-12),
         )
 
     @classmethod
@@ -330,8 +333,3 @@ def divergence_probe(gamma: float, a: float, n_values: list[int], replications: 
         verdict = "indeterminate"
     return ProbeReport(medians, ratios, verdict, growth_factor)
 
-
-def write_statistic_csv(sample: StatisticSample, path: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        sample.to_csv(fh)

@@ -127,7 +127,10 @@ class StatisticSample:
                     raise ValidationError("expected a 'value' header row")
                 header_seen = True
                 continue
-            values.append(float(line))
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise ValidationError(f"expected one number per row, got {line!r}") from None
         if not header_seen:
             raise ValidationError("expected a 'value' header row")
         return np.asarray(values, dtype=float)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, read_key, read_tag
 
 __all__ = [
     "DistributionModel",
@@ -608,28 +608,35 @@ class PowerPushforward(DistributionModel):
         return {"kind": "power_pushforward", "exponent": self.exponent, "base": base}
 
 
+_MODEL_KEYS = {
+    "uniform": ("lo", "hi"),
+    "exponential": ("rate",),
+    "pareto_tail": ("scale", "exponent"),
+    "power_pushforward": ("exponent", "base"),
+    "tabulated": ("grid", "cdf_values", "interp"),
+}
+
+
 def model_from_dict(d: dict) -> DistributionModel:
     """Rebuild a model from its ``to_dict`` form (the JSON wire format)."""
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ValidationError("model spec must be a dict with a 'kind' field")
-    kind = d["kind"]
+    kind = read_tag(d, "kind", _MODEL_KEYS, "model")
+    what = f"{kind} model"
     if kind == "uniform":
-        return Uniform(float(d.get("lo", 0.0)), float(d.get("hi", 1.0)))
+        return Uniform(read_key(d, "lo", float, what, 0.0), read_key(d, "hi", float, what, 1.0))
     if kind == "exponential":
-        return Exponential(float(d.get("rate", 1.0)))
+        return Exponential(read_key(d, "rate", float, what, 1.0))
     if kind == "pareto_tail":
-        return ParetoTail(float(d.get("scale", 1.0)), float(d.get("exponent", 3.0)))
+        return ParetoTail(read_key(d, "scale", float, what, 1.0),
+                          read_key(d, "exponent", float, what, 3.0))
     if kind == "power_pushforward":
         base = d.get("base", "lebesgue")
-        if isinstance(base, dict):
+        if not isinstance(base, str):
             base = model_from_dict(base)
             if not isinstance(base, Tabulated):
                 raise ValidationError("power_pushforward base must be tabulated")
-        return PowerPushforward(float(d["exponent"]), base)
-    if kind == "tabulated":
-        return Tabulated(
-            np.asarray(d["grid"], dtype=float),
-            np.asarray(d["cdf_values"], dtype=float),
-            d.get("interp", "linear"),
-        )
-    raise ValidationError(f"unknown model kind {kind!r}")
+        return PowerPushforward(read_key(d, "exponent", float, what), base)
+    return Tabulated(
+        read_key(d, "grid", [float], what),
+        read_key(d, "cdf_values", [float], what),
+        read_key(d, "interp", str, what, "linear"),
+    )

@@ -24,7 +24,7 @@ from typing import Union
 import numpy as np
 from scipy.special import zeta
 
-from .errors import ValidationError
+from .errors import ValidationError, read_key, read_tag
 from .models import DistributionModel, Tabulated, model_from_dict
 
 __all__ = [
@@ -134,13 +134,16 @@ class PolynomialCoeffs:
 CoeffFamily = Union[GeometricCoeffs, PolynomialCoeffs]
 
 
+_COEFF_KEYS = {"geometric": ("rho",), "polynomial": ("beta", "offset")}
+
+
 def coeffs_from_dict(d: dict) -> CoeffFamily:
-    fam = d.get("family")
+    fam = read_tag(d, "family", _COEFF_KEYS, "coefficients")
+    what = f"{fam} coefficients"
     if fam == "geometric":
-        return GeometricCoeffs(float(d["rho"]))
-    if fam == "polynomial":
-        return PolynomialCoeffs(float(d["beta"]), float(d.get("offset", 1.0)))
-    raise ValidationError(f"unknown coefficient family {fam!r}")
+        return GeometricCoeffs(read_key(d, "rho", float, what))
+    return PolynomialCoeffs(read_key(d, "beta", float, what),
+                            read_key(d, "offset", float, what, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -223,23 +226,33 @@ class CausalLinear:
 ProcessSpec = Union[IID, IntermittentMap, DoublingMap, CausalLinear]
 
 
+_SPEC_KEYS = {
+    "iid": ("model",),
+    "intermittent": ("gamma", "observable_exponent", "burn_in"),
+    "doubling": ("observable_exponent", "burn_in"),
+    "causal_linear": ("coefficients", "innovation", "truncation"),
+}
+
+
 def spec_from_dict(d: dict) -> ProcessSpec:
-    variant = d.get("variant")
+    variant = read_tag(d, "variant", _SPEC_KEYS, "process")
+    what = f"{variant} process"
     if variant == "iid":
-        return IID(model_from_dict(d["model"]))
+        return IID(model_from_dict(read_key(d, "model", dict, what)))
     if variant == "intermittent":
         return IntermittentMap(
-            float(d["gamma"]), float(d["observable_exponent"]), int(d.get("burn_in", 10_000))
+            read_key(d, "gamma", float, what),
+            read_key(d, "observable_exponent", float, what),
+            read_key(d, "burn_in", int, what, 10_000),
         )
     if variant == "doubling":
-        return DoublingMap(float(d["observable_exponent"]), int(d.get("burn_in", 10_000)))
-    if variant == "causal_linear":
-        return CausalLinear(
-            coeffs_from_dict(d["coefficients"]),
-            model_from_dict(d["innovation"]),
-            None if d.get("truncation") is None else int(d["truncation"]),
-        )
-    raise ValidationError(f"unknown process variant {variant!r}")
+        return DoublingMap(read_key(d, "observable_exponent", float, what),
+                           read_key(d, "burn_in", int, what, 10_000))
+    return CausalLinear(
+        coeffs_from_dict(read_key(d, "coefficients", dict, what)),
+        model_from_dict(read_key(d, "innovation", dict, what)),
+        read_key(d, "truncation", int, what, None),
+    )
 
 
 @dataclass

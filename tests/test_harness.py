@@ -136,6 +136,10 @@ def test_config_json_roundtrip():
                        ("out_dir", "out"), ("replication", 4)):
         with pytest.raises(ValidationError, match=key):
             ExperimentConfig.from_dict({**d, key: value})
+    # an analytic reference calibrates nothing, so it reads no calibration key
+    with pytest.raises(ValidationError, match="calibration_length"):
+        ExperimentConfig.from_dict({**d, "reference": {**d["reference"],
+                                                       "calibration_length": 64}})
 
 
 def _calibrated_dict(length):
@@ -284,7 +288,8 @@ def test_cli_probe_and_report(tmp_path, capsys):
     b = tmp_path / "lim.csv"
     b.write_text("value\n" + "\n".join(str(v / 10) for v in range(1, 11)) + "\n")
     rcfg = tmp_path / "report.json"
-    rcfg.write_text(json.dumps({"finite_n": {"100": str(a)}, "limit": str(b)}))
+    rcfg.write_text(json.dumps({"schema_version": 1, "finite_n": {"100": str(a)},
+                                "limit": str(b)}))
     assert cli_main(["report", "--config", str(rcfg), "--out-dir", str(tmp_path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ks_two_sample"] == 0.0
@@ -309,8 +314,66 @@ def test_cli_limit_iid(tmp_path, capsys):
         "seed": 4,
     }
     f = tmp_path / "limit.json"
-    f.write_text(json.dumps(cfg))
-    assert cli_main(["limit", "--config", str(f), "--out-dir", str(tmp_path)]) == 0
-    vals = StatisticSample.read_csv_values(open(tmp_path / "limit.csv"))
-    assert vals.size == 500
-    assert np.all(vals >= 0)
+    for scheme in ("quantile", "vartail"):
+        f.write_text(json.dumps({**cfg, "grid": {"size": 32, "scheme": scheme}}))
+        assert cli_main(["limit", "--config", str(f), "--out-dir", str(tmp_path)]) == 0
+        vals = StatisticSample.read_csv_values(open(tmp_path / "limit.csv"))
+        assert vals.size == 500
+        assert np.all(vals >= 0)
+
+
+_UNIFORM = {"kind": "uniform", "lo": 0, "hi": 1}
+_GENERATE = {"schema_version": 1, "process": {"variant": "iid", "model": _UNIFORM}, "n": 10}
+_LIMIT = {"schema_version": 1, "model": _UNIFORM, "grid": {"size": 8}, "replications": 10}
+_EXPERIMENT = {
+    "schema_version": 1,
+    "process": {"variant": "iid", "model": _UNIFORM},
+    "n_values": [8, 16],
+    "replications": 4,
+    "base_seed": 1,
+    "reference": {"analytic": _UNIFORM},
+}
+_THRESHOLD = {"schema_version": 1, "kind": "threshold", "gamma": 0.25, "a": 0.2}
+_CFG = ["--config", "{cfg}"]
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (["check", "--gamma", "0.25", "--a", "0.2", "--threads", "0"], None, "--threads"),
+    (["w1", "--x", "{csv}", "--y", "{csv}", "--seed", "5"], None, "--seed"),
+    (["experiment", *_CFG, "--seed", "5"], _EXPERIMENT, "--seed"),
+    (["probe", "--gamma", "0.25", "--a", "0.4", "--n-values", "64,128", "--config", "x.json"],
+     None, "--config"),
+    (["limit", *_CFG], {**_LIMIT, "model": {"kind": "uniform", "hgh": 5}}, "hgh"),
+    (["generate", *_CFG], {**_GENERATE, "process": {
+        "variant": "intermittent", "gamma": 0.25, "observable_exponent": 0.1, "burnin": 0}},
+     "burnin"),
+    (["generate", *_CFG], {**_GENERATE, "process": {
+        "variant": "causal_linear", "coefficients": {"family": "polynomial", "beta": 2,
+                                                     "ofset": 1},
+        "innovation": _UNIFORM}}, "ofset"),
+    (["limit", *_CFG], {**_LIMIT, "lag": 3}, "lag"),
+    (["limit", *_CFG], {**_LIMIT, "lag_cutoff": 2}, "lag_cutoff"),
+    (["generate", *_CFG], {**_GENERATE, "seeds": 3}, "seeds"),
+    (["generate", *_CFG], {**_GENERATE, "out": "../path.csv"}, "../path.csv"),
+    (["check", *_CFG], {**_THRESHOLD, "verbose": True}, "verbose"),
+    (["experiment", *_CFG], {**_EXPERIMENT, "reference": {"calibraton_length": 100}},
+     "calibraton_length"),
+    (["limit", *_CFG], {**_LIMIT, "model": {"kind": "uniform", "lo": "x", "hi": 1}}, "'x'"),
+    (["experiment", *_CFG], {**_EXPERIMENT, "n_values": 5}, "n_values"),
+    (["limit", *_CFG], {**_LIMIT, "grid": {"size": 8, "scheme": "vartial"}}, "vartial"),
+    (["report", *_CFG], {"schema_version": 1, "finite_n": {"100": "{csv}", "0100": "{csv}"},
+                         "limit": "{csv}"}, "0100"),
+], ids=["check-threads", "w1-seed", "experiment-seed", "probe-config", "model-typo",
+        "spec-typo", "coefficients-typo", "limit-key", "iid-limit-lag", "generate-key",
+        "out-path", "check-key", "reference-typo", "string-number", "scalar-list",
+        "grid-scheme", "report-same-n"])
+def test_cli_rejects_unread_input(argv, config, named, tmp_path, capsys):
+    csv = tmp_path / "a.csv"
+    csv.write_text("value\n0.5\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config).replace("{csv}", str(csv)))
+    argv = [a.format(csv=csv, cfg=cfg) for a in argv]
+    assert cli_main([*argv, "--out-dir", str(tmp_path)] if config else argv) == 1
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert named in err

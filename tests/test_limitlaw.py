@@ -221,3 +221,5 @@ def test_statistic_sample_validation_and_csv():
         StatisticSample(np.array([-0.1]), "finite_n")
     with pytest.raises(ValidationError):
         StatisticSample(np.array([0.1]), "bogus")
+    with pytest.raises(ValidationError, match="abc"):
+        StatisticSample.read_csv_values(io.StringIO("value\n0.5\nabc\n"))

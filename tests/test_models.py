@@ -168,6 +168,8 @@ def test_model_dict_roundtrip():
         np.testing.assert_allclose(
             np.asarray(m.cdf(t)), np.asarray(m2.cdf(t)), atol=1e-14
         )
+        with pytest.raises(ValidationError, match="stray"):
+            model_from_dict({**m.to_dict(), "stray": 1})
 
 
 def test_density_bound_metadata():

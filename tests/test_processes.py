@@ -314,3 +314,5 @@ def test_spec_dict_roundtrip():
     for spec in SPECS:
         back = spec_from_dict(spec.to_dict())
         assert back == spec
+        with pytest.raises(ValidationError, match="stray"):
+            spec_from_dict({**spec.to_dict(), "stray": 1})
