@@ -181,9 +181,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    # a statistic CSV does not say what it holds, so the verdict names the files
     a = StatisticSample(_read_values(args.a), "finite_n")
     b = StatisticSample(_read_values(args.b), "finite_n")
-    report = harness.compare_distributions(a, b)
+    report = harness.compare_distributions(a, b, names=(args.a, args.b))
     _emit(report.to_dict(), args, "compare.json")
     return 0
 

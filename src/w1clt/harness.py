@@ -23,7 +23,7 @@ from .processes import (
     spec_from_dict,
     tabulate_cdf,
 )
-from .transport import w1_sample_vs_model, w1_two_samples
+from .transport import level_terms, w1_sample_vs_model, w1_two_samples
 
 __all__ = [
     "ExperimentConfig",
@@ -192,12 +192,13 @@ def resolve_reference(cfg: ExperimentConfig) -> tuple[DistributionModel, dict]:
 # ---------------------------------------------------------------------------
 
 def _tn_chunk(spec: ProcessSpec, reference: DistributionModel, n: int, seed: int,
-              first_stream: int, count: int, tail_tol: float) -> np.ndarray:
+              first_stream: int, count: int, tail_tol: float, terms) -> np.ndarray:
     values = generate_batch(spec, n, count, seed, first_stream=first_stream)
     root_n = math.sqrt(n)
-    return np.array(
-        [root_n * w1_sample_vs_model(values[r], reference, tail_tol) for r in range(count)]
-    )
+    return np.array([
+        root_n * w1_sample_vs_model(values[r], reference, tail_tol, terms=terms)
+        for r in range(count)
+    ])
 
 
 def _tn_sample(spec: ProcessSpec, reference: DistributionModel, n: int,
@@ -209,10 +210,11 @@ def _tn_sample(spec: ProcessSpec, reference: DistributionModel, n: int,
         for start in range(0, replications, _REPLICATE_CHUNK)
     ]
     out = np.empty(replications)
+    terms = level_terms(reference, n)  # read-only, shared by every chunk
 
     def work(arg):
         first, count = arg
-        return first, _tn_chunk(spec, reference, n, seed, first, count, tail_tol)
+        return first, _tn_chunk(spec, reference, n, seed, first, count, tail_tol, terms)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -251,8 +253,12 @@ def run_clt_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict[int, Sta
     return out
 
 
-def compare_distributions(a: StatisticSample, b: StatisticSample) -> ComparisonReport:
-    """KS statistic, W1 distance and mean gap between two statistic samples."""
+def compare_distributions(a: StatisticSample, b: StatisticSample,
+                          names: tuple[str, str] | None = None) -> ComparisonReport:
+    """KS statistic, W1 distance and mean gap between two statistic samples.
+
+    The verdict names the samples by ``names``, or by their kinds when None.
+    """
     if a.values.size == 0 or b.values.size == 0:
         raise ValidationError("cannot compare empty samples")
     ks = ks_two_sample(a.values, b.values)
@@ -264,9 +270,10 @@ def compare_distributions(a: StatisticSample, b: StatisticSample) -> ComparisonR
         "w1": w1,
         "mean_gap": mean_gap,
     }
+    name_a, name_b = names or (a.kind, b.kind)
     verdict = (
         f"KS={ks:.4f}, W1={w1:.4g}, mean gap={mean_gap:.4g} between "
-        f"{a.kind} (R={a.values.size}) and {b.kind} (R={b.values.size})"
+        f"{name_a} (R={a.values.size}) and {name_b} (R={b.values.size})"
     )
     return ComparisonReport(ks, w1, mean_gap, [row], verdict)
 

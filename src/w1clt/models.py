@@ -383,6 +383,13 @@ class Tabulated(DistributionModel):
         self.cdf_values[-1] = 1.0
         self._build_antiderivative()
 
+    def __eq__(self, other):
+        # the generated dataclass __eq__ would compare arrays to an ambiguous truth value
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.interp == other.interp and np.array_equal(self.grid, other.grid)
+                and np.array_equal(self.cdf_values, other.cdf_values))
+
     @classmethod
     def from_sample(cls, values) -> "Tabulated":
         """Step CDF placing mass 1/n at every observation (ties merge)."""

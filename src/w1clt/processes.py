@@ -345,7 +345,8 @@ def _intermittent_orbit(spec: IntermittentMap, n: int, seed: int, stream: int,
         if i >= spec.burn_in:
             out[i - spec.burn_in] = x
     _log_reseeds(reseeds)
-    return out ** (-spec.observable_exponent)
+    out **= -spec.observable_exponent
+    return out
 
 
 def _intermittent_orbit_batch(spec: IntermittentMap, n: int, seed: int,
@@ -355,17 +356,27 @@ def _intermittent_orbit_batch(spec: IntermittentMap, n: int, seed: int,
     x = np.array([_intermittent_start(spawn_rng(seed, int(s), PURPOSE_PATH)) for s in streams])
     rngs, reseeds = {}, 0
     out = np.empty((len(streams), n))
+    y, lower = np.empty_like(x), np.empty(x.shape, dtype=bool)
     for i in range(spec.burn_in + n):
-        x = np.where(x < 0.5, x * (1.0 + c * np.power(x, gamma)), 2.0 * x - 1.0)
+        # in place, the same operations as x * (1 + c * x**gamma) on [0, 1/2), 2x - 1 above
+        np.less(x, 0.5, out=lower)
+        np.power(x, gamma, out=y)
+        y *= c
+        y += 1.0
+        y *= x
+        x *= 2.0
+        x -= 1.0
+        np.copyto(x, y, where=lower)
         if not x.all():  # some lane is at exact 0
             for lane in np.flatnonzero(x == 0.0):
                 x[lane] = _reseed(rngs, seed, int(streams[lane]))
                 reseeds += 1
-        np.clip(x, _TINY, _BELOW_ONE, out=x)
+        np.minimum(x, _BELOW_ONE, out=x)  # any other state is >= _TINY already
         if i >= spec.burn_in:
             out[:, i - spec.burn_in] = x
     _log_reseeds(reseeds)
-    return out ** (-spec.observable_exponent)
+    out **= -spec.observable_exponent
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ __all__ = [
     "as_sorted_sample",
     "w1_two_samples",
     "w1_sample_vs_model",
+    "level_terms",
     "lambda21",
     "quantile_tail_integral",
     "sqrt_tail_integral",
@@ -94,7 +95,23 @@ def w1_two_samples(x, y) -> float:
     return float(np.sum(np.abs(fx - fy) * deltas))
 
 
-def w1_sample_vs_model(sample, model: DistributionModel, tail_tol: float = 1e-12) -> float:
+def level_terms(model: DistributionModel, n: int):
+    """The per-n terms of ``w1_sample_vs_model``: levels i/n, Q(i/n) and their antiderivatives.
+
+    They depend on n and the model only, so a caller computing many
+    replicates of one n computes them once and passes them as ``terms``.
+    The arrays are read-only, so threads can share them.
+    """
+    levels = np.arange(1, n) / n
+    q = np.array(model.quantile(levels), dtype=float)
+    terms = (levels, q, np.array(model.cdf_antiderivative(q), dtype=float))
+    for t in terms:
+        t.flags.writeable = False
+    return terms
+
+
+def w1_sample_vs_model(sample, model: DistributionModel, tail_tol: float = 1e-12,
+                       terms=None) -> float:
     """Exact ``int |F_n - F| dt`` for a sample against a reference model.
 
     Between consecutive order statistics F_n is the constant i/n, and |i/n - F|
@@ -102,7 +119,8 @@ def w1_sample_vs_model(sample, model: DistributionModel, tail_tol: float = 1e-12
     antiderivatives split at quantile(i/n) clamped to the interval.  Tail
     pieces use the model's closed-form mean-excess integrals (exact for all
     built-in kinds; ``tail_tol`` bounds the additive error of any
-    quadrature-backed model).
+    quadrature-backed model).  ``terms`` is ``level_terms(model, n)`` for the
+    sample size n; it is computed here when not given.
 
     Raises
     ------
@@ -119,15 +137,20 @@ def w1_sample_vs_model(sample, model: DistributionModel, tail_tol: float = 1e-12
         )
     s = as_sorted_sample(sample)
     n = s.size
+    if terms is None:
+        terms = level_terms(model, n)
+    levels, q, a_q = terms
+    if not len(levels) == len(q) == len(a_q) == n - 1:
+        raise ValidationError(f"level terms must have length n - 1 = {n - 1}")
     a_s = np.asarray(model.cdf_antiderivative(s), dtype=float)
     total = float(np.atleast_1d(a_s)[0])  # int_{-inf}^{s_(1)} F dt
-    if n > 1:
-        levels = np.arange(1, n) / n
-        t_star = np.clip(np.asarray(model.quantile(levels), dtype=float), s[:-1], s[1:])
-        a_t = np.asarray(model.cdf_antiderivative(t_star), dtype=float)
-        below = levels * (t_star - s[:-1]) - (a_t - a_s[:-1])
-        above = (a_s[1:] - a_t) - levels * (s[1:] - t_star)
-        total += float(np.sum(np.maximum(below, 0.0) + np.maximum(above, 0.0)))
+    lo, hi = s[:-1], s[1:]
+    t_star = np.clip(q, lo, hi)
+    # the antiderivative at t_star, taken from the values already known at q and s
+    a_t = np.where(q < lo, a_s[:-1], np.where(q > hi, a_s[1:], a_q))
+    below = levels * (t_star - lo) - (a_t - a_s[:-1])
+    above = (a_s[1:] - a_t) - levels * (hi - t_star)
+    total += float(np.sum(np.maximum(below, 0.0) + np.maximum(above, 0.0)))
     total += float(model.upper_mean_excess(s[-1]))
     return total
 

@@ -12,11 +12,12 @@ from w1clt.harness import (
     compare_distributions,
     divergence_probe,
     ks_two_sample,
+    resolve_reference,
     run_clt_experiment,
 )
 from w1clt.limitlaw import StatisticSample
-from w1clt.models import Uniform
-from w1clt.processes import IID, generate
+from w1clt.models import ParetoTail, Tabulated, Uniform
+from w1clt.processes import IID, CausalLinear, IntermittentMap, PolynomialCoeffs, generate
 from w1clt.transport import w1_sample_vs_model
 
 
@@ -95,6 +96,30 @@ def test_experiment_deterministic_across_thread_counts():
     runs = [run_clt_experiment(_uniform_config(), threads=t) for t in (1, 4)]
     for n in (16, 64):
         assert np.array_equal(runs[0][n].values, runs[1][n].values)
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(IntermittentMap(0.25, 0.4, burn_in=50), [16, 48], 300, 5,
+                     calibration_length=2000),
+    ExperimentConfig(CausalLinear(PolynomialCoeffs(2.5), Uniform(-1, 1), truncation=32),
+                     [16, 48], 300, 6, calibration_length=2000),
+    ExperimentConfig(IID(ParetoTail(1.0, 3.0)), [16, 48], 300, 7,
+                     reference_model=ParetoTail(1.0, 3.0)),
+], ids=["intermittent", "causal_linear", "iid_pareto"])
+def test_experiment_rows_equal_one_stream_recomputation(cfg):
+    # 300 replicates make two chunks, so the per-n terms are shared across chunks
+    reference, _ = resolve_reference(cfg)
+    assert isinstance(reference, Tabulated) == (cfg.reference_model is None)
+    for threads in (1, 2):
+        out = run_clt_experiment(cfg, threads=threads)
+        for i, n in enumerate(cfg.n_values):
+            expected = [
+                math.sqrt(n) * w1_sample_vs_model(
+                    generate(cfg.process, n, cfg.base_seed, (i << 32) | r).values, reference
+                )
+                for r in range(cfg.replications)
+            ]
+            assert out[n].values.tolist() == expected
 
 
 def test_experiment_statistics_are_nonnegative_and_reasonable():
@@ -242,6 +267,17 @@ def test_cli_generate_and_compare(tmp_path, capsys):
                      "--out-dir", str(tmp_path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ks_two_sample"] == 0.0
+
+
+def test_cli_compare_names_both_inputs(tmp_path, capsys):
+    tn = tmp_path / "tn_64.csv"
+    tn.write_text("value\n0.5\n1.0\n1.5\n")
+    limit = tmp_path / "limit.csv"
+    limit.write_text("value\n0.75\n1.25\n")
+    assert cli_main(["compare", "--a", str(tn), "--b", str(limit),
+                     "--out-dir", str(tmp_path)]) == 0
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert verdict.endswith(f"between {tn} (R=3) and {limit} (R=2)")
 
 
 def test_cli_experiment_matches_library_and_threads(tmp_path):

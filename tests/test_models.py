@@ -161,6 +161,20 @@ def test_tabulated_validation_errors():
         Tabulated([0.0, 1.0], [0.0, 0.7])
 
 
+def test_tabulated_equality_compares_arrays():
+    grid, cdf = [0.1, 0.5, 1.0], [0.2, 0.6, 1.0]
+    tab = Tabulated(grid, cdf)
+    same = Tabulated(np.array(grid), np.array(cdf))
+    assert tab == same and not tab != same
+    assert tab != Tabulated(grid, [0.2, 0.7, 1.0])
+    assert tab != Tabulated([0.1, 0.6, 1.0], cdf)
+    assert tab != Tabulated(grid, cdf, interp="step")
+    assert tab != Uniform(0.1, 1.0)
+    assert PowerPushforward(0.3, tab) == PowerPushforward(0.3, tab)
+    assert PowerPushforward(0.3, tab) == PowerPushforward(0.3, same)
+    assert PowerPushforward(0.3, tab) != PowerPushforward(0.3, Tabulated(grid, cdf, "step"))
+
+
 def test_model_dict_roundtrip():
     for m in MODELS:
         m2 = model_from_dict(m.to_dict())

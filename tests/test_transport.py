@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.stats import wasserstein_distance
 
+from test_dict_properties import MODELS
 from w1clt.errors import DivergenceError, ValidationError
 from w1clt.models import Exponential, ParetoTail, Tabulated, Uniform
 from w1clt.transport import (
     as_sorted_sample,
     lambda21,
+    level_terms,
     quantile_tail_integral,
     sqrt_tail_integral,
     w1_sample_vs_model,
@@ -195,6 +198,89 @@ def test_permutation_invariance():
     s = rng.exponential(size=50)
     m = Exponential(1.0)
     assert w1_sample_vs_model(s[::-1], m) == w1_sample_vs_model(s, m)
+
+
+# ---------------------------------------------------------------------------
+# w1_sample_vs_model properties, every model kind
+# ---------------------------------------------------------------------------
+
+def clip_then_antiderivative_w1(sample, model):
+    """The W1 formula before level_terms: A evaluated at the clipped quantiles.
+
+    A copy kept as the bit-for-bit yardstick of the fast path, which selects
+    A(t*) from the values already known at Q(i/n) and at the order statistics.
+    """
+    s = np.sort(np.asarray(sample, dtype=float))
+    n = s.size
+    a_s = np.asarray(model.cdf_antiderivative(s), dtype=float)
+    total = float(np.atleast_1d(a_s)[0])
+    if n > 1:
+        levels = np.arange(1, n) / n
+        t_star = np.clip(np.asarray(model.quantile(levels), dtype=float), s[:-1], s[1:])
+        a_t = np.asarray(model.cdf_antiderivative(t_star), dtype=float)
+        below = levels * (t_star - s[:-1]) - (a_t - a_s[:-1])
+        above = (a_s[1:] - a_t) - levels * (s[1:] - t_star)
+        total += float(np.sum(np.maximum(below, 0.0) + np.maximum(above, 0.0)))
+    total += float(model.upper_mean_excess(s[-1]))
+    return total
+
+
+@st.composite
+def model_and_sample(draw):
+    """A finite-mean model and a sample with ties, of any size from 1, reaching
+    past both ends of the model's support."""
+    model = draw(MODELS.filter(lambda m: m.has_finite_mean))
+    lo, hi = model.support()
+    if not math.isfinite(hi):
+        hi = float(model.quantile(0.999))
+    width = max(hi - lo, 1e-3)
+    inside = st.floats(0.0, 0.999).map(lambda u: float(model.quantile(u)))
+    anywhere = st.floats(lo - width, hi + width, allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(st.one_of(inside, anywhere), min_size=1, max_size=8))
+    sample = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    return model, np.asarray(sample)
+
+
+_w1_settings = settings(max_examples=100, deadline=None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model_and_sample())
+def test_w1_fast_path_matches_clip_formula_bit_for_bit(case):
+    model, x = case
+    expected = clip_then_antiderivative_w1(x, model)
+    assert w1_sample_vs_model(x, model) == expected
+    assert w1_sample_vs_model(x, model, terms=level_terms(model, x.size)) == expected
+
+
+@_w1_settings
+@given(model_and_sample(), st.sampled_from([-1, 1]))
+def test_w1_rejects_level_terms_of_another_n(case, offset):
+    model, x = case
+    if x.size + offset < 1:
+        offset = 1
+    with pytest.raises(ValidationError, match="length"):
+        w1_sample_vs_model(x, model, terms=level_terms(model, x.size + offset))
+
+
+@_w1_settings
+@given(model_and_sample())
+def test_w1_zero_against_own_empirical_cdf(case):
+    _, x = case
+    # zero up to rounding: the step table's antiderivative is a cumulative sum
+    w1 = w1_sample_vs_model(x, Tabulated.from_sample(x))
+    assert 0.0 <= w1 <= 1e-12 * (1.0 + float(np.max(np.abs(x))))
+
+
+@_w1_settings
+@given(model_and_sample())
+def test_w1_bounds_mean_gap(case):
+    model, x = case
+    # E Y = int_0^inf (1 - F) - int_-inf^0 F
+    mean = float(model.upper_mean_excess(0.0)) - float(model.cdf_antiderivative(0.0))
+    gap = abs(float(np.mean(x)) - mean)
+    scale = 1.0 + abs(mean) + float(np.max(np.abs(x)))
+    assert w1_sample_vs_model(x, model) >= gap - 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
