@@ -10,10 +10,10 @@ from .models import (
     DistributionModel,
     Exponential,
     ParetoTail,
-    PowerPushforward,
     Tabulated,
     Uniform,
     model_from_dict,
+    power_pushforward,
 )
 from .transport import (
     ExtendedReal,
@@ -34,7 +34,6 @@ from .processes import (
     PolynomialCoeffs,
     generate,
     generate_batch,
-    intermittent_step,
     spawn_rng,
     tabulate_cdf,
 )

@@ -9,15 +9,15 @@ The unknown theory constants default to 1 and never affect a verdict.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.special import zeta
 
 from .errors import DivergenceError, ValidationError
 from .models import DistributionModel
-from .processes import CoeffFamily
+from .processes import CoeffFamily, first_index_below
 from .transport import quad, quantile_tail_integral, sqrt_tail_integral, lambda21
 
 __all__ = [
@@ -110,9 +110,6 @@ class ConditionReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def _verdict_from_exponent(exponent: float) -> str:
     if exponent < -1.0 - _CRITICAL_BAND:
@@ -201,22 +198,11 @@ def check_alpha_condition(bound, model: DistributionModel, terms: int = 200) -> 
     exponent = -0.5 - theta * e_q if math.isfinite(theta) else -math.inf
     verdict = _verdict_from_exponent(exponent)
 
-    ks = np.arange(1, terms + 1)
-    term_values = np.array(
-        [float(quantile_tail_integral(model, max(float(bound(k)), 1e-300)))
-         / math.sqrt(k) for k in ks]
-    )
-    partial = float(np.sum(term_values))
+    def term(k):
+        return float(quantile_tail_integral(model, max(float(bound(k)), 1e-300))) / math.sqrt(k)
 
-    tail = None
-    if verdict == "converges":
-        tail = quad(
-            lambda x: float(quantile_tail_integral(model, max(float(bound(x)), 1e-300)))
-            / math.sqrt(x),
-            float(terms),
-            math.inf,
-            epsrel=1e-6,
-        )
+    partial = float(np.sum([term(k) for k in np.arange(1, terms + 1)]))
+    tail = quad(term, float(terms), math.inf, epsrel=1e-6) if verdict == "converges" else None
     notes = (
         f"term exponent -1/2 - theta*e_q = {exponent:.6g} with theta={theta:g}, "
         f"e_q={e_q:g}; integral-test tail bound valid (terms nonincreasing); "
@@ -311,30 +297,32 @@ def check_linear_conditions(family: CoeffFamily, innovation: DistributionModel,
                 f"diverges (tail exponent <= 2)",
             )
         exponent = -2.0 * beta * e_q if math.isfinite(beta) else -math.inf
-        vals = np.array(
-            [float(quantile_tail_integral(m, min(max(a * a, 1e-300), 1.0))) for a in a_k]
-        )
-        term_fn = lambda x: float(
-            quantile_tail_integral(
-                m, min(max(float(family.coeff(x)) ** 2, 1e-300), 1.0)
-            )
-        )
+
+        def term(k, a):
+            return float(quantile_tail_integral(m, min(max(a * a, 1e-300), 1.0)))
+
+        vals = np.array([term(k, a) for k, a in zip(ks, a_k)])
     elif mode == "moment_313":
         exponent = (1.0 - beta * (r - 2.0)) / (r - 1.0) if math.isfinite(beta) else -math.inf
-        vals = ks ** (1.0 / (r - 1.0)) * a_k ** ((r - 2.0) / (r - 1.0))
-        term_fn = lambda x: x ** (1.0 / (r - 1.0)) * abs(float(family.coeff(x))) ** (
-            (r - 2.0) / (r - 1.0)
-        )
+
+        def term(k, a):
+            return k ** (1.0 / (r - 1.0)) * a ** ((r - 2.0) / (r - 1.0))
+
+        vals = term(ks, a_k)
     else:  # tail_314
         exponent = -beta * (1.0 - 2.0 / r) if math.isfinite(beta) else -math.inf
-        vals = a_k ** (1.0 - 2.0 / r)
-        term_fn = lambda x: abs(float(family.coeff(x))) ** (1.0 - 2.0 / r)
+
+        def term(k, a):
+            return a ** (1.0 - 2.0 / r)
+
+        vals = term(ks, a_k)
 
     verdict = _verdict_from_exponent(exponent)
     partial = float(np.sum(vals))
     tail = None
     if verdict == "converges":
-        tail = quad(term_fn, float(terms), math.inf, epsrel=1e-6)
+        tail = quad(lambda x: term(x, abs(float(family.coeff(x)))), float(terms), math.inf,
+                    epsrel=1e-6)
 
     k_density = innovation.density_bound
     notes = (
@@ -363,15 +351,12 @@ def lag_cutoff(bound, tol: float = 1e-3, max_lag: int = 10**7) -> int:
             raise ValidationError(
                 f"bound with decay exponent {bound.theta:g} <= 1 is not summable"
             )
-        from scipy.special import zeta
 
         def tail(k):
             return bound.c_gamma * float(zeta(bound.theta, k + 2))
     else:
         raise ValidationError("lag_cutoff needs a summable decay bound")
-    k = 0
-    while tail(k) >= tol:
-        k += 1
-        if k > max_lag:
-            raise ValidationError("lag cutoff exceeds max_lag; decay too slow")
+    k = first_index_below(tail, tol, max_lag)
+    if k is None:
+        raise ValidationError("lag cutoff exceeds max_lag; decay too slow")
     return k

@@ -5,7 +5,6 @@ configured base seed, so outputs are byte-identical for any worker count.
 """
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -69,7 +68,7 @@ class ExperimentConfig:
     reference_model: DistributionModel | None = None
     calibration_length: int | None = None  # orbit length when calibrating
     calibration_grid_size: int = 2048
-    tail_tol: float = 1e-12
+    tail_tol: float = 1e-12  # must be > 0; no built-in reference model reads it
 
     def __post_init__(self):
         if len(self.n_values) == 0 or any(
@@ -84,6 +83,8 @@ class ExperimentConfig:
             )
         if self.calibration_length is not None and self.calibration_length < 1:
             raise ValidationError("calibration_length must be >= 1")
+        if not (self.tail_tol > 0):
+            raise ValidationError("tail_tol must be positive")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -112,10 +113,6 @@ class ExperimentConfig:
             tail_tol=read_key(d, "tail_tol", float, what, 1e-12),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass
 class ComparisonReport:
@@ -134,9 +131,6 @@ class ComparisonReport:
             "verdict": self.verdict,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 @dataclass
 class ProbeReport:
@@ -152,9 +146,6 @@ class ProbeReport:
             "verdict": self.verdict,
             "growth_factor": self.growth_factor,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +183,17 @@ def resolve_reference(cfg: ExperimentConfig) -> tuple[DistributionModel, dict]:
 # ---------------------------------------------------------------------------
 
 def _tn_chunk(spec: ProcessSpec, reference: DistributionModel, n: int, seed: int,
-              first_stream: int, count: int, tail_tol: float, terms) -> np.ndarray:
+              first_stream: int, count: int, terms) -> np.ndarray:
     values = generate_batch(spec, n, count, seed, first_stream=first_stream)
     root_n = math.sqrt(n)
     return np.array([
-        root_n * w1_sample_vs_model(values[r], reference, tail_tol, terms=terms)
+        root_n * w1_sample_vs_model(values[r], reference, terms=terms)
         for r in range(count)
     ])
 
 
 def _tn_sample(spec: ProcessSpec, reference: DistributionModel, n: int,
-               replications: int, seed: int, n_index: int, tail_tol: float,
-               threads: int) -> np.ndarray:
+               replications: int, seed: int, n_index: int, threads: int) -> np.ndarray:
     base_stream = n_index << 32
     chunks = [
         (base_stream + start, min(_REPLICATE_CHUNK, replications - start))
@@ -214,7 +204,7 @@ def _tn_sample(spec: ProcessSpec, reference: DistributionModel, n: int,
 
     def work(arg):
         first, count = arg
-        return first, _tn_chunk(spec, reference, n, seed, first, count, tail_tol, terms)
+        return first, _tn_chunk(spec, reference, n, seed, first, count, terms)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -235,8 +225,7 @@ def run_clt_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict[int, Sta
     out: dict[int, StatisticSample] = {}
     for i, n in enumerate(cfg.n_values):
         values = _tn_sample(
-            cfg.process, reference, n, cfg.replications, cfg.base_seed, i,
-            cfg.tail_tol, threads,
+            cfg.process, reference, n, cfg.replications, cfg.base_seed, i, threads
         )
         out[n] = StatisticSample(
             values,

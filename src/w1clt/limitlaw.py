@@ -13,7 +13,6 @@ sampled by the exact bridge transition recursion.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -88,9 +87,6 @@ class CovarianceGrid:
             "source": self.source,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 @dataclass
 class StatisticSample:
@@ -137,9 +133,6 @@ class StatisticSample:
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "metadata": self.metadata, "values": self.values.tolist()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

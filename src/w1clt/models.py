@@ -19,7 +19,7 @@ All evaluation methods accept scalars or numpy arrays and are vectorized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +30,8 @@ __all__ = [
     "Uniform",
     "Exponential",
     "ParetoTail",
-    "PowerPushforward",
     "Tabulated",
+    "power_pushforward",
     "model_from_dict",
 ]
 
@@ -411,27 +411,17 @@ class Tabulated(DistributionModel):
             piece = 0.5 * (v[:-1] + v[1:]) * np.diff(g)
         self._a_knots = np.concatenate([[0.0], np.cumsum(piece)])
 
-    def cdf(self, t):
+    def _cdf(self, t, side):
+        """F(t) for side "right", the left limit F(t-) for side "left"."""
         t_arr = np.asarray(t, dtype=float)
         g, v = self.grid, self.cdf_values
         if self.interp == "step":
-            idx = np.searchsorted(g, t_arr, side="right")
-            vv = np.concatenate([[0.0], v])
-            out = vv[idx]
-        else:
-            out = np.where(t_arr < g[0], 0.0, np.interp(t_arr, g, v))
-        return _maybe_scalar(out, t)
+            return np.concatenate([[0.0], v])[np.searchsorted(g, t_arr, side=side)]
+        below = t_arr < g[0] if side == "right" else t_arr <= g[0]
+        return np.where(below, 0.0, np.interp(t_arr, g, v))
 
-    def _cdf_left_limit(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        g, v = self.grid, self.cdf_values
-        if self.interp == "step":
-            idx = np.searchsorted(g, t_arr, side="left")
-            vv = np.concatenate([[0.0], v])
-            out = vv[idx]
-        else:
-            out = np.where(t_arr <= g[0], 0.0, np.interp(t_arr, g, v))
-        return out
+    def cdf(self, t):
+        return _maybe_scalar(self._cdf(t, "right"), t)
 
     def quantile(self, u):
         u_arr = np.asarray(u, dtype=float)
@@ -449,7 +439,7 @@ class Tabulated(DistributionModel):
 
     def tail(self, t):
         t_arr = np.asarray(t, dtype=float)
-        out = (1.0 - np.asarray(self.cdf(t_arr))) + self._cdf_left_limit(-t_arr)
+        out = (1.0 - self._cdf(t_arr, "right")) + self._cdf(-t_arr, "left")
         out = np.where(t_arr < 0.0, 1.0, np.clip(out, 0.0, 1.0))
         return _maybe_scalar(out, t)
 
@@ -500,7 +490,7 @@ class Tabulated(DistributionModel):
             t_knots = np.unique(np.abs(self.grid))
             if t_knots[0] > 0.0:
                 t_knots = np.concatenate([[0.0], t_knots])
-            f_abs = np.asarray(self.cdf(t_knots)) - self._cdf_left_limit(-t_knots)
+            f_abs = self._cdf(t_knots, "right") - self._cdf(-t_knots, "left")
             f_abs = np.clip(np.maximum.accumulate(f_abs), 0.0, 1.0)
             f_abs[-1] = 1.0
             folded = Tabulated(t_knots, f_abs, interp=self.interp)
@@ -540,79 +530,29 @@ class Tabulated(DistributionModel):
         }
 
 
-@dataclass(frozen=True)
-class PowerPushforward(DistributionModel):
+def power_pushforward(exponent: float, base="lebesgue") -> DistributionModel:
     """Law of Y = X**(-exponent) for X ~ base measure on (0, 1).
 
-    With the Lebesgue base this is exactly ParetoTail(1, 1/exponent).  With a
-    tabulated base CDF G the tabulation is transformed knot-for-knot
-    (F_Y(x**-a) = 1 - G(x)); mass below the first base knot becomes the tail
-    cutoff of the transformed table.
+    The Lebesgue base gives exactly ``ParetoTail(1, 1/exponent)``.  A linearly
+    interpolated ``Tabulated`` base CDF G is transformed knot for knot
+    (F_Y(x**-a) = 1 - G(x)) into a linear ``Tabulated``; mass below the first
+    base knot becomes the tail cutoff of the transformed table.  A step base
+    is rejected: its jumps do not map onto linear interpolation between knots.
     """
-
-    exponent: float = 0.25
-    base: "Tabulated | str" = "lebesgue"
-    _inner: DistributionModel = field(init=False, repr=False, compare=False)
-
-    kind = "power_pushforward"
-
-    def __post_init__(self):
-        if not (self.exponent > 0.0 and math.isfinite(self.exponent)):
-            raise ValidationError("PowerPushforward requires exponent > 0")
-        if isinstance(self.base, str):
-            if self.base != "lebesgue":
-                raise ValidationError("base must be 'lebesgue' or a Tabulated model")
-            inner = ParetoTail(scale=1.0, exponent=1.0 / self.exponent)
-        else:
-            g, v = self.base.grid, self.base.cdf_values
-            if g[0] <= 0.0 or g[-1] > 1.0:
-                raise ValidationError("tabulated base must live on (0, 1]")
-            y_grid = g[::-1] ** (-self.exponent)
-            y_cdf = (1.0 - v[::-1]).copy()
-            y_cdf[-1] = 1.0
-            inner = Tabulated(y_grid, y_cdf, interp="linear")
-        object.__setattr__(self, "_inner", inner)
-
-    @property
-    def density_bound(self):
-        return None
-
-    def cdf(self, t):
-        return self._inner.cdf(t)
-
-    def quantile(self, u):
-        return self._inner.quantile(u)
-
-    def tail(self, t):
-        return self._inner.tail(t)
-
-    def tail_quantile(self, u):
-        return self._inner.tail_quantile(u)
-
-    def cdf_antiderivative(self, t):
-        return self._inner.cdf_antiderivative(t)
-
-    def upper_mean_excess(self, t):
-        return self._inner.upper_mean_excess(t)
-
-    def quantile_density(self, u):
-        return self._inner.quantile_density(u)
-
-    def support(self):
-        return self._inner.support()
-
-    def tail_exponent(self):
-        return self._inner.tail_exponent()
-
-    def sqrt_tail_integral_exact(self):
-        return self._inner.sqrt_tail_integral_exact()
-
-    def quantile_tail_integral_exact(self, alpha):
-        return self._inner.quantile_tail_integral_exact(alpha)
-
-    def to_dict(self):
-        base = "lebesgue" if isinstance(self.base, str) else self.base.to_dict()
-        return {"kind": "power_pushforward", "exponent": self.exponent, "base": base}
+    if not (exponent > 0.0 and math.isfinite(exponent)):
+        raise ValidationError("power pushforward requires exponent > 0")
+    if base == "lebesgue":
+        return ParetoTail(scale=1.0, exponent=1.0 / exponent)
+    if not isinstance(base, Tabulated):
+        raise ValidationError("base must be 'lebesgue' or a Tabulated model")
+    if base.interp != "linear":
+        raise ValidationError("power pushforward needs a linearly interpolated base")
+    g, v = base.grid, base.cdf_values
+    if g[0] <= 0.0 or g[-1] > 1.0:
+        raise ValidationError("tabulated base must live on (0, 1]")
+    y_cdf = 1.0 - v[::-1]
+    y_cdf[-1] = 1.0
+    return Tabulated(g[::-1] ** (-exponent), y_cdf, interp="linear")
 
 
 _MODEL_KEYS = {
@@ -639,9 +579,7 @@ def model_from_dict(d: dict) -> DistributionModel:
         base = d.get("base", "lebesgue")
         if not isinstance(base, str):
             base = model_from_dict(base)
-            if not isinstance(base, Tabulated):
-                raise ValidationError("power_pushforward base must be tabulated")
-        return PowerPushforward(read_key(d, "exponent", float, what), base)
+        return power_pushforward(read_key(d, "exponent", float, what), base)
     return Tabulated(
         read_key(d, "grid", [float], what),
         read_key(d, "cdf_values", [float], what),

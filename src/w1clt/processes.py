@@ -36,7 +36,6 @@ __all__ = [
     "PolynomialCoeffs",
     "Path",
     "spawn_rng",
-    "intermittent_step",
     "generate",
     "generate_batch",
     "tabulate_cdf",
@@ -282,24 +281,6 @@ class Path:
 # the intermittent map
 # ---------------------------------------------------------------------------
 
-def intermittent_step(x: float, gamma: float) -> float:
-    """One step of the intermittent map, clamped into (0, 1).
-
-    The exact preimage x = 1/2 maps to 0; the clamp keeps the result at the
-    smallest positive float so the pure function never returns a fixed point
-    of the lower branch.
-    """
-    if not (0.0 < x < 1.0):
-        raise ValidationError("intermittent map state must lie in (0, 1)")
-    if not (0.0 < gamma < 1.0):
-        raise ValidationError("gamma must lie in (0, 1)")
-    if x < 0.5:
-        x = x * (1.0 + 2.0**gamma * float(np.power(x, np.float64(gamma))))
-    else:
-        x = 2.0 * x - 1.0
-    return min(max(x, _TINY), _BELOW_ONE)
-
-
 # Single orbits and batches realize the same floats: both take x**gamma from
 # numpy's pow (libm's differs in the last ulp), share the rules below and
 # clamp every state into [_TINY, _BELOW_ONE].
@@ -412,26 +393,38 @@ def _doubling_orbit(spec: DoublingMap, n: int, rng: np.random.Generator) -> np.n
 # linear process
 # ---------------------------------------------------------------------------
 
-def _resolve_truncation(family: CoeffFamily, requested: int | None, tol: float = 1e-8) -> int:
-    if requested is not None:
-        return int(requested)
-    if family.abs_tail(0) < tol:
-        return 1
-    lo, hi = 1, 2
-    while family.abs_tail(hi) >= tol:
-        hi *= 2
-        if hi > _TRUNCATION_CAP:
-            raise ValidationError(
-                "coefficient tail decays too slowly for the default truncation rule; "
-                "set an explicit truncation"
-            )
+def first_index_below(tail, tol: float, cap: int) -> int | None:
+    """Smallest k in [0, cap] with tail(k) < tol for a nonincreasing tail; None if none.
+
+    Doubling brackets k, bisection finds it: O(log k) evaluations of tail.
+    """
+    if tail(0) < tol:
+        return 0
+    lo, hi = 0, min(1, cap)  # tail(lo) >= tol throughout
+    while tail(hi) >= tol:
+        if hi >= cap:
+            return None
+        lo, hi = hi, min(2 * hi, cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if family.abs_tail(mid) < tol:
+        if tail(mid) < tol:
             hi = mid
         else:
             lo = mid
     return hi
+
+
+def _resolve_truncation(family: CoeffFamily, requested: int | None, tol: float = 1e-8) -> int:
+    """The requested J, or the smallest J >= 1 with abs_tail(J) < tol."""
+    if requested is not None:
+        return int(requested)
+    j = first_index_below(family.abs_tail, tol, _TRUNCATION_CAP)
+    if j is None:
+        raise ValidationError(
+            "coefficient tail decays too slowly for the default truncation rule; "
+            "set an explicit truncation"
+        )
+    return max(j, 1)
 
 
 def _linear_path(spec: CausalLinear, n: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:

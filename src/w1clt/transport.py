@@ -117,10 +117,11 @@ def w1_sample_vs_model(sample, model: DistributionModel, tail_tol: float = 1e-12
     Between consecutive order statistics F_n is the constant i/n, and |i/n - F|
     changes sign at most once; each piece is an exact difference of CDF
     antiderivatives split at quantile(i/n) clamped to the interval.  Tail
-    pieces use the model's closed-form mean-excess integrals (exact for all
-    built-in kinds; ``tail_tol`` bounds the additive error of any
-    quadrature-backed model).  ``terms`` is ``level_terms(model, n)`` for the
-    sample size n; it is computed here when not given.
+    pieces use the model's closed-form mean-excess integrals, exact for all
+    built-in kinds.  ``tail_tol`` is the additive error allowed to a
+    quadrature-backed model; no built-in model is one, so none reads it and
+    it is only checked to be positive.  ``terms`` is ``level_terms(model, n)``
+    for the sample size n; it is computed here when not given.
 
     Raises
     ------

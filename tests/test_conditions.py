@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -324,6 +325,52 @@ def test_lag_cutoff_polynomial():
     assert zeta(3.0, k + 2) < 1e-3 <= zeta(3.0, k + 1)
 
 
+def _first_k_below(tail, tol, max_lag=10**7):
+    """Linear scan: the first k in [0, max_lag] with tail(k) < tol, in blocks; None if none."""
+    start, block = 0, 1024
+    while start <= max_lag:
+        ks = np.arange(start, min(start + block, max_lag + 1))
+        below = np.flatnonzero(tail(ks) < tol)
+        if below.size:
+            return int(ks[below[0]])
+        start, block = start + block, min(2 * block, 2**20)
+    return None
+
+
+_CUTOFF_BOUNDS = [
+    *(PhiGeometric(c1, rho) for c1 in (0.1, 1.0, 3.0) for rho in (0.05, 0.3, 0.5, 0.9, 0.99)),
+    *(AlphaPolynomial(c, g) for c in (0.5, 1.0, 2.0) for g in (0.05, 0.1, 0.2, 0.25, 0.3, 0.35)),
+]
+
+
+def _bound_tail(bound):
+    """sum_{j > k} bound(j) in closed form, vectorized over k."""
+    from scipy.special import zeta
+
+    if isinstance(bound, PhiGeometric):
+        return lambda k: bound.c1 * bound.rho ** (k + 1.0) / (1.0 - bound.rho)
+    return lambda k: bound.c_gamma * zeta(bound.theta, k + 2.0)
+
+
+@pytest.mark.parametrize("bound", _CUTOFF_BOUNDS, ids=repr)
+def test_lag_cutoff_equals_linear_scan(bound):
+    for tol in (1e-2, 1e-3, 1e-4, 1e-6):
+        expected = _first_k_below(_bound_tail(bound), tol)
+        if expected is None:
+            with pytest.raises(ValidationError, match="max_lag"):
+                lag_cutoff(bound, tol)
+        else:
+            assert lag_cutoff(bound, tol) == expected, tol
+
+
+def test_lag_cutoff_gives_up_fast():
+    # the tail decays like k**-0.22, so no k <= max_lag reaches tol
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="max_lag"):
+        lag_cutoff(AlphaPolynomial(1.0, 0.45), 1e-3)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_lag_cutoff_rejects_nonsummable():
     with pytest.raises(ValidationError):
         lag_cutoff(AlphaPolynomial(1.0, 0.6))  # theta < 1
@@ -335,5 +382,5 @@ def test_report_json_fields():
     rep = check_intermittent_threshold(0.25, 0.2)
     import json
 
-    d = json.loads(rep.to_json())
+    d = json.loads(json.dumps(rep.to_dict()))
     assert set(d) == {"verdict", "partial_sum", "terms_used", "tail_bound", "notes"}

@@ -140,6 +140,9 @@ def test_config_validation():
         ExperimentConfig(
             process=IID(Uniform(0, 1)), n_values=[8], replications=4, base_seed=0
         )
+    for tol in (0.0, -1e-12, math.nan):  # rejected before any calibration or replicate
+        with pytest.raises(ValidationError, match="tail_tol"):
+            _uniform_config(tail_tol=tol)
 
 
 def test_config_json_roundtrip():
@@ -151,7 +154,7 @@ def test_config_json_roundtrip():
         "base_seed": 5,
         "reference": {"analytic": {"kind": "uniform", "lo": 0, "hi": 1}},
     }
-    cfg = ExperimentConfig.from_json(json.dumps(d))
+    cfg = ExperimentConfig.from_dict(json.loads(json.dumps(d)))
     assert cfg.n_values == [8, 32]
     assert cfg.reference_model == Uniform(0, 1)
     with pytest.raises(ValidationError):
@@ -399,10 +402,14 @@ _CFG = ["--config", "{cfg}"]
     (["limit", *_CFG], {**_LIMIT, "grid": {"size": 8, "scheme": "vartial"}}, "vartial"),
     (["report", *_CFG], {"schema_version": 1, "finite_n": {"100": "{csv}", "0100": "{csv}"},
                          "limit": "{csv}"}, "0100"),
+    (["experiment", *_CFG], {**_EXPERIMENT, "tail_tol": 0}, "tail_tol"),
+    (["limit", *_CFG], {**_LIMIT, "model": {"kind": "power_pushforward", "exponent": 1.0, "base": {
+        "kind": "tabulated", "grid": [0.2, 0.5, 1.0], "cdf_values": [0.3, 0.6, 1.0],
+        "interp": "step"}}}, "linear"),
 ], ids=["check-threads", "w1-seed", "experiment-seed", "probe-config", "model-typo",
         "spec-typo", "coefficients-typo", "limit-key", "iid-limit-lag", "generate-key",
         "out-path", "check-key", "reference-typo", "string-number", "scalar-list",
-        "grid-scheme", "report-same-n"])
+        "grid-scheme", "report-same-n", "zero-tail-tol", "step-pushforward-base"])
 def test_cli_rejects_unread_input(argv, config, named, tmp_path, capsys):
     csv = tmp_path / "a.csv"
     csv.write_text("value\n0.5\n")

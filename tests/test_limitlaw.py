@@ -202,7 +202,7 @@ def test_covariance_grid_json_fields():
     import json
 
     cg = covariance_iid(Uniform(0, 1), [0.25, 0.75])
-    d = json.loads(cg.to_json())
+    d = json.loads(json.dumps(cg.to_dict()))
     assert set(d) == {"grid", "matrix", "lag_cutoff", "psd_repair", "source"}
     assert d["psd_repair"] == {"jitter_added": 0.0, "eigenvalues_clipped": 0}
     assert d["source"] == "analytic_iid"

@@ -7,10 +7,10 @@ from w1clt.errors import ValidationError
 from w1clt.models import (
     Exponential,
     ParetoTail,
-    PowerPushforward,
     Tabulated,
     Uniform,
     model_from_dict,
+    power_pushforward,
 )
 
 MODELS = [
@@ -20,7 +20,7 @@ MODELS = [
     Exponential(0.5),
     ParetoTail(1.0, 3.0),
     ParetoTail(2.0, 4.5),
-    PowerPushforward(0.25),
+    power_pushforward(0.25),
     Tabulated([0.0, 0.5, 1.0, 2.0], [0.0, 0.3, 0.8, 1.0], interp="linear"),
     Tabulated([0.0, 0.5, 1.0, 2.0], [0.1, 0.3, 0.8, 1.0], interp="step"),
 ]
@@ -119,23 +119,38 @@ def test_mean_abs_matches_quantile_integral(model):
 
 
 def test_power_pushforward_lebesgue_is_pareto():
-    m = PowerPushforward(0.25)
+    m = power_pushforward(0.25)
+    assert m == ParetoTail(1.0, 4.0)
+    assert m.density_bound == 4.0
     t = np.linspace(0.5, 30.0, 200)
     expected = np.where(t < 1.0, 0.0, 1.0 - np.minimum(t, 1e300) ** -4.0)
     np.testing.assert_allclose(np.asarray(m.cdf(t)), expected, atol=1e-12)
-    assert m.tail_exponent() == 4.0
+    assert model_from_dict({"kind": "power_pushforward", "exponent": 0.25}) == m
 
 
 def test_power_pushforward_tabulated_base_roundtrip():
     # base CDF G(x) = x on a fine grid: pushforward should match the Pareto law
     x = np.linspace(1e-4, 1.0, 4001)
     base = Tabulated(x, x / x[-1], interp="linear")
-    m = PowerPushforward(0.25, base)
-    exact = PowerPushforward(0.25)
+    m = power_pushforward(0.25, base)
+    assert isinstance(m, Tabulated) and m.interp == "linear"
+    exact = power_pushforward(0.25)
     t = np.linspace(1.0, 8.0, 50)
     np.testing.assert_allclose(
         np.asarray(m.cdf(t)), np.asarray(exact.cdf(t)), atol=2e-4
     )
+
+
+def test_power_pushforward_rejects_step_base():
+    # a step base's jumps do not map onto the transformed table's linear pieces
+    step = Tabulated([0.2, 0.5, 1.0], [0.3, 0.6, 1.0], "step")
+    with pytest.raises(ValidationError, match="linear"):
+        power_pushforward(1.0, step)
+    with pytest.raises(ValidationError, match="linear"):
+        model_from_dict({"kind": "power_pushforward", "exponent": 1.0, "base": step.to_dict()})
+    for base in ("uniform", Uniform(0.0, 1.0)):
+        with pytest.raises(ValidationError, match="lebesgue"):
+            power_pushforward(1.0, base)
 
 
 def test_tabulated_from_sample_is_empirical_cdf():
@@ -170,9 +185,9 @@ def test_tabulated_equality_compares_arrays():
     assert tab != Tabulated([0.1, 0.6, 1.0], cdf)
     assert tab != Tabulated(grid, cdf, interp="step")
     assert tab != Uniform(0.1, 1.0)
-    assert PowerPushforward(0.3, tab) == PowerPushforward(0.3, tab)
-    assert PowerPushforward(0.3, tab) == PowerPushforward(0.3, same)
-    assert PowerPushforward(0.3, tab) != PowerPushforward(0.3, Tabulated(grid, cdf, "step"))
+    assert power_pushforward(0.3, tab) == power_pushforward(0.3, same)
+    assert power_pushforward(0.3, tab) != power_pushforward(0.3, Tabulated(grid, [0.2, 0.7, 1.0]))
+    assert power_pushforward(0.3, tab) != power_pushforward(0.4, tab)
 
 
 def test_model_dict_roundtrip():

@@ -16,7 +16,6 @@ from w1clt.processes import (
     PolynomialCoeffs,
     generate,
     generate_batch,
-    intermittent_step,
     spawn_rng,
     spec_from_dict,
     tabulate_cdf,
@@ -28,26 +27,20 @@ from w1clt.transport import w1_sample_vs_model
 # intermittent map step
 # ---------------------------------------------------------------------------
 
-def test_step_upper_branch_examples():
-    assert intermittent_step(0.75, 0.3) == pytest.approx(0.5, abs=0)
-    # left endpoint of the upper branch maps to 0, clamped to the smallest float
-    assert intermittent_step(0.5, 0.7) == math.ulp(0.0)
-
-
-def test_step_lower_branch_value():
-    # independent re-evaluation: 0.25 * (1 + sqrt(2) * sqrt(0.25))
-    expected = 0.25 * (1.0 + math.sqrt(2.0) * math.sqrt(0.25))
-    assert intermittent_step(0.25, 0.5) == pytest.approx(expected, abs=1e-15)
-    assert expected == pytest.approx(0.4267766952966369, abs=1e-12)
-
-
-def test_step_domain_errors():
-    with pytest.raises(ValidationError):
-        intermittent_step(0.0, 0.5)
-    with pytest.raises(ValidationError):
-        intermittent_step(1.5, 0.5)
-    with pytest.raises(ValidationError):
-        intermittent_step(0.3, 1.5)
+def test_intermittent_orbit_follows_the_map():
+    # gamma = 1/2: T(x) = x (1 + sqrt(2) sqrt(x)) below 1/2, 2x - 1 above;
+    # a = 1 makes each value the reciprocal of the state
+    values = generate(IntermittentMap(0.5, 1.0, burn_in=0), 10, seed=3, stream=1).values
+    x = spawn_rng(3, 1).random()
+    branches = set()
+    for v in values:
+        branches.add(x < 0.5)
+        x = x * (1.0 + math.sqrt(2.0) * math.sqrt(x)) if x < 0.5 else 2.0 * x - 1.0
+        assert 1.0 / v == pytest.approx(x, rel=1e-12, abs=0)
+    assert branches == {True, False}
+    for gamma in (0.0, 1.5):
+        with pytest.raises(ValidationError, match="gamma"):
+            IntermittentMap(gamma, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +221,14 @@ def test_truncation_rule_geometric():
     spec = CausalLinear(fam, Uniform(0, 1))
     path = generate(spec, 10, seed=1)
     assert path.truncation_error_bound < 1e-8
-    # the rule picks the smallest such J
+    # the rule picks the smallest J >= 1 with abs_tail(J) < 1e-8
     from w1clt.processes import _resolve_truncation
 
-    j = _resolve_truncation(fam, None)
-    assert fam.abs_tail(j) < 1e-8 <= fam.abs_tail(j - 1)
+    for rho in np.geomspace(1e-9, 0.99, 400):
+        fam = GeometricCoeffs(float(rho))
+        j = _resolve_truncation(fam, None)
+        assert fam.abs_tail(j) < 1e-8
+        assert j == 1 or fam.abs_tail(j - 1) >= 1e-8, rho
 
 
 def test_truncation_rule_polynomial_and_cap():
