@@ -3,9 +3,10 @@
 The weak limit of sqrt(n) * (F_n - F) is a centered Gaussian field G with
 covariance C(s, t) = F(min(s,t)) - F(s)F(t) + sum over lags of the joint-CDF
 excess terms.  We realize G on a finite grid (analytic formula in the iid
-case, lagged empirical joint CDFs along one long path otherwise), repair the
-estimated matrix to positive semidefiniteness, draw Gaussian vectors through
-a symmetric factorization, and integrate |G| by the trapezoid rule.
+case, otherwise lagged joint CDFs along one long path cumulated from binned
+counts), repair the estimated matrix to positive semidefiniteness, draw
+Gaussian vectors through a symmetric factorization, and integrate |G| by the
+trapezoid rule.
 
 The iid case has an independent oracle: the Brownian bridge composed with F,
 sampled by the exact bridge transition recursion.
@@ -42,7 +43,6 @@ __all__ = [
 ]
 
 _SAMPLE_CHUNK = 8192  # fixed so chunking never affects the drawn values
-_SIM_CHUNK = 131_072
 
 
 @dataclass(frozen=True)
@@ -224,6 +224,9 @@ def covariance_dependent(spec: ProcessSpec, grid, lag_cutoff: int, sim_length: i
     The series is truncated at `lag_cutoff` and symmetrized lag by lag,
     C += cov_k + cov_k.T, which is the covariance the general operator form
     prescribes (and agrees with the one-sided series for reversible chains).
+    One counting pass over binned values: with L = lag_cutoff and m grid
+    points, O(sim_length * (L+1) + (L+1) * m^2) time, O(sim_length + m^2)
+    memory.
     """
     if lag_cutoff < 0:
         raise ValidationError("lag cutoff must be >= 0")
@@ -234,25 +237,16 @@ def covariance_dependent(spec: ProcessSpec, grid, lag_cutoff: int, sim_length: i
     y = generate(spec, sim_length, seed, stream=0).values
     n = y.size
 
-    sums = np.zeros((lag_cutoff + 1, m, m))
-    counts = np.zeros(m)
-    for start in range(0, n, _SIM_CHUNK):
-        stop = min(start + _SIM_CHUNK, n)
-        block = (y[start : min(stop + lag_cutoff, n), None] <= grid[None, :]).astype(float)
-        rows = stop - start
-        counts += block[:rows].sum(axis=0)
-        for k in range(lag_cutoff + 1):
-            hi = min(stop, n - k)
-            if hi <= start:
-                continue
-            r = hi - start
-            sums[k] += block[:r].T @ block[k : k + r]
-
-    f_hat = counts / n
+    # y <= grid[i] exactly when b <= i, so every joint CDF is a cumulated
+    # count of bin pairs (b_t, b_{t+k}); the counts are exact integers.
+    b = np.searchsorted(grid, y)
+    f_hat = np.cumsum(np.bincount(b, minlength=m + 1))[:m] / n
     base = np.outer(f_hat, f_hat)
-    matrix = sums[0] / n - base
+    matrix = np.minimum.outer(f_hat, f_hat) - base
     for k in range(1, lag_cutoff + 1):
-        cov_k = sums[k] / (n - k) - base
+        pairs = np.bincount(b[: n - k] * (m + 1) + b[k:], minlength=(m + 1) ** 2)
+        joint = pairs.reshape(m + 1, m + 1).cumsum(axis=0).cumsum(axis=1)[:m, :m]
+        cov_k = joint / (n - k) - base
         matrix += cov_k + cov_k.T
     repaired, repair = _repair_psd(matrix)
     return CovarianceGrid(grid, repaired, lag_cutoff, repair, "simulated_dependent")

@@ -128,7 +128,7 @@ def w1_sample_vs_model(sample, model: DistributionModel, tail_tol: float = 1e-12
     DivergenceError
         If the model has an infinite first moment (the integral is +inf).
     """
-    if tail_tol <= 0:
+    if not (tail_tol > 0):
         raise ValidationError("tail_tol must be positive")
     if not model.has_finite_mean:
         r = model.tail_exponent()

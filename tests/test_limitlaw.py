@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from w1clt.conditions import PhiGeometric, lag_cutoff
 from w1clt.errors import ValidationError
 from w1clt.limitlaw import (
     CovarianceGrid,
     PsdRepair,
     StatisticSample,
+    _repair_psd,
     brownian_bridge_oracle,
     covariance_dependent,
     covariance_iid,
@@ -18,7 +20,14 @@ from w1clt.limitlaw import (
     variance_length_grid,
 )
 from w1clt.models import ParetoTail, Tabulated, Uniform
-from w1clt.processes import DoublingMap, IID
+from w1clt.processes import (
+    IID,
+    CausalLinear,
+    DoublingMap,
+    GeometricCoeffs,
+    IntermittentMap,
+    generate,
+)
 from w1clt.harness import ks_two_sample
 
 SQRT_2PI_OVER_8 = math.sqrt(2.0 * math.pi) / 8.0
@@ -83,6 +92,119 @@ def test_covariance_dependent_doubling_psd_after_repair():
     trace = float(np.trace(cg.matrix))
     assert cg.psd_repair.jitter_added <= 1e-8 * trace
     assert np.linalg.eigvalsh(cg.matrix).min() >= -1e-10 * trace
+
+
+def _indicator_matmul_reference(y, grid, lag_cutoff):
+    """Unrepaired matrix by the former estimator: float matmuls of 0/1 indicators.
+
+    It summed the same integer counts in row chunks to bound memory; chunking
+    changes no exact integer sum, so one block gives the same bytes.
+    """
+    n = y.size
+    block = (y[:, None] <= grid[None, :]).astype(float)
+    f_hat = block.sum(axis=0) / n
+    base = np.outer(f_hat, f_hat)
+    matrix = block.T @ block / n - base
+    for k in range(1, lag_cutoff + 1):
+        cov_k = block[: n - k].T @ block[k:] / (n - k) - base
+        matrix += cov_k + cov_k.T
+    return matrix
+
+
+def _right_side_counting_pass(y, grid, lag_cutoff):
+    """The binned-count estimator with bins closed on the wrong side (y < grid)."""
+    n, m = y.size, len(grid)
+    b = np.searchsorted(grid, y, side="right")
+    f_hat = np.cumsum(np.bincount(b, minlength=m + 1))[:m] / n
+    base = np.outer(f_hat, f_hat)
+    matrix = np.minimum.outer(f_hat, f_hat) - base
+    for k in range(1, lag_cutoff + 1):
+        pairs = np.bincount(b[: n - k] * (m + 1) + b[k:], minlength=(m + 1) ** 2)
+        joint = pairs.reshape(m + 1, m + 1).cumsum(axis=0).cumsum(axis=1)[:m, :m]
+        cov_k = joint / (n - k) - base
+        matrix += cov_k + cov_k.T
+    return matrix
+
+
+_STEP = Tabulated([0.0, 1.0, 2.0, 3.0], [0.2, 0.5, 0.8, 1.0], interp="step")
+
+# (spec, grid, lag_cutoff, sim_length, seed)
+_IDENTITY_CASES = {
+    "iid_uniform": (IID(Uniform(0, 1)), quantile_grid(Uniform(0, 1), 16), 5, 50_000, 3),
+    "iid_step_ties": (IID(_STEP), np.array([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0]), 3, 20_000, 4),
+    "doubling": (DoublingMap(0.25, burn_in=0), variance_length_grid(ParetoTail(1.0, 4.0), 64),
+                 10, 100_000, 501),
+    "intermittent": (IntermittentMap(0.25, 0.2, burn_in=1000),
+                     quantile_grid(Uniform(1.0, 3.0), 24), 8, 30_000, 6),
+    "causal_linear": (CausalLinear(GeometricCoeffs(0.5), Uniform(-1, 1)),
+                      quantile_grid(Uniform(-2, 2), 20), 12, 40_000, 8),
+    "lag_0": (IID(Uniform(0, 1)), quantile_grid(Uniform(0, 1), 8), 0, 5000, 7),
+    "one_point_grid": (DoublingMap(0.25, burn_in=0), np.array([1.2]), 4, 10_000, 9),
+    # the largest lag_cutoff that lag_cutoff < sim_length / 10 admits
+    "largest_lag": (IID(Uniform(0, 1)), quantile_grid(Uniform(0, 1), 8), 499, 5000, 12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_IDENTITY_CASES))
+def test_covariance_dependent_equals_indicator_matmul_byte_for_byte(case):
+    spec, grid, lag, sim_length, seed = _IDENTITY_CASES[case]
+    cg = covariance_dependent(spec, grid, lag, sim_length, seed)
+    y = generate(spec, sim_length, seed, stream=0).values
+    expected, repair = _repair_psd(_indicator_matmul_reference(y, grid, lag))
+    assert np.array_equal(cg.matrix, expected)
+    assert cg.psd_repair == repair
+
+
+def test_ties_case_tells_bin_sides_apart():
+    # the step law's atoms sit on grid points, so y <= t and y < t differ
+    spec, grid, lag, sim_length, seed = _IDENTITY_CASES["iid_step_ties"]
+    y = generate(spec, sim_length, seed, stream=0).values
+    assert np.isin(y, grid).all()
+    reference = _indicator_matmul_reference(y, grid, lag)
+    assert not np.array_equal(_right_side_counting_pass(y, grid, lag), reference)
+
+
+def _doubling_covariance_exact(grid, exponent, lag_cutoff):
+    """Truncated lag series for Y = X**-exponent along the doubling map, exactly.
+
+    {Y <= t} = {X >= u_t} with u_t = t**(-1/exponent), so
+    P(Y_0 <= s, Y_k <= t) = (1 - u_t) - G_k(u_s) with
+    G_k(z) = (floor(2^k z)(1 - u_t) + max(0, frac(2^k z) - u_t)) / 2^k.
+    """
+    u = grid ** (-1.0 / exponent)  # grid points >= 1, so u_t <= 1
+    f = 1.0 - u
+    base = np.outer(f, f)
+    matrix = np.minimum.outer(f, f) - base
+    for k in range(1, lag_cutoff + 1):
+        z = np.ldexp(u, k)
+        whole = np.floor(z)
+        g = (whole[:, None] * f[None, :]
+             + np.maximum(0.0, (z - whole)[:, None] - u[None, :])) / 2.0**k
+        cov_k = f[None, :] - g - base
+        matrix += cov_k + cov_k.T
+    return matrix
+
+
+@pytest.mark.parametrize("sim_length", [2**18, 2**20])
+def test_covariance_dependent_doubling_matches_closed_form(sim_length):
+    # Criterion 6's grid and lag.  The error is O(1/sqrt(sim_length)): over
+    # seeds 1-10 and sim_length 2^16-2^20, max bulk error * sqrt(sim_length)
+    # read 2.0-7.6, so c = 12 leaves room for seed-to-seed spread while
+    # staying far below the lag terms the estimator must get right.
+    c = 12.0
+    model = ParetoTail(1.0, 4.0)
+    grid = variance_length_grid(model, 64)
+    lag = lag_cutoff(PhiGeometric(1.0, 0.5), tol=1e-3)
+    assert lag == 10
+    exact = _doubling_covariance_exact(grid, 0.25, lag)
+    bulk = np.asarray(model.tail(grid)) > 1e-3
+    assert bulk.sum() == 37
+    assert np.linalg.eigvalsh(exact).min() > 0.0
+    tol = c / math.sqrt(sim_length)
+    lag_part = exact - covariance_iid(model, grid).matrix
+    assert np.abs(lag_part[np.ix_(bulk, bulk)]).max() > 10.0 * tol
+    cg = covariance_dependent(DoublingMap(0.25, burn_in=0), grid, lag, sim_length, seed=501)
+    assert np.abs(cg.matrix - exact)[np.ix_(bulk, bulk)].max() < tol
 
 
 def test_covariance_dependent_validates_lag():

@@ -167,6 +167,12 @@ def test_samples_outside_model_support():
     assert w1_sample_vs_model([-2.0, -1.0], Uniform(0, 1)) == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+def test_w1_rejects_nonpositive_or_nan_tail_tol(tol):
+    with pytest.raises(ValidationError, match="tail_tol"):
+        w1_sample_vs_model([0.2, 0.7], Uniform(0, 1), tol)
+
+
 def test_infinite_mean_model_raises_with_diagnostic():
     heavy = ParetoTail(1.0, 0.9)
     with pytest.raises(DivergenceError) as err:
