@@ -36,6 +36,6 @@ print("\n== median growth probe (reduced scale; the acceptance suite runs 2000"
       " replicates at n up to 2^16) ==")
 for a, side in [(0.1, "convergent"), (0.4, "divergent")]:
     rep = divergence_probe(GAMMA, a, [1024, 4096, 16384], replications=200,
-                           seed=9, burn_in=5000, threads=4)
+                           seed=9, burn_in=5000)
     meds = {n: round(v, 3) for n, v in rep.medians.items()}
     print(f"  a = {a} ({side:>10}): medians {meds} -> {rep.verdict}")

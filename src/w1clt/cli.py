@@ -192,7 +192,7 @@ def _cmd_compare(args) -> int:
 def _cmd_probe(args) -> int:
     report = harness.divergence_probe(
         args.gamma, args.a, args.n_values, args.replications, args.seed,
-        growth_factor=args.growth_factor, threads=args.threads,
+        growth_factor=args.growth_factor,
     )
     _emit(report.to_dict(), args, "probe.json")
     return 0
@@ -258,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
          ("--n-values", {"type": _int_list, "required": True}),
          ("--replications", {"type": int, "default": 200}),
          ("--growth-factor", {"type": float, "default": 1.5}),
-         ("--seed", {"type": int, "default": 0}), threads, out_dir),
+         ("--seed", {"type": int, "default": 0}), out_dir),
         ("report", _cmd_report, "per-n comparison table against a limit sample",
          config, out_dir),
     ]

@@ -2,6 +2,11 @@
 
 Replicate r of the n_values[i] run draws from stream (i << 32) | r of the
 configured base seed, so outputs are byte-identical for any worker count.
+
+``threads`` spreads 256-row chunks over a thread pool for the per-row
+generators.  The intermittent map advances all lanes of a batch in one
+numpy loop that holds the GIL, so its batches run on the calling thread,
+each as wide as fits in _LANE_BUDGET bytes (one lane at least).
 """
 from __future__ import annotations
 
@@ -37,6 +42,7 @@ __all__ = [
 ]
 
 _REPLICATE_CHUNK = 256
+_LANE_BUDGET = 256 * 2**20  # bytes of one intermittent lane batch (lanes x n float64)
 SCHEMA_VERSION = 1
 _CONFIG_KEYS = {"schema_version", "process", "n_values", "replications", "base_seed",
                 "reference", "tail_tol"}
@@ -195,9 +201,12 @@ def _tn_chunk(spec: ProcessSpec, reference: DistributionModel, n: int, seed: int
 def _tn_sample(spec: ProcessSpec, reference: DistributionModel, n: int,
                replications: int, seed: int, n_index: int, threads: int) -> np.ndarray:
     base_stream = n_index << 32
+    size = _REPLICATE_CHUNK
+    if isinstance(spec, IntermittentMap):  # GIL-bound: wide batches, one thread
+        size, threads = max(1, _LANE_BUDGET // (8 * n)), 1
     chunks = [
-        (base_stream + start, min(_REPLICATE_CHUNK, replications - start))
-        for start in range(0, replications, _REPLICATE_CHUNK)
+        (base_stream + start, min(size, replications - start))
+        for start in range(0, replications, size)
     ]
     out = np.empty(replications)
     terms = level_terms(reference, n)  # read-only, shared by every chunk
@@ -301,6 +310,8 @@ def divergence_probe(gamma: float, a: float, n_values: list[int], replications: 
     >= growth_factor; "stabilizing" needs all consecutive ratios inside
     [0.8, 1.25].  The replicates and the reference, calibrated from an orbit
     of calibration_factor * max(n) values, come from run_clt_experiment.
+    ``threads`` must be >= 1 but does not change how lanes are scheduled:
+    intermittent lane batches always run on the calling thread.
     """
     if threads < 1:
         raise ValidationError("threads must be >= 1")

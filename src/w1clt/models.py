@@ -410,6 +410,7 @@ class Tabulated(DistributionModel):
         else:
             piece = 0.5 * (v[:-1] + v[1:]) * np.diff(g)
         self._a_knots = np.concatenate([[0.0], np.cumsum(piece)])
+        self._slopes = (v[1:] - v[:-1]) / (g[1:] - g[:-1])
 
     def _cdf(self, t, side):
         """F(t) for side "right", the left limit F(t-) for side "left"."""
@@ -460,8 +461,7 @@ class Tabulated(DistributionModel):
         if self.interp == "step":
             local = v[idx] * dt
         else:
-            slope = (v[idx + 1] - v[idx]) / (g[idx + 1] - g[idx])
-            local = v[idx] * dt + 0.5 * slope * dt**2
+            local = v[idx] * dt + 0.5 * self._slopes[idx] * dt**2
         out = self._a_knots[idx] + local + np.maximum(t_arr - g[-1], 0.0)
         out = np.where(t_arr < g[0], 0.0, out)
         return _maybe_scalar(out, t)

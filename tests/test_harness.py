@@ -1,9 +1,11 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from w1clt import harness
 from w1clt.cli import cli_main
 from w1clt.errors import ValidationError
 from w1clt.harness import (
@@ -107,7 +109,8 @@ def test_experiment_deterministic_across_thread_counts():
                      reference_model=ParetoTail(1.0, 3.0)),
 ], ids=["intermittent", "causal_linear", "iid_pareto"])
 def test_experiment_rows_equal_one_stream_recomputation(cfg):
-    # 300 replicates make two chunks, so the per-n terms are shared across chunks
+    # 300 replicates make two 256-row chunks of the per-row generators, so the
+    # per-n terms are shared across chunks; the intermittent case is one lane batch
     reference, _ = resolve_reference(cfg)
     assert isinstance(reference, Tabulated) == (cfg.reference_model is None)
     for threads in (1, 2):
@@ -120,6 +123,39 @@ def test_experiment_rows_equal_one_stream_recomputation(cfg):
                 for r in range(cfg.replications)
             ]
             assert out[n].values.tolist() == expected
+
+
+def test_intermittent_lane_batches_split_by_budget(monkeypatch):
+    # 8 * 48 * 7 bytes: 7 lanes per batch at n = 48 and 21 at n = 16, so 50
+    # replicates make 8 and 3 batches, each with a ragged last one
+    monkeypatch.setattr(harness, "_LANE_BUDGET", 8 * 48 * 7)
+    cfg = ExperimentConfig(IntermittentMap(0.25, 0.4, burn_in=50), [16, 48], 50, 5,
+                           calibration_length=2000)
+    reference, _ = resolve_reference(cfg)
+    calls = []
+    real = harness.generate_batch
+
+    def recording(spec, n, n_paths, seed, first_stream=0):
+        calls.append((n, n_paths, threading.current_thread() is threading.main_thread()))
+        return real(spec, n, n_paths, seed, first_stream=first_stream)
+
+    monkeypatch.setattr(harness, "generate_batch", recording)
+    for threads in (1, 4):
+        calls.clear()
+        out = run_clt_experiment(cfg, threads=threads)
+        for i, n in enumerate(cfg.n_values):
+            lanes = harness._LANE_BUDGET // (8 * n)
+            sizes = [count for m, count, _ in calls if m == n]
+            assert len(sizes) >= 3 and sum(sizes) == cfg.replications
+            assert max(sizes) <= lanes and sizes[-1] < lanes
+            expected = [
+                math.sqrt(n) * w1_sample_vs_model(
+                    generate(cfg.process, n, cfg.base_seed, (i << 32) | r).values, reference
+                )
+                for r in range(cfg.replications)
+            ]
+            assert out[n].values.tolist() == expected
+        assert all(on_main for _, _, on_main in calls)
 
 
 def test_experiment_statistics_are_nonnegative_and_reasonable():
@@ -196,14 +232,11 @@ def test_config_rejects_calibration_length_below_one(length):
 
 
 @pytest.mark.parametrize("threads", [0, -1])
-def test_threads_below_one_rejected(threads, tmp_path):
+def test_threads_below_one_rejected(threads):
     with pytest.raises(ValidationError, match="threads"):
         run_clt_experiment(_uniform_config(), threads=threads)
     with pytest.raises(ValidationError, match="threads"):
         divergence_probe(0.25, 0.1, [64, 128], replications=8, seed=3, threads=threads)
-    assert cli_main(["probe", "--gamma", "0.25", "--a", "0.1", "--n-values", "64,128",
-                     "--replications", "8", "--threads", str(threads),
-                     "--out-dir", str(tmp_path)]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +415,8 @@ _CFG = ["--config", "{cfg}"]
     (["experiment", *_CFG, "--seed", "5"], _EXPERIMENT, "--seed"),
     (["probe", "--gamma", "0.25", "--a", "0.4", "--n-values", "64,128", "--config", "x.json"],
      None, "--config"),
+    (["probe", "--gamma", "0.25", "--a", "0.4", "--n-values", "64,128", "--threads", "2"],
+     None, "--threads"),
     (["limit", *_CFG], {**_LIMIT, "model": {"kind": "uniform", "hgh": 5}}, "hgh"),
     (["generate", *_CFG], {**_GENERATE, "process": {
         "variant": "intermittent", "gamma": 0.25, "observable_exponent": 0.1, "burnin": 0}},
@@ -406,10 +441,11 @@ _CFG = ["--config", "{cfg}"]
     (["limit", *_CFG], {**_LIMIT, "model": {"kind": "power_pushforward", "exponent": 1.0, "base": {
         "kind": "tabulated", "grid": [0.2, 0.5, 1.0], "cdf_values": [0.3, 0.6, 1.0],
         "interp": "step"}}}, "linear"),
-], ids=["check-threads", "w1-seed", "experiment-seed", "probe-config", "model-typo",
-        "spec-typo", "coefficients-typo", "limit-key", "iid-limit-lag", "generate-key",
-        "out-path", "check-key", "reference-typo", "string-number", "scalar-list",
-        "grid-scheme", "report-same-n", "zero-tail-tol", "step-pushforward-base"])
+], ids=["check-threads", "w1-seed", "experiment-seed", "probe-config", "probe-threads",
+        "model-typo", "spec-typo", "coefficients-typo", "limit-key", "iid-limit-lag",
+        "generate-key", "out-path", "check-key", "reference-typo", "string-number",
+        "scalar-list", "grid-scheme", "report-same-n", "zero-tail-tol",
+        "step-pushforward-base"])
 def test_cli_rejects_unread_input(argv, config, named, tmp_path, capsys):
     csv = tmp_path / "a.csv"
     csv.write_text("value\n0.5\n")

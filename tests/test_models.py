@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_dict_properties import _tabulated
 
 from w1clt.errors import ValidationError
 from w1clt.models import (
@@ -92,6 +94,40 @@ def test_antiderivative_differentiates_to_cdf(model):
     deriv = (a_plus - a) / h
     f_mid = np.asarray(model.cdf(t + 0.5 * h))
     assert np.max(np.abs(deriv - f_mid)) < 1e-4
+
+
+def _antiderivative_per_point_slopes(model, t):
+    """Tabulated.cdf_antiderivative forming each slope from four gathers per point."""
+    g, v = model.grid, model.cdf_values
+    idx = np.clip(np.searchsorted(g, t, side="right") - 1, 0, len(g) - 2)
+    dt = np.clip(t, g[0], g[-1]) - g[idx]
+    if model.interp == "step":
+        local = v[idx] * dt
+    else:
+        slope = (v[idx + 1] - v[idx]) / (g[idx + 1] - g[idx])
+        local = v[idx] * dt + 0.5 * slope * dt**2
+    out = model._a_knots[idx] + local + np.maximum(t - g[-1], 0.0)
+    return np.where(t < g[0], 0.0, out)
+
+
+@pytest.mark.parametrize("interp", ["linear", "step"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_antiderivative_per_knot_slopes_bit_identical(interp, data):
+    # the slopes are computed once per table; the floats must not move by an ulp
+    model = data.draw(_tabulated(interps=(interp,)), label="model")
+    g = model.grid
+    inside = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    fracs = data.draw(st.lists(inside, min_size=len(g) - 1, max_size=len(g) - 1))
+    offsets = data.draw(st.lists(st.floats(1e-9, 1e3), min_size=2, max_size=2))
+    t = np.concatenate([
+        [g[0] - offsets[0]],  # below
+        g,  # on every knot
+        g[:-1] + np.asarray(fracs) * np.diff(g),  # between
+        [g[-1] + offsets[1]],  # above
+    ])
+    assert model.cdf_antiderivative(t).tobytes() == _antiderivative_per_point_slopes(
+        model, t).tobytes()
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: repr(m))
