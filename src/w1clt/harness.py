@@ -89,6 +89,8 @@ class ExperimentConfig:
             )
         if self.calibration_length is not None and self.calibration_length < 1:
             raise ValidationError("calibration_length must be >= 1")
+        if self.calibration_grid_size < 1:
+            raise ValidationError("calibration_grid_size must be >= 1")
         if not (self.tail_tol > 0):
             raise ValidationError("tail_tol must be positive")
 

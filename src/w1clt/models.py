@@ -369,6 +369,8 @@ class Tabulated(DistributionModel):
         self.cdf_values = np.asarray(self.cdf_values, dtype=float)
         if self.grid.ndim != 1 or len(self.grid) < 2:
             raise ValidationError("tabulated grid needs at least 2 points")
+        if not (np.all(np.isfinite(self.grid)) and np.all(np.isfinite(self.cdf_values))):
+            raise ValidationError("tabulated grid and cdf values must be finite")
         if not np.all(np.diff(self.grid) > 0):
             raise ValidationError("tabulated grid must be strictly increasing")
         if len(self.cdf_values) != len(self.grid):
@@ -410,7 +412,7 @@ class Tabulated(DistributionModel):
         else:
             piece = 0.5 * (v[:-1] + v[1:]) * np.diff(g)
         self._a_knots = np.concatenate([[0.0], np.cumsum(piece)])
-        self._slopes = (v[1:] - v[:-1]) / (g[1:] - g[:-1])
+        self._half_slopes = 0.5 * ((v[1:] - v[:-1]) / (g[1:] - g[:-1]))
 
     def _cdf(self, t, side):
         """F(t) for side "right", the left limit F(t-) for side "left"."""
@@ -453,16 +455,33 @@ class Tabulated(DistributionModel):
         return super().tail_quantile(u)
 
     def cdf_antiderivative(self, t):
+        """Integral of F over (-inf, t], knot interval by knot interval.
+
+        A 1-D sorted t longer than twice the grid finds its intervals by one
+        merge of the grid into t; any other t by ``searchsorted(grid, t)``.
+        Both give the same indices, so the same floats.
+        """
         t_arr = np.asarray(t, dtype=float)
         g, v = self.grid, self.cdf_values
-        idx = np.clip(np.searchsorted(g, t_arr, side="right") - 1, 0, len(g) - 2)
-        t_in = np.clip(t_arr, g[0], g[-1])
-        dt = t_in - g[idx]
-        if self.interp == "step":
-            local = v[idx] * dt
+        size = t_arr.size
+        if t_arr.ndim == 1 and size > 2 * len(g) and np.all(t_arr[1:] >= t_arr[:-1]):
+            # idx[j] counts the interior knots g[1:-1] at or below t[j]
+            first_at = np.searchsorted(t_arr, g[1:-1], side="left")
+            idx = np.cumsum(np.bincount(first_at, minlength=size + 1)[:size])
         else:
-            local = v[idx] * dt + 0.5 * self._slopes[idx] * dt**2
-        out = self._a_knots[idx] + local + np.maximum(t_arr - g[-1], 0.0)
+            idx = np.clip(np.searchsorted(g, t_arr, side="right") - 1, 0, len(g) - 2)
+        # in place (a scalar t stays numpy scalars): the same operations as
+        # a[idx] + (v[idx] dt + slope[idx] / 2 * dt**2), products and sums commuted
+        dt = np.clip(t_arr, g[0], g[-1])
+        dt -= g[idx]
+        out = v[idx]
+        out *= dt
+        if self.interp == "linear":
+            dt *= dt
+            dt *= self._half_slopes[idx]
+            out += dt
+        out += self._a_knots[idx]
+        out += np.maximum(t_arr - g[-1], 0.0)
         out = np.where(t_arr < g[0], 0.0, out)
         return _maybe_scalar(out, t)
 

@@ -46,6 +46,7 @@ logger = logging.getLogger(__name__)
 
 _TINY = math.ulp(0.0)
 _BELOW_ONE = math.nextafter(1.0, 0.0)
+_STORE_ROWS = 256  # recorded lane steps buffered as rows before one transposed copy
 
 # purpose ids for the counter-splitting rule
 PURPOSE_PATH = 0
@@ -338,6 +339,8 @@ def _intermittent_orbit_batch(spec: IntermittentMap, n: int, seed: int,
     rngs, reseeds = {}, 0
     out = np.empty((len(streams), n))
     y, lower = np.empty_like(x), np.empty(x.shape, dtype=bool)
+    rows = min(_STORE_ROWS, n)
+    block = np.empty((rows, len(streams)))
     for i in range(spec.burn_in + n):
         # in place, the same operations as x * (1 + c * x**gamma) on [0, 1/2), 2x - 1 above
         np.less(x, 0.5, out=lower)
@@ -348,13 +351,18 @@ def _intermittent_orbit_batch(spec: IntermittentMap, n: int, seed: int,
         x *= 2.0
         x -= 1.0
         np.copyto(x, y, where=lower)
-        if not x.all():  # some lane is at exact 0
+        if np.count_nonzero(x) < len(x):  # some lane is at exact 0; counting beats x.all()
             for lane in np.flatnonzero(x == 0.0):
                 x[lane] = _reseed(rngs, seed, int(streams[lane]))
                 reseeds += 1
         np.minimum(x, _BELOW_ONE, out=x)  # any other state is >= _TINY already
-        if i >= spec.burn_in:
-            out[:, i - spec.burn_in] = x
+        k = i - spec.burn_in
+        if k >= 0:
+            # a contiguous row per step; a strided column store into out costs as much as the step
+            row = k % rows
+            block[row] = x
+            if row == rows - 1 or k == n - 1:
+                out[:, k - row:k + 1] = block[:row + 1].T
     _log_reseeds(reseeds)
     out **= -spec.observable_exponent
     return out

@@ -231,6 +231,18 @@ def test_config_rejects_calibration_length_below_one(length):
         ExperimentConfig.from_dict(_calibrated_dict(length))
 
 
+@pytest.mark.parametrize("size", [0, -3])
+def test_calibration_grid_size_below_one_rejected(size):
+    # below 1, auto_calibration_grid would fall back to the 2-point grid [min, max]
+    cfg = _calibrated_dict(100)
+    cfg["reference"]["calibration_grid_size"] = size
+    with pytest.raises(ValidationError, match="calibration_grid_size"):
+        ExperimentConfig.from_dict(cfg)
+    with pytest.raises(ValidationError, match="calibration_grid_size"):
+        divergence_probe(0.25, 0.1, [64, 128], replications=8, seed=3,
+                         calibration_grid_size=size)
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_threads_below_one_rejected(threads):
     with pytest.raises(ValidationError, match="threads"):
@@ -441,11 +453,22 @@ _CFG = ["--config", "{cfg}"]
     (["limit", *_CFG], {**_LIMIT, "model": {"kind": "power_pushforward", "exponent": 1.0, "base": {
         "kind": "tabulated", "grid": [0.2, 0.5, 1.0], "cdf_values": [0.3, 0.6, 1.0],
         "interp": "step"}}}, "linear"),
+    (["experiment", *_CFG], {**_EXPERIMENT, "reference": {
+        "calibration_length": 1000, "calibration_grid_size": 0}}, "calibration_grid_size"),
+    (["experiment", *_CFG], {**_EXPERIMENT, "reference": {
+        "calibration_length": 1000, "calibration_grid_size": -3}}, "calibration_grid_size"),
+    (["experiment", *_CFG], {**_EXPERIMENT, "reference": {"analytic": {
+        "kind": "tabulated", "grid": [0, 0.5, 1], "cdf_values": [0, math.nan, 1]}}},
+     "tabulated grid and cdf values must be finite"),
+    (["experiment", *_CFG], {**_EXPERIMENT, "reference": {"analytic": {
+        "kind": "tabulated", "grid": [0, 1, math.inf], "cdf_values": [0, 0.5, 1]}}},
+     "tabulated grid and cdf values must be finite"),
 ], ids=["check-threads", "w1-seed", "experiment-seed", "probe-config", "probe-threads",
         "model-typo", "spec-typo", "coefficients-typo", "limit-key", "iid-limit-lag",
         "generate-key", "out-path", "check-key", "reference-typo", "string-number",
         "scalar-list", "grid-scheme", "report-same-n", "zero-tail-tol",
-        "step-pushforward-base"])
+        "step-pushforward-base", "zero-calibration-grid", "negative-calibration-grid",
+        "nan-tabulated-cdf", "inf-tabulated-knot"])
 def test_cli_rejects_unread_input(argv, config, named, tmp_path, capsys):
     csv = tmp_path / "a.csv"
     csv.write_text("value\n0.5\n")

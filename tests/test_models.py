@@ -128,6 +128,19 @@ def test_antiderivative_per_knot_slopes_bit_identical(interp, data):
     ])
     assert model.cdf_antiderivative(t).tobytes() == _antiderivative_per_point_slopes(
         model, t).tobytes()
+    # sorted t longer than twice the grid takes the merge binning: ties on the
+    # knots, points below and above the grid; then one sorted t of at most 2m
+    # points and one unsorted t of more, which keep searchsorted
+    m = len(g)
+    extra = data.draw(st.lists(st.floats(g[0] - 5.0, g[-1] + 5.0), min_size=1,
+                               max_size=3 * m), label="extra")
+    long_sorted = np.sort(np.concatenate([t, g, extra]))
+    assert len(long_sorted) > 2 * m
+    short_sorted = np.sort(t)[:2 * m]
+    unsorted = long_sorted[::-1].copy()
+    for u in (long_sorted, short_sorted, unsorted):
+        assert model.cdf_antiderivative(u).tobytes() == _antiderivative_per_point_slopes(
+            model, u).tobytes()
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: repr(m))
@@ -210,6 +223,12 @@ def test_tabulated_validation_errors():
         Tabulated([0.0, 1.0], [0.5, 0.4])
     with pytest.raises(ValidationError):
         Tabulated([0.0, 1.0], [0.0, 0.7])
+    for grid, cdf in (([0.0, 0.5, 1.0], [0.0, math.nan, 1.0]),
+                      ([0.0, 1.0, math.inf], [0.0, 0.5, 1.0]),
+                      ([-math.inf, 0.0, 1.0], [0.0, 0.5, 1.0]),
+                      ([0.0, math.nan, 1.0], [0.0, 0.5, 1.0])):
+        with pytest.raises(ValidationError, match="must be finite"):
+            Tabulated(grid, cdf)
 
 
 def test_tabulated_equality_compares_arrays():

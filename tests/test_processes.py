@@ -72,6 +72,18 @@ def test_batch_rows_match_single_streams(spec):
         assert np.array_equal(batch[r], single.values), f"lane {r} differs"
 
 
+@pytest.mark.parametrize("burn_in", [0, 7])
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+def test_intermittent_batch_rows_match_across_store_blocks(n, burn_in):
+    # the lane loop buffers _STORE_ROWS = 256 steps per copy into the output:
+    # lengths on, just before and just after a block boundary, and a ragged last block
+    spec = IntermittentMap(0.25, 0.2, burn_in=burn_in)
+    batch = generate_batch(spec, n, 5, seed=123, first_stream=2)
+    for r in range(5):
+        single = generate(spec, n, seed=123, stream=2 + r)
+        assert np.array_equal(batch[r], single.values), f"lane {r} differs"
+
+
 def test_intermittent_batch_chunk_invariant():
     # lane values must not depend on how replicates are grouped into batches
     spec = IntermittentMap(0.25, 0.2, burn_in=50)
