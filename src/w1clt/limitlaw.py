@@ -28,6 +28,7 @@ from .processes import (
     generate,
     spawn_rng,
 )
+from .transport import quad
 
 __all__ = [
     "PsdRepair",
@@ -131,9 +132,6 @@ class StatisticSample:
             raise ValidationError("expected a 'value' header row")
         return np.asarray(values, dtype=float)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "metadata": self.metadata, "values": self.values.tolist()}
-
 
 # ---------------------------------------------------------------------------
 # grids
@@ -172,8 +170,6 @@ def variance_length_grid(model: DistributionModel, size: int, mesh: int = 40_001
 
 def grid_tail_report(model: DistributionModel, grid: np.ndarray) -> dict:
     """Sqrt-variance mass the grid leaves out on each side (quadrature bias bound)."""
-    from .transport import quad
-
     lo, hi = model.support()
     fn = lambda t: math.sqrt(max(float(model.cdf(t)) * (1.0 - float(model.cdf(t))), 0.0))
     left = quad(fn, lo, float(grid[0])) if grid[0] > lo else 0.0

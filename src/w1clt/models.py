@@ -9,10 +9,16 @@ Every model exposes the same surface:
 * ``cdf_antiderivative(t)``  t -> integral of F over (-inf, t] (finite because
                              every kind here has support bounded below)
 * ``upper_mean_excess(t)``   integral of 1 - F over [t, inf)
+* ``quantile_tail_integral_exact(alpha)``
+                             integral of tail_quantile(u)/sqrt(u) over (0, alpha]
 
 plus metadata used by the convergence checkers: ``support()``,
 ``tail_exponent()`` (the r such that tail(t) ~ t**-r, ``inf`` for bounded or
 exponential tails), ``density_bound`` and ``mean_abs()``.
+
+Each kind gives the |Y| functionals in closed form.  A signed support is
+folded into the law of |Y| once: ``Uniform`` goes through the equal linear
+``Tabulated`` table, and ``Tabulated._folded`` builds the |Y| table.
 
 All evaluation methods accept scalars or numpy arrays and are vectorized.
 """
@@ -43,23 +49,8 @@ def _maybe_scalar(out, like):
     return out
 
 
-def _bisect_nonincreasing(fn, target, lo, hi, iters=200):
-    """inf{t in [lo, hi] : fn(t) <= target} for nonincreasing fn."""
-    if fn(lo) <= target:
-        return lo
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if fn(mid) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 class DistributionModel:
-    """Common behaviour; concrete kinds override the closed forms."""
+    """Common behaviour; every concrete kind implements each closed form."""
 
     kind = "abstract"
     density_bound: float | None = None
@@ -81,20 +72,8 @@ class DistributionModel:
         raise NotImplementedError
 
     def tail_quantile(self, u):
-        """Cadlag inverse of ``tail``; generic bisection fallback."""
-        u_arr = np.asarray(u, dtype=float)
-        lo, hi = self.support()
-        hi_abs = max(abs(lo), abs(hi))
-        if not math.isfinite(hi_abs):
-            raise NotImplementedError("unbounded model must override tail_quantile")
-        out = np.empty(u_arr.shape)
-        flat = out.reshape(-1)
-        for i, ui in enumerate(np.atleast_1d(u_arr).reshape(-1)):
-            if ui >= 1.0:
-                flat[i] = 0.0
-            else:
-                flat[i] = _bisect_nonincreasing(lambda t: float(self.tail(t)), ui, 0.0, hi_abs)
-        return _maybe_scalar(out, u)
+        """Cadlag inverse of ``tail``: inf{t >= 0 : tail(t) <= u}."""
+        raise NotImplementedError
 
     def quantile_density(self, u):
         """Derivative of the quantile function; not all kinds have one."""
@@ -120,9 +99,9 @@ class DistributionModel:
         """Closed form of int_0^inf sqrt(tail(t)) dt when available, else None."""
         return None
 
-    def quantile_tail_integral_exact(self, alpha: float) -> float | None:
-        """Closed form of int_0^alpha Q(u)/sqrt(u) du when available, else None."""
-        return None
+    def quantile_tail_integral_exact(self, alpha: float) -> float:
+        """Closed form of int_0^alpha Q(u)/sqrt(u) du, Q the tail quantile of |Y|."""
+        raise NotImplementedError
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -162,9 +141,13 @@ class Uniform(DistributionModel):
         out = np.where(t_arr < 0.0, 1.0, np.clip(upper + lower, 0.0, 1.0))
         return _maybe_scalar(out, t)
 
+    def _table(self):
+        """The same law as a linear ``Tabulated``, which folds a signed support exactly."""
+        return Tabulated([self.lo, self.hi], [0.0, 1.0])
+
     def tail_quantile(self, u):
         if self.lo < 0.0:
-            return super().tail_quantile(u)
+            return self._table().tail_quantile(u)
         u_arr = np.asarray(u, dtype=float)
         out = np.where(u_arr >= 1.0, 0.0, self.hi - u_arr * self.width)
         return _maybe_scalar(out, u)
@@ -198,6 +181,9 @@ class Uniform(DistributionModel):
             return None
         # int_0^lo 1 dt + int_lo^hi sqrt((hi-t)/w) dt
         return self.lo + 2.0 * self.width / 3.0
+
+    def quantile_tail_integral_exact(self, alpha):
+        return self._table().quantile_tail_integral_exact(alpha)
 
     def to_dict(self):
         return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
@@ -258,6 +244,10 @@ class Exponential(DistributionModel):
 
     def sqrt_tail_integral_exact(self):
         return 2.0 / self.rate
+
+    def quantile_tail_integral_exact(self, alpha):
+        # Q(u) = -ln(u) / rate
+        return 2.0 * math.sqrt(alpha) * (2.0 - math.log(alpha)) / self.rate
 
     def to_dict(self):
         return {"kind": "exponential", "rate": self.rate}
@@ -342,6 +332,13 @@ class ParetoTail(DistributionModel):
             return None
         return self.scale * self.exponent / (self.exponent - 2.0)
 
+    def quantile_tail_integral_exact(self, alpha):
+        # Q(u)/sqrt(u) = scale * u**(e - 1)
+        e = 0.5 - 1.0 / self.exponent
+        if e <= 0.0:
+            return math.inf
+        return self.scale * alpha**e / e
+
     def to_dict(self):
         return {"kind": "pareto_tail", "scale": self.scale, "exponent": self.exponent}
 
@@ -354,7 +351,9 @@ class Tabulated(DistributionModel):
     ``cdf_values[0]`` at ``grid[0]``); ``interp="step"`` is the right-continuous
     step CDF, which represents an empirical CDF exactly.  The last value must
     be 1: mass beyond the grid is a documented tail cutoff the caller controls
-    through the grid extent.
+    through the grid extent.  Knot gaps must be finite, and so must a linear
+    table's slopes.  The tail quantile of |Y| and its integral are piecewise
+    closed forms; a grid starting below 0 is first folded into the |Y| table.
     """
 
     grid: np.ndarray
@@ -371,8 +370,12 @@ class Tabulated(DistributionModel):
             raise ValidationError("tabulated grid needs at least 2 points")
         if not (np.all(np.isfinite(self.grid)) and np.all(np.isfinite(self.cdf_values))):
             raise ValidationError("tabulated grid and cdf values must be finite")
-        if not np.all(np.diff(self.grid) > 0):
+        with np.errstate(over="ignore"):
+            gaps = np.diff(self.grid)
+        if not np.all(gaps > 0):
             raise ValidationError("tabulated grid must be strictly increasing")
+        if not np.all(np.isfinite(gaps)):
+            raise ValidationError("tabulated knot gaps must be finite")
         if len(self.cdf_values) != len(self.grid):
             raise ValidationError("grid and cdf_values length mismatch")
         if np.any(np.diff(self.cdf_values) < 0):
@@ -383,7 +386,7 @@ class Tabulated(DistributionModel):
             raise ValidationError("interp must be 'linear' or 'step'")
         self.cdf_values = self.cdf_values.copy()
         self.cdf_values[-1] = 1.0
-        self._build_antiderivative()
+        self._build_antiderivative(gaps)
 
     def __eq__(self, other):
         # the generated dataclass __eq__ would compare arrays to an ambiguous truth value
@@ -405,14 +408,17 @@ class Tabulated(DistributionModel):
         cdf = np.cumsum(counts) / len(v)
         return cls(uniq, cdf, interp="step")
 
-    def _build_antiderivative(self):
-        g, v = self.grid, self.cdf_values
+    def _build_antiderivative(self, gaps):
+        v = self.cdf_values
         if self.interp == "step":
-            piece = v[:-1] * np.diff(g)
+            piece = v[:-1] * gaps
         else:
-            piece = 0.5 * (v[:-1] + v[1:]) * np.diff(g)
+            with np.errstate(over="ignore"):
+                self._half_slopes = 0.5 * ((v[1:] - v[:-1]) / gaps)
+            if not np.all(np.isfinite(self._half_slopes)):
+                raise ValidationError("linear tabulated cdf slope overflows: knot gap too small")
+            piece = 0.5 * (v[:-1] + v[1:]) * gaps
         self._a_knots = np.concatenate([[0.0], np.cumsum(piece)])
-        self._half_slopes = 0.5 * ((v[1:] - v[:-1]) / (g[1:] - g[:-1]))
 
     def _cdf(self, t, side):
         """F(t) for side "right", the left limit F(t-) for side "left"."""
@@ -446,13 +452,25 @@ class Tabulated(DistributionModel):
         out = np.where(t_arr < 0.0, 1.0, np.clip(out, 0.0, 1.0))
         return _maybe_scalar(out, t)
 
+    def _folded(self) -> "Tabulated":
+        """The law of |Y| as a table with the same interpolation, for ``grid[0] < 0``.
+
+        F_|Y|(t) = F(t) - F(-t^-) is taken at 0 and the knots |grid|, between
+        which it interpolates like F.  The one exception is |grid[0]|, where
+        a linear table's atom of mass ``cdf_values[0]`` at ``grid[0]`` makes
+        F_|Y| jump; the knot one ulp below |grid[0]| keeps that jump.
+        """
+        g = self.grid
+        t = np.unique(np.concatenate([[0.0, np.nextafter(-g[0], 0.0)], np.abs(g)]))
+        f_abs = np.maximum.accumulate(self._cdf(t, "right") - self._cdf(-t, "left"))
+        return Tabulated(t, f_abs, interp=self.interp)
+
     def tail_quantile(self, u):
-        if self.grid[0] >= 0.0:
-            u_arr = np.asarray(u, dtype=float)
-            out = np.where(u_arr >= 1.0, 0.0, np.asarray(self.quantile(1.0 - u_arr)))
-            out = np.maximum(out, 0.0)
-            return _maybe_scalar(out, u)
-        return super().tail_quantile(u)
+        if self.grid[0] < 0.0:
+            return self._folded().tail_quantile(u)
+        u_arr = np.asarray(u, dtype=float)
+        out = np.where(u_arr >= 1.0, 0.0, np.asarray(self.quantile(1.0 - u_arr)))
+        return _maybe_scalar(out, u)
 
     def cdf_antiderivative(self, t):
         """Integral of F over (-inf, t], knot interval by knot interval.
@@ -501,19 +519,10 @@ class Tabulated(DistributionModel):
         return math.inf
 
     def quantile_tail_integral_exact(self, alpha):
+        if self.grid[0] < 0.0:
+            return self._folded().quantile_tail_integral_exact(alpha)
         # the tail quantile is piecewise linear in u (breakpoints 1 - v[i]),
         # so each segment integrates to (A + B u)/sqrt(u) in closed form
-        if self.grid[0] < 0.0:
-            # reduce to the |Y| tabulation: F_|Y|(t) = F(t) - F(-t^-), exact
-            # at the folded knots for both interpolation modes
-            t_knots = np.unique(np.abs(self.grid))
-            if t_knots[0] > 0.0:
-                t_knots = np.concatenate([[0.0], t_knots])
-            f_abs = self._cdf(t_knots, "right") - self._cdf(-t_knots, "left")
-            f_abs = np.clip(np.maximum.accumulate(f_abs), 0.0, 1.0)
-            f_abs[-1] = 1.0
-            folded = Tabulated(t_knots, f_abs, interp=self.interp)
-            return folded.quantile_tail_integral_exact(alpha)
         g, v = self.grid, self.cdf_values
         u_lo = 1.0 - v[1:]
         u_hi = 1.0 - v[:-1]

@@ -87,9 +87,6 @@ class GeometricCoeffs:
         j_arr = np.asarray(j, dtype=float)
         return np.where(j_arr == 0, 1.0, self.rho ** j_arr)
 
-    def abs_sum(self) -> float:
-        return 1.0 / (1.0 - self.rho)
-
     def abs_tail(self, j: int) -> float:
         if self.rho == 0.0:
             return 0.0
@@ -117,9 +114,6 @@ class PolynomialCoeffs:
 
     def coeff(self, j):
         return (np.asarray(j, dtype=float) + self.offset) ** (-self.beta)
-
-    def abs_sum(self) -> float:
-        return float(zeta(self.beta, self.offset))
 
     def abs_tail(self, j: int) -> float:
         return float(zeta(self.beta, j + 1 + self.offset))

@@ -198,9 +198,9 @@ def lambda21(model: DistributionModel) -> ExtendedReal:
 def quantile_tail_integral(model: DistributionModel, alpha: float) -> ExtendedReal:
     """``int_0^alpha Q(u)/sqrt(u) du`` for the tail-quantile Q of |Y|.
 
-    The substitution u = v**2 removes the endpoint singularity: the value is
-    ``2 * int_0^sqrt(alpha) Q(v^2) dv``, evaluated by adaptive quadrature to
-    relative tolerance 1e-9.
+    Every built-in model gives it in closed form
+    (``quantile_tail_integral_exact``); a tail exponent r <= 2 makes it
+    infinite.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValidationError("alpha must lie in (0, 1]")
@@ -210,9 +210,4 @@ def quantile_tail_integral(model: DistributionModel, alpha: float) -> ExtendedRe
             math.inf,
             f"Q(u)/sqrt(u) ~ u^{-(0.5 + 1.0 / r):g} near 0 with tail exponent r={r:g}",
         )
-    exact = model.quantile_tail_integral_exact(alpha)
-    if exact is not None:
-        return ExtendedReal(float(exact))
-    fn = lambda v: float(model.tail_quantile(v * v))
-    val = 2.0 * quad(fn, 0.0, math.sqrt(alpha))
-    return ExtendedReal(val)
+    return ExtendedReal(float(model.quantile_tail_integral_exact(alpha)))

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from test_dict_properties import _tabulated
+from hypothesis import example, given, settings, strategies as st
+from scipy import integrate
+from test_dict_properties import MODELS as ANY_MODEL, _tabulated
 
 from w1clt.errors import ValidationError
 from w1clt.models import (
@@ -14,6 +16,7 @@ from w1clt.models import (
     model_from_dict,
     power_pushforward,
 )
+from w1clt.transport import quantile_tail_integral, w1_sample_vs_model
 
 MODELS = [
     Uniform(0.0, 1.0),
@@ -76,11 +79,56 @@ def test_tail_with_signed_support():
     assert m.tail(0.5) == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert m.tail(-3.0) == 1.0
     assert m.tail(2.5) == 0.0
-    # bisection inverse agrees
+    # the tail quantile inverts it
     for u in [0.9, 2.0 / 3.0, 0.3, 0.05]:
         t = m.tail_quantile(u)
         assert m.tail(t) <= u + 1e-9
         assert m.tail(t - 1e-9) >= u - 1e-7
+
+
+def _bisect_tail_quantile(model, u, iters=64):
+    """inf{t >= 0 : tail(t) <= u} by vectorized bisection on [0, max |support|]."""
+    lo = np.zeros_like(u)
+    hi = np.full_like(u, max(abs(b) for b in model.support()))
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        below = np.asarray(model.tail(mid)) <= u
+        lo, hi = np.where(below, lo, mid), np.where(below, mid, hi)
+    return hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(ANY_MODEL, st.floats(1e-6, 1.0))
+# a linear table with an atom of mass 0.1 at its negative first knot
+@example(Tabulated([-2.0, -0.5, 0.3, 1.0], [0.1, 0.4, 0.7, 1.0]), 1.0)
+def test_tail_quantile_and_its_integral_invert_tail(model, alpha):
+    got = quantile_tail_integral(model, alpha)
+    if model.tail_exponent() <= 2.0:
+        assert got.is_infinite
+        return
+    # midpoints of 2 int_0^sqrt(alpha) Q(v^2) dv
+    n = 2**14
+    h = math.sqrt(alpha) / n
+    u = ((np.arange(n) + 0.5) * h) ** 2
+    q = np.asarray(model.tail_quantile(u))
+    # Q(u) = inf{t >= 0 : tail(t) <= u}, up to 1e-9 (1 + t) in t and rounding in u
+    dt = 1e-9 * (1.0 + q)
+    assert np.all(np.asarray(model.tail(q + dt)) <= u + 1e-14)
+    assert np.all(np.asarray(model.tail(q - dt)) >= u - 1e-14)
+    top = max(abs(b) for b in model.support())
+    if math.isfinite(top):
+        # Q(v^2) is nonincreasing and at most top, so the midpoint rule is
+        # within 2 h top of the integral whatever the jumps
+        yard = 2.0 * h * float(np.sum(_bisect_tail_quantile(model, u)))
+        tol = 2.0 * h * top + 1e-9 * (yard + top)
+    else:
+        # quad's own error estimate sets the tolerance; near r = 2 it is wide
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            val, abserr = integrate.quad(lambda v: float(model.tail_quantile(v * v)),
+                                         0.0, math.sqrt(alpha), limit=200)
+        yard, tol = 2.0 * val, 2.0 * abserr + 1e-9 * 2.0 * val
+    assert abs(float(got) - yard) <= tol
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: repr(m))
@@ -229,6 +277,17 @@ def test_tabulated_validation_errors():
                       ([0.0, math.nan, 1.0], [0.0, 0.5, 1.0])):
         with pytest.raises(ValidationError, match="must be finite"):
             Tabulated(grid, cdf)
+
+
+def test_tabulated_rejects_overflowing_gaps_and_slopes():
+    # a subnormal knot gap overflows the linear slope, which made W1 NaN
+    with pytest.raises(ValidationError, match="slope overflows"):
+        Tabulated([0.0, 5e-324, 1.0], [0.0, 0.5, 1.0])
+    with pytest.raises(ValidationError, match="gaps must be finite"):
+        Tabulated([-1e308, 1e308], [0.0, 1.0], interp="step")
+    # a step table has no slopes to overflow
+    step = Tabulated([0.0, 5e-324, 1.0], [0.0, 0.5, 1.0], interp="step")
+    assert w1_sample_vs_model([0.0, 0.3, 0.9], step) == pytest.approx(0.2, rel=1e-12)
 
 
 def test_tabulated_equality_compares_arrays():

@@ -262,10 +262,8 @@ def test_resource_limit():
 
 def test_coefficient_family_sums():
     g = GeometricCoeffs(0.5)
-    assert g.abs_sum() == pytest.approx(2.0)
     assert g.abs_tail(3) == pytest.approx(0.5**4 / 0.5)
     p = PolynomialCoeffs(2.0, 1.0)
-    assert p.abs_sum() == pytest.approx(math.pi**2 / 6.0, rel=1e-12)
     brute = sum((j + 1.0) ** -2.0 for j in range(4, 200_000))
     assert p.abs_tail(3) == pytest.approx(brute, rel=1e-4)
 
