@@ -1,4 +1,16 @@
-"""Exception types shared across the package, and the checks that decode JSON input."""
+"""Exception types shared across the package, and the JSON wire codec.
+
+The codec reads JSON input: ``reject_unknown_keys``, ``read_tag`` and
+``read_key`` check one object, and ``from_wire`` decodes a ``WireRecord``.  A
+wire record is a dataclass whose JSON form is its tag (``TAG`` holding the
+class's ``kind``) followed by its fields by name.  Each field's annotation
+picks its JSON type, a field with a default may be left out and then takes
+that default, and a nested record names its decoder in the field's
+``metadata["decode"]``.
+"""
+from dataclasses import MISSING, fields
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -44,6 +56,49 @@ def read_tag(d, tag: str, keys_by_tag: dict, what: str) -> str:
         )
     reject_unknown_keys(d, {tag, *keys_by_tag[value]}, f"{value} {what}")
     return value
+
+
+# keyed by annotation text: the record modules postpone the evaluation of annotations
+_READERS = {"float": float, "int": int, "str": str, "int | None": int, "np.ndarray": [float]}
+
+
+class WireRecord:
+    """A dataclass whose JSON form is ``{TAG: kind, field: value, ...}``."""
+
+    TAG = "kind"
+    kind = "abstract"
+
+    def to_dict(self) -> dict:
+        out = {self.TAG: self.kind}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, WireRecord):
+                value = value.to_dict()
+            elif isinstance(value, np.ndarray):
+                value = value.tolist()
+            out[f.name] = value
+        return out
+
+
+def from_wire(d, classes, what: str, input_only=()):
+    """Decode ``d`` into the one of ``classes`` whose ``kind`` its tag names.
+
+    ``input_only`` names tags the caller decodes itself; they are listed as
+    valid in the unknown-tag message.
+    """
+    by_kind = {cls.kind: cls for cls in classes}
+    keys = {kind: [f.name for f in fields(cls)] for kind, cls in by_kind.items()}
+    kind = read_tag(d, classes[0].TAG, {**keys, **dict.fromkeys(input_only, ())}, what)
+    cls, name = by_kind[kind], f"{kind} {what}"
+    args = {}
+    for f in fields(cls):
+        default = _REQUIRED if f.default is MISSING else f.default
+        decode = f.metadata.get("decode")
+        if decode is None:
+            args[f.name] = read_key(d, f.name, _READERS[f.type], name, default)
+        else:
+            args[f.name] = decode(read_key(d, f.name, dict, name, default))
+    return cls(**args)
 
 
 def read_key(d: dict, key: str, kind, what: str, default=_REQUIRED):

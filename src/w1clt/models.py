@@ -11,6 +11,8 @@ Every model exposes the same surface:
 * ``upper_mean_excess(t)``   integral of 1 - F over [t, inf)
 * ``quantile_tail_integral_exact(alpha)``
                              integral of tail_quantile(u)/sqrt(u) over (0, alpha]
+* ``sqrt_tail_integral_exact()``
+                             integral of sqrt(tail(t)) over [0, inf)
 
 plus metadata used by the convergence checkers: ``support()``,
 ``tail_exponent()`` (the r such that tail(t) ~ t**-r, ``inf`` for bounded or
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, read_key, read_tag
+from .errors import ValidationError, WireRecord, from_wire, read_key, reject_unknown_keys
 
 __all__ = [
     "DistributionModel",
@@ -49,10 +51,9 @@ def _maybe_scalar(out, like):
     return out
 
 
-class DistributionModel:
+class DistributionModel(WireRecord):
     """Common behaviour; every concrete kind implements each closed form."""
 
-    kind = "abstract"
     density_bound: float | None = None
 
     # --- evaluation surface -------------------------------------------------
@@ -95,15 +96,12 @@ class DistributionModel:
         """E|Y| via E|Y| = int_0^inf tail = upper_mean_excess(0) + cdf_antiderivative(0)."""
         return float(self.upper_mean_excess(0.0)) + float(self.cdf_antiderivative(0.0))
 
-    def sqrt_tail_integral_exact(self) -> float | None:
-        """Closed form of int_0^inf sqrt(tail(t)) dt when available, else None."""
-        return None
+    def sqrt_tail_integral_exact(self) -> float:
+        """Closed form of int_0^inf sqrt(tail(t)) dt."""
+        raise NotImplementedError
 
     def quantile_tail_integral_exact(self, alpha: float) -> float:
         """Closed form of int_0^alpha Q(u)/sqrt(u) du, Q the tail quantile of |Y|."""
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
         raise NotImplementedError
 
 
@@ -178,15 +176,12 @@ class Uniform(DistributionModel):
 
     def sqrt_tail_integral_exact(self):
         if self.lo < 0.0:
-            return None
+            return self._table().sqrt_tail_integral_exact()
         # int_0^lo 1 dt + int_lo^hi sqrt((hi-t)/w) dt
         return self.lo + 2.0 * self.width / 3.0
 
     def quantile_tail_integral_exact(self, alpha):
         return self._table().quantile_tail_integral_exact(alpha)
-
-    def to_dict(self):
-        return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
 
 
 @dataclass(frozen=True)
@@ -249,9 +244,6 @@ class Exponential(DistributionModel):
         # Q(u) = -ln(u) / rate
         return 2.0 * math.sqrt(alpha) * (2.0 - math.log(alpha)) / self.rate
 
-    def to_dict(self):
-        return {"kind": "exponential", "rate": self.rate}
-
 
 @dataclass(frozen=True)
 class ParetoTail(DistributionModel):
@@ -263,8 +255,8 @@ class ParetoTail(DistributionModel):
     kind = "pareto_tail"
 
     def __post_init__(self):
-        if not (self.scale > 0.0 and self.exponent > 0.0):
-            raise ValidationError("ParetoTail requires scale > 0 and exponent > 0")
+        if not (0.0 < self.scale < math.inf and 0.0 < self.exponent < math.inf):
+            raise ValidationError("ParetoTail requires finite scale > 0 and finite exponent > 0")
 
     @property
     def density_bound(self):
@@ -329,7 +321,7 @@ class ParetoTail(DistributionModel):
 
     def sqrt_tail_integral_exact(self):
         if self.exponent <= 2.0:
-            return None
+            return math.inf
         return self.scale * self.exponent / (self.exponent - 2.0)
 
     def quantile_tail_integral_exact(self, alpha):
@@ -338,9 +330,6 @@ class ParetoTail(DistributionModel):
         if e <= 0.0:
             return math.inf
         return self.scale * alpha**e / e
-
-    def to_dict(self):
-        return {"kind": "pareto_tail", "scale": self.scale, "exponent": self.exponent}
 
 
 @dataclass
@@ -352,8 +341,8 @@ class Tabulated(DistributionModel):
     step CDF, which represents an empirical CDF exactly.  The last value must
     be 1: mass beyond the grid is a documented tail cutoff the caller controls
     through the grid extent.  Knot gaps must be finite, and so must a linear
-    table's slopes.  The tail quantile of |Y| and its integral are piecewise
-    closed forms; a grid starting below 0 is first folded into the |Y| table.
+    table's slopes.  The |Y| functionals are piecewise closed forms; a grid
+    starting below 0 is folded into the |Y| table once, at construction.
     """
 
     grid: np.ndarray
@@ -387,6 +376,13 @@ class Tabulated(DistributionModel):
         self.cdf_values = self.cdf_values.copy()
         self.cdf_values[-1] = 1.0
         self._build_antiderivative(gaps)
+        if self.grid[0] < 0.0:
+            try:
+                self._abs = self._folded()
+            except ValidationError:
+                raise ValidationError(
+                    "tabulated law of |Y| overflows a cdf slope: knots too close to 0"
+                ) from None
 
     def __eq__(self, other):
         # the generated dataclass __eq__ would compare arrays to an ambiguous truth value
@@ -467,7 +463,7 @@ class Tabulated(DistributionModel):
 
     def tail_quantile(self, u):
         if self.grid[0] < 0.0:
-            return self._folded().tail_quantile(u)
+            return self._abs.tail_quantile(u)
         u_arr = np.asarray(u, dtype=float)
         out = np.where(u_arr >= 1.0, 0.0, np.asarray(self.quantile(1.0 - u_arr)))
         return _maybe_scalar(out, u)
@@ -518,9 +514,27 @@ class Tabulated(DistributionModel):
     def tail_exponent(self):
         return math.inf
 
+    def sqrt_tail_integral_exact(self):
+        if self.grid[0] < 0.0:
+            return self._abs.sqrt_tail_integral_exact()
+        # the tail is 1 below grid[0]; on a knot interval it is 1 - v[i] for a
+        # step table, and for a linear one it runs linearly from a = 1 - v[i]
+        # to b = 1 - v[i + 1], where the integral of its root is
+        # gap * (2/3) (a + sqrt(ab) + b) / (sqrt(a) + sqrt(b))
+        gaps = np.diff(self.grid)
+        a = np.maximum(1.0 - self.cdf_values, 0.0)
+        root = np.sqrt(a)
+        if self.interp == "step":
+            pieces = gaps * root[:-1]
+        else:
+            den = root[:-1] + root[1:]
+            num = (2.0 / 3.0) * gaps * (a[:-1] + root[:-1] * root[1:] + a[1:])
+            pieces = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
+        return float(self.grid[0] + np.sum(pieces))
+
     def quantile_tail_integral_exact(self, alpha):
         if self.grid[0] < 0.0:
-            return self._folded().quantile_tail_integral_exact(alpha)
+            return self._abs.quantile_tail_integral_exact(alpha)
         # the tail quantile is piecewise linear in u (breakpoints 1 - v[i]),
         # so each segment integrates to (A + B u)/sqrt(u) in closed form
         g, v = self.grid, self.cdf_values
@@ -549,14 +563,6 @@ class Tabulated(DistributionModel):
         pieces += (2.0 / 3.0) * b_coef[keep] * (root_hi**3 - root_lo**3)
         return float(np.sum(pieces))
 
-    def to_dict(self):
-        return {
-            "kind": "tabulated",
-            "grid": self.grid.tolist(),
-            "cdf_values": self.cdf_values.tolist(),
-            "interp": self.interp,
-        }
-
 
 def power_pushforward(exponent: float, base="lebesgue") -> DistributionModel:
     """Law of Y = X**(-exponent) for X ~ base measure on (0, 1).
@@ -583,33 +589,16 @@ def power_pushforward(exponent: float, base="lebesgue") -> DistributionModel:
     return Tabulated(g[::-1] ** (-exponent), y_cdf, interp="linear")
 
 
-_MODEL_KEYS = {
-    "uniform": ("lo", "hi"),
-    "exponential": ("rate",),
-    "pareto_tail": ("scale", "exponent"),
-    "power_pushforward": ("exponent", "base"),
-    "tabulated": ("grid", "cdf_values", "interp"),
-}
-
-
 def model_from_dict(d: dict) -> DistributionModel:
-    """Rebuild a model from its ``to_dict`` form (the JSON wire format)."""
-    kind = read_tag(d, "kind", _MODEL_KEYS, "model")
-    what = f"{kind} model"
-    if kind == "uniform":
-        return Uniform(read_key(d, "lo", float, what, 0.0), read_key(d, "hi", float, what, 1.0))
-    if kind == "exponential":
-        return Exponential(read_key(d, "rate", float, what, 1.0))
-    if kind == "pareto_tail":
-        return ParetoTail(read_key(d, "scale", float, what, 1.0),
-                          read_key(d, "exponent", float, what, 3.0))
-    if kind == "power_pushforward":
+    """Rebuild a model from its ``to_dict`` form (the JSON wire format).
+
+    ``power_pushforward`` is an input-only kind, read as the law it equals.
+    """
+    if isinstance(d, dict) and d.get("kind") == "power_pushforward":
+        what = "power_pushforward model"
+        reject_unknown_keys(d, ("kind", "exponent", "base"), what)
         base = d.get("base", "lebesgue")
-        if not isinstance(base, str):
-            base = model_from_dict(base)
-        return power_pushforward(read_key(d, "exponent", float, what), base)
-    return Tabulated(
-        read_key(d, "grid", [float], what),
-        read_key(d, "cdf_values", [float], what),
-        read_key(d, "interp", str, what, "linear"),
-    )
+        return power_pushforward(read_key(d, "exponent", float, what),
+                                 base if isinstance(base, str) else model_from_dict(base))
+    return from_wire(d, (Uniform, Exponential, ParetoTail, Tabulated), "model",
+                     input_only=("power_pushforward",))

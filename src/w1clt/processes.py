@@ -18,13 +18,12 @@ import io
 import json
 import logging
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import zeta
 
-from .errors import ValidationError, read_key, read_tag
+from .errors import ValidationError, WireRecord, from_wire
 from .models import DistributionModel, Tabulated, model_from_dict
 
 __all__ = [
@@ -73,11 +72,19 @@ def spawn_rng(seed: int, stream: int = 0, purpose: int = PURPOSE_PATH) -> np.ran
 # coefficient families for the linear process
 # ---------------------------------------------------------------------------
 
+class CoeffFamily(WireRecord):
+    """A coefficient family a_j of the linear process; its wire tag is "family"."""
+
+    TAG = "family"
+
+
 @dataclass(frozen=True)
-class GeometricCoeffs:
+class GeometricCoeffs(CoeffFamily):
     """a_j = rho**j; rho = 0 degenerates to the single coefficient a_0 = 1."""
 
-    rho: float = 0.5
+    rho: float
+
+    kind = "geometric"
 
     def __post_init__(self):
         if not (0.0 <= self.rho < 1.0):
@@ -95,22 +102,21 @@ class GeometricCoeffs:
     def decay_exponent(self) -> float:
         return math.inf
 
-    def to_dict(self):
-        return {"family": "geometric", "rho": self.rho}
-
 
 @dataclass(frozen=True)
-class PolynomialCoeffs:
-    """a_j = (j + offset)**-beta with beta > 1 (absolute summability)."""
+class PolynomialCoeffs(CoeffFamily):
+    """a_j = (j + offset)**-beta with finite beta > 1 (absolute summability)."""
 
-    beta: float = 3.0
+    beta: float
     offset: float = 1.0
 
+    kind = "polynomial"
+
     def __post_init__(self):
-        if not (self.beta > 1.0):
-            raise ValidationError("polynomial family needs beta > 1")
-        if not (self.offset > 0.0):
-            raise ValidationError("polynomial family needs offset > 0 (a_0 != 0)")
+        if not (1.0 < self.beta < math.inf):
+            raise ValidationError("polynomial family needs finite beta > 1")
+        if not (0.0 < self.offset < math.inf):
+            raise ValidationError("polynomial family needs finite offset > 0 (a_0 != 0)")
 
     def coeff(self, j):
         return (np.asarray(j, dtype=float) + self.offset) ** (-self.beta)
@@ -121,44 +127,37 @@ class PolynomialCoeffs:
     def decay_exponent(self) -> float:
         return self.beta
 
-    def to_dict(self):
-        return {"family": "polynomial", "beta": self.beta, "offset": self.offset}
-
-
-CoeffFamily = Union[GeometricCoeffs, PolynomialCoeffs]
-
-
-_COEFF_KEYS = {"geometric": ("rho",), "polynomial": ("beta", "offset")}
-
 
 def coeffs_from_dict(d: dict) -> CoeffFamily:
-    fam = read_tag(d, "family", _COEFF_KEYS, "coefficients")
-    what = f"{fam} coefficients"
-    if fam == "geometric":
-        return GeometricCoeffs(read_key(d, "rho", float, what))
-    return PolynomialCoeffs(read_key(d, "beta", float, what),
-                            read_key(d, "offset", float, what, 1.0))
+    return from_wire(d, (GeometricCoeffs, PolynomialCoeffs), "coefficients")
 
 
 # ---------------------------------------------------------------------------
 # process specifications
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IID:
-    model: DistributionModel
+class ProcessSpec(WireRecord):
+    """A stationary mechanism that ``generate`` realizes; its wire tag is "variant"."""
 
-    def to_dict(self):
-        return {"variant": "iid", "model": self.model.to_dict()}
+    TAG = "variant"
 
 
 @dataclass(frozen=True)
-class IntermittentMap:
+class IID(ProcessSpec):
+    model: DistributionModel = field(metadata={"decode": model_from_dict})
+
+    kind = "iid"
+
+
+@dataclass(frozen=True)
+class IntermittentMap(ProcessSpec):
     """Orbit of T(x) = x(1 + 2^gamma x^gamma) on [0,1/2), 2x-1 on [1/2,1]."""
 
     gamma: float
     observable_exponent: float
     burn_in: int = 10_000
+
+    kind = "intermittent"
 
     def __post_init__(self):
         if not (0.0 < self.gamma < 1.0):
@@ -168,19 +167,13 @@ class IntermittentMap:
         if self.burn_in < 0:
             raise ValidationError("burn_in must be nonnegative")
 
-    def to_dict(self):
-        return {
-            "variant": "intermittent",
-            "gamma": self.gamma,
-            "observable_exponent": self.observable_exponent,
-            "burn_in": self.burn_in,
-        }
-
 
 @dataclass(frozen=True)
-class DoublingMap:
+class DoublingMap(ProcessSpec):
     observable_exponent: float
     burn_in: int = 10_000
+
+    kind = "doubling"
 
     def __post_init__(self):
         if not (self.observable_exponent > 0.0):
@@ -188,65 +181,24 @@ class DoublingMap:
         if self.burn_in < 0:
             raise ValidationError("burn_in must be nonnegative")
 
-    def to_dict(self):
-        return {
-            "variant": "doubling",
-            "observable_exponent": self.observable_exponent,
-            "burn_in": self.burn_in,
-        }
-
 
 @dataclass(frozen=True)
-class CausalLinear:
+class CausalLinear(ProcessSpec):
     """Y_k = sum_{j=0}^{J} a_j eps_{k-j}; J = None picks J from the 1e-8 tail rule."""
 
-    coefficients: CoeffFamily
-    innovation: DistributionModel
+    coefficients: CoeffFamily = field(metadata={"decode": coeffs_from_dict})
+    innovation: DistributionModel = field(metadata={"decode": model_from_dict})
     truncation: int | None = None
+
+    kind = "causal_linear"
 
     def __post_init__(self):
         if self.truncation is not None and self.truncation < 1:
             raise ValidationError("truncation must be >= 1")
 
-    def to_dict(self):
-        return {
-            "variant": "causal_linear",
-            "coefficients": self.coefficients.to_dict(),
-            "innovation": self.innovation.to_dict(),
-            "truncation": self.truncation,
-        }
-
-
-ProcessSpec = Union[IID, IntermittentMap, DoublingMap, CausalLinear]
-
-
-_SPEC_KEYS = {
-    "iid": ("model",),
-    "intermittent": ("gamma", "observable_exponent", "burn_in"),
-    "doubling": ("observable_exponent", "burn_in"),
-    "causal_linear": ("coefficients", "innovation", "truncation"),
-}
-
 
 def spec_from_dict(d: dict) -> ProcessSpec:
-    variant = read_tag(d, "variant", _SPEC_KEYS, "process")
-    what = f"{variant} process"
-    if variant == "iid":
-        return IID(model_from_dict(read_key(d, "model", dict, what)))
-    if variant == "intermittent":
-        return IntermittentMap(
-            read_key(d, "gamma", float, what),
-            read_key(d, "observable_exponent", float, what),
-            read_key(d, "burn_in", int, what, 10_000),
-        )
-    if variant == "doubling":
-        return DoublingMap(read_key(d, "observable_exponent", float, what),
-                           read_key(d, "burn_in", int, what, 10_000))
-    return CausalLinear(
-        coeffs_from_dict(read_key(d, "coefficients", dict, what)),
-        model_from_dict(read_key(d, "innovation", dict, what)),
-        read_key(d, "truncation", int, what, None),
-    )
+    return from_wire(d, (IID, IntermittentMap, DoublingMap, CausalLinear), "process")
 
 
 @dataclass

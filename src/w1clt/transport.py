@@ -189,10 +189,7 @@ def lambda21(model: DistributionModel) -> ExtendedReal:
     r = model.tail_exponent()
     if r <= 2.0:
         return ExtendedReal(math.inf, _divergence_diag(r, 0.5, "sqrt-tail"))
-    exact = model.sqrt_tail_integral_exact()
-    if exact is not None:
-        return ExtendedReal(float(exact))
-    return sqrt_tail_integral(model, 0.0)
+    return ExtendedReal(float(model.sqrt_tail_integral_exact()))
 
 
 def quantile_tail_integral(model: DistributionModel, alpha: float) -> ExtendedReal:

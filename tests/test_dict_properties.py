@@ -2,9 +2,15 @@
 
 For every model kind, process variant and coefficient family, decoding the
 JSON text of ``to_dict`` and encoding again gives the same dict, and one
-extra key in any object of that dict is rejected.
+extra key in any object of that dict is rejected.  Each object's keys are its
+constructor's parameters: a key left out decodes to the constructor's
+default, a required one is named in the error, and so is every kind when the
+tag names none.
 """
+import dataclasses
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from w1clt.errors import ValidationError
 from w1clt.models import (
+    DistributionModel,
     Exponential,
     ParetoTail,
     Tabulated,
@@ -76,9 +83,48 @@ def _objects(d):
             yield from _objects(v)
 
 
+def _records(obj, path=()):
+    """Every record in obj's tree with its path of field names, obj included."""
+    yield obj, path
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _records(value, (*path, f.name))
+
+
+def _at(tree, path, get):
+    for name in path:
+        tree = get(tree, name)
+    return tree
+
+
 def _check_roundtrip_and_stray_keys(obj, decode, data):
     wire = obj.to_dict()
     assert decode(json.loads(json.dumps(wire))).to_dict() == wire
+    for record, path in _records(obj):
+        params = inspect.signature(type(record)).parameters
+        for name, param in params.items():
+            tampered = json.loads(json.dumps(wire))
+            del _at(tampered, path, dict.__getitem__)[name]
+            if param.default is inspect.Parameter.empty:
+                with pytest.raises(ValidationError, match=f"needs '{name}'"):
+                    decode(tampered)
+                continue
+            kwargs = {k: getattr(record, k) for k in params if k != name}
+            try:
+                expected = type(record)(**kwargs)
+            except ValidationError as err:  # the default itself is invalid here
+                with pytest.raises(ValidationError, match=re.escape(str(err))):
+                    decode(tampered)
+            else:
+                assert _at(decode(tampered), path, getattr) == expected
+        tampered = json.loads(json.dumps(wire))
+        _at(tampered, path, dict.__getitem__)[record.TAG] = "no such kind"
+        with pytest.raises(ValidationError) as err:
+            decode(tampered)
+        assert f"'{record.kind}'" in str(err.value)
+        if isinstance(record, DistributionModel):  # the input-only kind is listed too
+            assert "'power_pushforward'" in str(err.value)
     objects = list(_objects(wire))
     target = data.draw(st.sampled_from(range(len(objects))), label="object")
     stray = data.draw(st.text(min_size=1).filter(lambda k: k not in objects[target]),

@@ -286,7 +286,7 @@ def test_cli_check_threshold(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "converges"
-    assert json.load(open(tmp_path / "check.json"))["verdict"] == "converges"
+    assert json.loads((tmp_path / "check.json").read_text())["verdict"] == "converges"
 
 
 def test_cli_w1_identical_files(tmp_path, capsys):
@@ -401,7 +401,8 @@ def test_cli_limit_iid(tmp_path, capsys):
     for scheme in ("quantile", "vartail"):
         f.write_text(json.dumps({**cfg, "grid": {"size": 32, "scheme": scheme}}))
         assert cli_main(["limit", "--config", str(f), "--out-dir", str(tmp_path)]) == 0
-        vals = StatisticSample.read_csv_values(open(tmp_path / "limit.csv"))
+        with open(tmp_path / "limit.csv") as fh:
+            vals = StatisticSample.read_csv_values(fh)
         assert vals.size == 500
         assert np.all(vals >= 0)
 
@@ -463,12 +464,25 @@ _CFG = ["--config", "{cfg}"]
     (["experiment", *_CFG], {**_EXPERIMENT, "reference": {"analytic": {
         "kind": "tabulated", "grid": [0, 1, math.inf], "cdf_values": [0, 0.5, 1]}}},
      "tabulated grid and cdf values must be finite"),
+    # JSON reads 1e999 as inf
+    (["limit", *_CFG], {**_LIMIT, "model": {"kind": "pareto_tail", "scale": 1e999}},
+     "finite scale"),
+    (["limit", *_CFG], {**_LIMIT, "model": {"kind": "pareto_tail", "exponent": 1e999}},
+     "finite exponent"),
+    (["generate", *_CFG], {**_GENERATE, "process": {
+        "variant": "causal_linear", "coefficients": {"family": "polynomial", "beta": 1e999},
+        "innovation": _UNIFORM}}, "finite beta"),
+    (["generate", *_CFG], {**_GENERATE, "process": {
+        "variant": "causal_linear", "coefficients": {"family": "polynomial", "beta": 3,
+                                                     "offset": 1e999},
+        "innovation": _UNIFORM}}, "finite offset"),
 ], ids=["check-threads", "w1-seed", "experiment-seed", "probe-config", "probe-threads",
         "model-typo", "spec-typo", "coefficients-typo", "limit-key", "iid-limit-lag",
         "generate-key", "out-path", "check-key", "reference-typo", "string-number",
         "scalar-list", "grid-scheme", "report-same-n", "zero-tail-tol",
         "step-pushforward-base", "zero-calibration-grid", "negative-calibration-grid",
-        "nan-tabulated-cdf", "inf-tabulated-knot"])
+        "nan-tabulated-cdf", "inf-tabulated-knot", "inf-pareto-scale", "inf-pareto-exponent",
+        "inf-polynomial-beta", "inf-polynomial-offset"])
 def test_cli_rejects_unread_input(argv, config, named, tmp_path, capsys):
     csv = tmp_path / "a.csv"
     csv.write_text("value\n0.5\n")

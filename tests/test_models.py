@@ -299,6 +299,9 @@ def test_tabulated_rejects_overflowing_gaps_and_slopes():
         Tabulated([0.0, 5e-324, 1.0], [0.0, 0.5, 1.0])
     with pytest.raises(ValidationError, match="gaps must be finite"):
         Tabulated([-1e308, 1e308], [0.0, 1.0], interp="step")
+    # folding a signed table puts its atom at |grid[0]| one ulp above a knot
+    with pytest.raises(ValidationError, match="too close to 0"):
+        Tabulated([-1e-300, 1.0], [0.5, 1.0])
     # a step table has no slopes to overflow
     step = Tabulated([0.0, 5e-324, 1.0], [0.0, 0.5, 1.0], interp="step")
     assert w1_sample_vs_model([0.0, 0.3, 0.9], step) == pytest.approx(0.2, rel=1e-12)

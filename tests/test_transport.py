@@ -9,6 +9,7 @@ from scipy.stats import wasserstein_distance
 from test_dict_properties import MODELS
 from w1clt.errors import DivergenceError, ValidationError
 from w1clt.models import Exponential, ParetoTail, Tabulated, Uniform
+from w1clt.processes import tabulate_cdf
 from w1clt.transport import (
     as_sorted_sample,
     lambda21,
@@ -312,6 +313,30 @@ def test_lambda21_closed_form_vs_quadrature_route():
         assert float(lambda21(m)) == pytest.approx(
             float(sqrt_tail_integral(m, 0.0)), rel=1e-8
         )
+
+
+def _midpoint_sqrt_tail(table, per_piece=2000):
+    """Midpoint rule for int_0^inf sqrt(tail) between the breakpoints 0 and |grid|."""
+    knots = np.unique(np.concatenate([[0.0], np.abs(table.grid)]))
+    gaps = np.diff(knots)
+    t = knots[:-1, None] + gaps[:, None] * ((np.arange(per_piece) + 0.5) / per_piece)
+    roots = np.sqrt(np.asarray(table.tail(t.ravel()))).reshape(t.shape)
+    return float(np.sum(roots.mean(axis=1) * gaps))
+
+
+def _calibrated_pareto4(knots):
+    x = ParetoTail(1.0, 4.0).quantile(np.random.default_rng(3).random(200_000))
+    return tabulate_cdf(x, np.quantile(x, (np.arange(knots) + 0.5) / knots))
+
+
+@pytest.mark.parametrize("table", [
+    _calibrated_pareto4(60),
+    _calibrated_pareto4(2048),  # global quadrature over this many kinks does not converge
+    Tabulated([-1.3, -0.2, 0.4, 0.9, 2.5], [0.05, 0.3, 0.45, 0.8, 1.0]),
+    Tabulated([-1.3, -0.2, 0.4, 0.9, 2.5], [0.05, 0.3, 0.45, 0.8, 1.0], interp="step"),
+], ids=["calibrated-60", "calibrated-2048", "signed-linear", "signed-step"])
+def test_lambda21_tabulated_closed_form(table):
+    assert float(lambda21(table)) == pytest.approx(_midpoint_sqrt_tail(table), rel=1e-6)
 
 
 def test_qti_uniform_quarter():
