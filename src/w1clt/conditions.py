@@ -3,8 +3,13 @@
 Verdicts are constant-independent: each series is classified by comparing its
 symbolically derived decay exponent with the critical value -1, with a 1e-9
 band mapped to "undetermined".  Reported magnitudes combine a numeric partial
-sum with an integral-test tail bound (terms are nonincreasing by
-construction, which is the monotonicity certificate the integral test needs).
+sum with the integral-test tail bound int_K^inf term, started at the last
+summed lag K (``terms`` for the alpha check, ``terms - 1`` for the linear
+ones, which start at k = 0); it bounds sum_{k>K} term(k) when the terms do not
+increase past K.  They are nonincreasing by construction except in moment_313,
+whose terms rise from 0 at k = 0 before they fall, so that bound holds only
+for K past the peak: below k = 1 for convergent polynomial families, at
+k = 1/((r-2) log(1/rho)) for geometric ones (4.7 at rho = 0.9, r = 4).
 The unknown theory constants default to 1 and never affect a verdict.
 """
 from __future__ import annotations
@@ -34,6 +39,7 @@ __all__ = [
 ]
 
 _CRITICAL_BAND = 1e-9
+_MAX_LAG = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +60,10 @@ class PhiGeometric:
     def __call__(self, k):
         k_arr = np.asarray(k, dtype=float)
         return np.clip(self.c1 * self.rho**k_arr, 0.0, 1.0)
+
+    def abs_tail(self, k: int) -> float:
+        """sum_{j>k} c1 * rho**j: the tail of the unclipped bound."""
+        return self.c1 * self.rho ** (k + 1) / (1.0 - self.rho)
 
     def decay_exponent(self) -> float:
         return math.inf
@@ -78,6 +88,12 @@ class AlphaPolynomial:
         k_arr = np.asarray(k, dtype=float)
         return np.clip(self.c_gamma / (k_arr + 1.0) ** self.theta, 0.0, 1.0)
 
+    def abs_tail(self, k: int) -> float:
+        """sum_{j>k} c_gamma / (j+1)**theta: the tail of the unclipped bound."""
+        if self.theta <= 1.0:
+            return math.inf
+        return self.c_gamma * float(zeta(self.theta, k + 2))
+
     def decay_exponent(self) -> float:
         return self.theta
 
@@ -95,6 +111,9 @@ class ConstantBound:
     def __call__(self, k):
         return np.full_like(np.asarray(k, dtype=float), self.value)
 
+    def abs_tail(self, k: int) -> float:
+        return math.inf
+
     def decay_exponent(self) -> float:
         return 0.0
 
@@ -111,12 +130,22 @@ class ConditionReport:
         return asdict(self)
 
 
-def _verdict_from_exponent(exponent: float) -> str:
-    if exponent < -1.0 - _CRITICAL_BAND:
+def _verdict_from_exponent(exponent: float, critical: float = -1.0) -> str:
+    if exponent < critical - _CRITICAL_BAND:
         return "converges"
-    if exponent > -1.0 + _CRITICAL_BAND:
+    if exponent > critical + _CRITICAL_BAND:
         return "diverges"
     return "undetermined"
+
+
+def _series(term, ks: np.ndarray, exponent: float, notes: str) -> ConditionReport:
+    """Sum of the vectorized ``term`` over the lags ks; for a convergent
+    series, tail bound int_{ks[-1]}^inf term."""
+    verdict = _verdict_from_exponent(exponent)
+    tail = None
+    if verdict == "converges":
+        tail = quad(lambda x: float(term(np.array([x]))[0]), ks[-1], math.inf, epsrel=1e-6)
+    return ConditionReport(verdict, float(np.sum(term(ks))), len(ks), tail, notes)
 
 
 def _qti_alpha_exponent(model: DistributionModel) -> float | None:
@@ -143,6 +172,8 @@ def check_phi_condition(bound: PhiGeometric, model: DistributionModel,
     """
     if not isinstance(bound, PhiGeometric):
         raise ValidationError("phi condition requires a geometric bound")
+    if terms is not None and terms < 1:
+        raise ValidationError(f"terms must be >= 1, got {terms}")
     sqrt_rho = math.sqrt(bound.rho)
 
     def tail_bound_after(k: int) -> float:
@@ -195,20 +226,18 @@ def check_alpha_condition(bound, model: DistributionModel, terms: int = 200) -> 
             f"r={r:g} <= 2)",
         )
     theta = bound.decay_exponent()
-    exponent = -0.5 - theta * e_q if math.isfinite(theta) else -math.inf
-    verdict = _verdict_from_exponent(exponent)
+    exponent = -0.5 - theta * e_q  # -inf for a geometric bound
 
-    def term(k):
-        return float(quantile_tail_integral(model, max(float(bound(k)), 1e-300))) / math.sqrt(k)
+    def term(ks):
+        return np.array([float(quantile_tail_integral(model, max(float(bound(k)), 1e-300)))
+                         / math.sqrt(k) for k in ks])
 
-    partial = float(np.sum([term(k) for k in np.arange(1, terms + 1)]))
-    tail = quad(term, float(terms), math.inf, epsrel=1e-6) if verdict == "converges" else None
     notes = (
         f"term exponent -1/2 - theta*e_q = {exponent:.6g} with theta={theta:g}, "
         f"e_q={e_q:g}; integral-test tail bound valid (terms nonincreasing); "
         f"magnitudes use default constants (=1), verdict is constant-independent"
     )
-    return ConditionReport(verdict, partial, int(terms), tail, notes)
+    return _series(term, np.arange(1, terms + 1, dtype=float), exponent, notes)
 
 
 def alpha_forms_pair(bound, model: DistributionModel, k: int) -> tuple[float, float]:
@@ -244,16 +273,11 @@ def check_intermittent_threshold(gamma: float, a: float) -> ConditionReport:
     if not (a > 0.0):
         raise ValidationError("a must be positive")
     margin = 0.5 - gamma - a
-    if abs(margin) <= _CRITICAL_BAND:
-        verdict = "undetermined"
-    elif margin > 0:
-        verdict = "converges"
-    else:
-        verdict = "diverges"
     notes = (
         f"threshold margin (1/2 - gamma - a) = {margin:.6g}; strict inequality "
         f"required, |margin| <= {_CRITICAL_BAND:g} reported as undetermined"
     )
+    verdict = _verdict_from_exponent(-margin, critical=0.0)
     return ConditionReport(verdict, margin, 0, None, notes)
 
 
@@ -273,56 +297,44 @@ def check_linear_conditions(family: CoeffFamily, innovation: DistributionModel,
     Modes: ``exact_311`` sums the quantile-tail integrals of the marginal
     at a_k**2 (needs `marginal`); ``rio_312`` the same with the innovation
     quantile; ``moment_313`` sums k^{1/(r-1)} |a_k|^{(r-2)/(r-1)};
-    ``tail_314`` sums |a_k|^{1-2/r}.  Moment/tail modes need r > 2.
+    ``tail_314`` sums |a_k|^{1-2/r}.  Moment/tail modes need r > 2; a mode
+    given `r` or `marginal` that it does not read is rejected.
     """
     if mode not in _LINEAR_MODES:
         raise ValidationError(f"mode must be one of {_LINEAR_MODES}")
+    if terms < 1:
+        raise ValidationError(f"terms must be >= 1, got {terms}")
     if mode in ("moment_313", "tail_314"):
         if r is None or not (r > 2.0):
             raise ValidationError("moment/tail modes require r > 2")
-    if mode == "exact_311" and marginal is None:
-        raise ValidationError("exact_311 requires a marginal model (supplied or calibrated)")
+    elif r is not None:
+        raise ValidationError(f"{mode} does not read 'r'")
+    if (marginal is None) == (mode == "exact_311"):
+        raise ValidationError(f"'marginal' is required by exact_311 and read by no other "
+                              f"mode, got mode {mode}")
 
-    beta = family.decay_exponent()  # inf for geometric
-    ks = np.arange(0, terms, dtype=float)
-    a_k = np.abs(np.asarray(family.coeff(ks), dtype=float))
-
+    beta = family.decay_exponent()  # inf for geometric, so every exponent is -inf
+    m = marginal if mode == "exact_311" else innovation
     if mode in ("exact_311", "rio_312"):
-        m = marginal if mode == "exact_311" else innovation
         e_q = _qti_alpha_exponent(m)
         if e_q is None:
-            return ConditionReport(
-                "diverges", math.inf, 0, None,
-                f"quantile tail integral of the {'marginal' if mode == 'exact_311' else 'innovation'} "
-                f"diverges (tail exponent <= 2)",
-            )
-        exponent = -2.0 * beta * e_q if math.isfinite(beta) else -math.inf
-
-        def term(k, a):
-            return float(quantile_tail_integral(m, min(max(a * a, 1e-300), 1.0)))
-
-        vals = np.array([term(k, a) for k, a in zip(ks, a_k)])
+            whose = "marginal" if mode == "exact_311" else "innovation"
+            return ConditionReport("diverges", math.inf, 0, None, f"quantile tail integral of "
+                                   f"the {whose} diverges (tail exponent <= 2)")
+        exponent = -2.0 * beta * e_q
     elif mode == "moment_313":
-        exponent = (1.0 - beta * (r - 2.0)) / (r - 1.0) if math.isfinite(beta) else -math.inf
-
-        def term(k, a):
-            return k ** (1.0 / (r - 1.0)) * a ** ((r - 2.0) / (r - 1.0))
-
-        vals = term(ks, a_k)
+        exponent = (1.0 - beta * (r - 2.0)) / (r - 1.0)
     else:  # tail_314
-        exponent = -beta * (1.0 - 2.0 / r) if math.isfinite(beta) else -math.inf
+        exponent = -beta * (1.0 - 2.0 / r)
 
-        def term(k, a):
+    def term(ks):
+        a = np.abs(family.coeff(ks))
+        if mode == "moment_313":
+            return ks ** (1.0 / (r - 1.0)) * a ** ((r - 2.0) / (r - 1.0))
+        if mode == "tail_314":
             return a ** (1.0 - 2.0 / r)
-
-        vals = term(ks, a_k)
-
-    verdict = _verdict_from_exponent(exponent)
-    partial = float(np.sum(vals))
-    tail = None
-    if verdict == "converges":
-        tail = quad(lambda x: term(x, abs(float(family.coeff(x)))), float(terms), math.inf,
-                    epsrel=1e-6)
+        return np.array([float(quantile_tail_integral(m, min(max(x * x, 1e-300), 1.0)))
+                         for x in a])
 
     k_density = innovation.density_bound
     notes = (
@@ -332,31 +344,18 @@ def check_linear_conditions(family: CoeffFamily, innovation: DistributionModel,
         f"{'unknown' if k_density is None else format(k_density, 'g')} "
         f"(hypothesis of the Gaussian limit, recorded not enforced)"
     )
-    return ConditionReport(verdict, partial, int(terms), tail, notes)
+    return _series(term, np.arange(0, terms, dtype=float), exponent, notes)
 
 
 # ---------------------------------------------------------------------------
 # lag cutoff for covariance truncation
 # ---------------------------------------------------------------------------
 
-def lag_cutoff(bound, tol: float = 1e-3, max_lag: int = 10**7) -> int:
-    """Smallest K with sum_{k>K} bound(k) < tol (closed-form family tails)."""
+def lag_cutoff(bound, tol: float = 1e-3) -> int:
+    """Smallest K <= 10**7 with sum_{k>K} bound(k) < tol, read from ``bound.abs_tail``."""
     if tol <= 0:
         raise ValidationError("tol must be positive")
-    if isinstance(bound, PhiGeometric):
-        def tail(k):
-            return bound.c1 * bound.rho ** (k + 1) / (1.0 - bound.rho)
-    elif isinstance(bound, AlphaPolynomial):
-        if bound.theta <= 1.0:
-            raise ValidationError(
-                f"bound with decay exponent {bound.theta:g} <= 1 is not summable"
-            )
-
-        def tail(k):
-            return bound.c_gamma * float(zeta(bound.theta, k + 2))
-    else:
-        raise ValidationError("lag_cutoff needs a summable decay bound")
-    k = first_index_below(tail, tol, max_lag)
+    k = first_index_below(bound.abs_tail, tol, _MAX_LAG)
     if k is None:
-        raise ValidationError("lag cutoff exceeds max_lag; decay too slow")
+        raise ValidationError(f"lag cutoff exceeds max_lag = {_MAX_LAG}; decay too slow")
     return k

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -131,13 +131,7 @@ class ComparisonReport:
     verdict: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "ks_two_sample": self.ks_two_sample,
-            "w1_between_statistics": self.w1_between_statistics,
-            "mean_gap": self.mean_gap,
-            "table": self.table,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 @dataclass

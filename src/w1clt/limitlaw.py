@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _SAMPLE_CHUNK = 8192  # fixed so chunking never affects the drawn values
+_VARTAIL_MESH = 40_001  # levels at which variance_length_grid integrates sqrt(F(1-F))
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def quantile_grid(model: DistributionModel, size: int) -> np.ndarray:
         g = np.unique(g)
     return g
 
-def variance_length_grid(model: DistributionModel, size: int, mesh: int = 40_001) -> np.ndarray:
+def variance_length_grid(model: DistributionModel, size: int) -> np.ndarray:
     """Grid equalizing each segment's share of int sqrt(F(1-F)) dt.
 
     For heavy tails the plain quantile grid concentrates where F moves but
@@ -158,7 +159,7 @@ def variance_length_grid(model: DistributionModel, size: int, mesh: int = 40_001
     """
     if size < 2:
         raise ValidationError("grid size must be >= 2")
-    u = np.linspace(1e-9, 1.0 - 1e-9, mesh)
+    u = np.linspace(1e-9, 1.0 - 1e-9, _VARTAIL_MESH)
     t = np.asarray(model.quantile(u), dtype=float)
     f = np.asarray(model.cdf(t), dtype=float)
     integrand = np.sqrt(np.clip(f * (1.0 - f), 0.0, None))

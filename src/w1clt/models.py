@@ -373,7 +373,8 @@ class Tabulated(DistributionModel):
             raise ValidationError("cdf values must lie in [0, 1] and end at 1")
         if self.interp not in ("linear", "step"):
             raise ValidationError("interp must be 'linear' or 'step'")
-        self.cdf_values = self.cdf_values.copy()
+        # values within the 1e-9 end tolerance above 1 are clipped, so F stays in [0, 1]
+        self.cdf_values = np.minimum(self.cdf_values, 1.0)
         self.cdf_values[-1] = 1.0
         self._build_antiderivative(gaps)
         if self.grid[0] < 0.0:

@@ -56,6 +56,7 @@ PURPOSE_BRIDGE = 3
 # resource ceiling for n * (J + 1) work in linear-process generation
 _LINEAR_WORK_LIMIT = 2**28
 _TRUNCATION_CAP = 2**22
+_TRUNCATION_TOL = 1e-8  # the default truncation J leaves a coefficient tail below this
 
 
 def spawn_rng(seed: int, stream: int = 0, purpose: int = PURPOSE_PATH) -> np.random.Generator:
@@ -368,11 +369,11 @@ def first_index_below(tail, tol: float, cap: int) -> int | None:
     return hi
 
 
-def _resolve_truncation(family: CoeffFamily, requested: int | None, tol: float = 1e-8) -> int:
-    """The requested J, or the smallest J >= 1 with abs_tail(J) < tol."""
+def _resolve_truncation(family: CoeffFamily, requested: int | None) -> int:
+    """The requested J, or the smallest J >= 1 with abs_tail(J) < 1e-8."""
     if requested is not None:
         return int(requested)
-    j = first_index_below(family.abs_tail, tol, _TRUNCATION_CAP)
+    j = first_index_below(family.abs_tail, _TRUNCATION_TOL, _TRUNCATION_CAP)
     if j is None:
         raise ValidationError(
             "coefficient tail decays too slowly for the default truncation rule; "

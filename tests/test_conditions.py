@@ -287,6 +287,60 @@ def test_linear_moment_mode_validates_r():
         check_linear_conditions(GeometricCoeffs(0.5), Uniform(0, 1), "tail_314")
 
 
+def test_linear_check_rejects_arguments_it_does_not_read():
+    fam, inn = GeometricCoeffs(0.5), Uniform(-1, 1)
+    for kwargs, match in [
+        ({"mode": "tail_314", "r": 4.0, "terms": 0}, "terms must be >= 1"),
+        ({"mode": "rio_312", "terms": -3}, "terms must be >= 1"),
+        ({"mode": "rio_312", "r": 4.0}, "does not read 'r'"),
+        ({"mode": "exact_311", "r": 4.0, "marginal": inn}, "does not read 'r'"),
+        ({"mode": "rio_312", "marginal": inn}, "'marginal'"),
+        ({"mode": "moment_313", "r": 4.0, "marginal": inn}, "'marginal'"),
+        ({"mode": "tail_314", "r": 4.0, "marginal": inn}, "'marginal'"),
+    ]:
+        with pytest.raises(ValidationError, match=match):
+            check_linear_conditions(fam, inn, **kwargs)
+    with pytest.raises(ValidationError, match="terms must be >= 1"):
+        check_phi_condition(PhiGeometric(1.0, 0.5), Uniform(0, 1), terms=0)
+
+
+def _linear_terms(family, innovation, mode, r, marginal, ks):
+    """The lag-k summands of each linear mode, written out from their formulas."""
+    a = np.abs(np.asarray(family.coeff(ks), dtype=float))
+    if mode == "moment_313":
+        return ks ** (1.0 / (r - 1.0)) * a ** ((r - 2.0) / (r - 1.0))
+    if mode == "tail_314":
+        return a ** (1.0 - 2.0 / r)
+    m = marginal if mode == "exact_311" else innovation
+    return np.array([float(quantile_tail_integral(m, min(max(x * x, 1e-300), 1.0)))
+                     for x in a])
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+@pytest.mark.parametrize("mode", ["exact_311", "rio_312", "moment_313", "tail_314"])
+def test_linear_tail_bound_bounds_the_rest_of_the_series(mode, rho):
+    # partial_sum + tail_bound must be at least the series summed far past `terms`
+    family, innovation, marginal = GeometricCoeffs(rho), Uniform(-1, 1), Uniform(-2, 2)
+    r = 4.0 if mode in ("moment_313", "tail_314") else None
+    terms = 20
+    rep = check_linear_conditions(family, innovation, mode, r=r, terms=terms,
+                                  marginal=marginal if mode == "exact_311" else None)
+    assert rep.verdict == "converges"
+    ks = np.arange(0, terms + 2000, dtype=float)
+    direct = float(np.sum(_linear_terms(family, innovation, mode, r, marginal, ks)))
+    assert direct > rep.partial_sum
+    assert rep.partial_sum + rep.tail_bound >= direct
+
+
+def test_alpha_tail_bound_bounds_the_rest_of_the_series():
+    bound, m, terms = AlphaPolynomial(1.0, 0.25), Uniform(0, 1), 10
+    rep = check_alpha_condition(bound, m, terms=terms)
+    ks = np.arange(1, 5001)
+    direct = sum(float(quantile_tail_integral(m, float(bound(k)))) / math.sqrt(k) for k in ks)
+    assert direct > rep.partial_sum
+    assert rep.partial_sum + rep.tail_bound >= direct
+
+
 def test_linear_partial_sum_matches_direct_sum():
     fam = PolynomialCoeffs(4.0)
     r = 3.0

@@ -419,6 +419,8 @@ _EXPERIMENT = {
     "reference": {"analytic": _UNIFORM},
 }
 _THRESHOLD = {"schema_version": 1, "kind": "threshold", "gamma": 0.25, "a": 0.2}
+_LINEAR = {"schema_version": 1, "kind": "linear", "mode": "rio_312", "innovation": _UNIFORM,
+           "coefficients": {"family": "geometric", "rho": 0.5}}
 _CFG = ["--config", "{cfg}"]
 
 
@@ -476,13 +478,23 @@ _CFG = ["--config", "{cfg}"]
         "variant": "causal_linear", "coefficients": {"family": "polynomial", "beta": 3,
                                                      "offset": 1e999},
         "innovation": _UNIFORM}}, "finite offset"),
+    (["check", *_CFG], {**_LINEAR, "terms": -3}, "terms must be >= 1"),
+    (["check", *_CFG], {**_LINEAR, "terms": 0}, "terms must be >= 1"),
+    (["check", *_CFG], {**_LINEAR, "r": 4}, "does not read 'r'"),
+    (["check", *_CFG], {**_LINEAR, "mode": "exact_311", "r": 4, "marginal": _UNIFORM},
+     "does not read 'r'"),
+    (["check", *_CFG], {**_LINEAR, "marginal": _UNIFORM}, "'marginal'"),
+    (["check", *_CFG], {**_LINEAR, "mode": "tail_314", "r": 4, "marginal": _UNIFORM},
+     "'marginal'"),
 ], ids=["check-threads", "w1-seed", "experiment-seed", "probe-config", "probe-threads",
         "model-typo", "spec-typo", "coefficients-typo", "limit-key", "iid-limit-lag",
         "generate-key", "out-path", "check-key", "reference-typo", "string-number",
         "scalar-list", "grid-scheme", "report-same-n", "zero-tail-tol",
         "step-pushforward-base", "zero-calibration-grid", "negative-calibration-grid",
         "nan-tabulated-cdf", "inf-tabulated-knot", "inf-pareto-scale", "inf-pareto-exponent",
-        "inf-polynomial-beta", "inf-polynomial-offset"])
+        "inf-polynomial-beta", "inf-polynomial-offset", "linear-negative-terms",
+        "linear-zero-terms", "rio-unread-r", "exact-unread-r", "rio-unread-marginal",
+        "tail-unread-marginal"])
 def test_cli_rejects_unread_input(argv, config, named, tmp_path, capsys):
     csv = tmp_path / "a.csv"
     csv.write_text("value\n0.5\n")

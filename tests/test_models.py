@@ -293,6 +293,13 @@ def test_tabulated_validation_errors():
             Tabulated(grid, cdf)
 
 
+def test_tabulated_clips_values_within_end_tolerance_above_one():
+    tab = Tabulated([0.0, 1.0, 2.0], [0.0, 1.0 + 5e-10, 1.0 + 5e-10])
+    assert tab.cdf_values.tolist() == [0.0, 1.0, 1.0]
+    assert tab.cdf(1.0) == 1.0
+    assert tab.quantile(1.0) == 1.0
+
+
 def test_tabulated_rejects_overflowing_gaps_and_slopes():
     # a subnormal knot gap overflows the linear slope, which made W1 NaN
     with pytest.raises(ValidationError, match="slope overflows"):
