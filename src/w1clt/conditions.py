@@ -256,7 +256,7 @@ def alpha_forms_pair(bound, model: DistributionModel, k: int) -> tuple[float, fl
             "both forms are infinite",
             diagnostic=f"tail exponent r={r:g} <= 2",
         )
-    t_alpha = float(model.tail_quantile(alpha))
+    t_alpha = model.tail_quantile(alpha)
     left = math.sqrt(alpha) * t_alpha + float(sqrt_tail_integral(model, t_alpha))
     right = 0.5 * float(quantile_tail_integral(model, alpha))
     return left, right

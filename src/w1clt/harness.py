@@ -81,6 +81,8 @@ class ExperimentConfig:
             b <= a for a, b in zip(self.n_values, self.n_values[1:])
         ):
             raise ValidationError("n_values must be a nonempty increasing list")
+        if self.n_values[0] < 1:
+            raise ValidationError(f"n_values must be >= 1, got {self.n_values[0]}")
         if self.replications < 2:
             raise ValidationError("need at least 2 replications")
         if self.reference_model is None and self.calibration_length is None:
@@ -204,22 +206,17 @@ def _tn_sample(spec: ProcessSpec, reference: DistributionModel, n: int,
         (base_stream + start, min(size, replications - start))
         for start in range(0, replications, size)
     ]
-    out = np.empty(replications)
     terms = level_terms(reference, n)  # read-only, shared by every chunk
 
     def work(arg):
         first, count = arg
-        return first, _tn_chunk(spec, reference, n, seed, first, count, terms)
+        return _tn_chunk(spec, reference, n, seed, first, count, terms)
 
+    # both maps return the chunks in stream order
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = [work(c) for c in chunks]
-    for first, vals in results:
-        offset = first - base_stream
-        out[offset : offset + len(vals)] = vals
-    return out
+            return np.concatenate(list(pool.map(work, chunks)))
+    return np.concatenate([work(c) for c in chunks])
 
 
 def run_clt_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict[int, StatisticSample]:
@@ -307,22 +304,27 @@ def divergence_probe(gamma: float, a: float, n_values: list[int], replications: 
     [0.8, 1.25].  The replicates and the reference, calibrated from an orbit
     of calibration_factor * max(n) values, come from run_clt_experiment.
     ``threads`` must be >= 1 but does not change how lanes are scheduled:
-    intermittent lane batches always run on the calling thread.
+    intermittent lane batches always run on the calling thread.  Every
+    argument is checked, also when a single n gives "insufficient data"
+    without running anything.
     """
     if threads < 1:
         raise ValidationError("threads must be >= 1")
-    if len(n_values) < 2:
-        return ProbeReport({int(n): math.nan for n in n_values}, [], "insufficient data",
-                           growth_factor)
+    # at or below 1 the growth test cannot fail once every ratio is above 1
+    if not (math.isfinite(growth_factor) and growth_factor > 1.0):
+        raise ValidationError(f"growth_factor must be a finite number > 1, got {growth_factor}")
     n_values = [int(n) for n in n_values]
     cfg = ExperimentConfig(
         process=IntermittentMap(gamma, a, burn_in),
         n_values=n_values,
         replications=replications,
         base_seed=seed,
-        calibration_length=calibration_factor * max(n_values),
+        calibration_length=calibration_factor * max(n_values, default=0),
         calibration_grid_size=calibration_grid_size,
     )
+    if len(n_values) < 2:
+        return ProbeReport({n: math.nan for n in n_values}, [], "insufficient data",
+                           growth_factor)
     samples = run_clt_experiment(cfg, threads)
     medians = {n: float(np.median(samples[n].values)) for n in n_values}
     med_list = list(medians.values())

@@ -143,7 +143,7 @@ def quantile_grid(model: DistributionModel, size: int) -> np.ndarray:
     if size < 1:
         raise ValidationError("grid size must be >= 1")
     u = (np.arange(size) + 0.5) / size
-    g = np.asarray(model.quantile(u), dtype=float)
+    g = model.quantile(u)
     if not np.all(np.diff(g) > 0):
         g = np.unique(g)
     return g
@@ -160,8 +160,8 @@ def variance_length_grid(model: DistributionModel, size: int) -> np.ndarray:
     if size < 2:
         raise ValidationError("grid size must be >= 2")
     u = np.linspace(1e-9, 1.0 - 1e-9, _VARTAIL_MESH)
-    t = np.asarray(model.quantile(u), dtype=float)
-    f = np.asarray(model.cdf(t), dtype=float)
+    t = model.quantile(u)
+    f = model.cdf(t)
     integrand = np.sqrt(np.clip(f * (1.0 - f), 0.0, None))
     h = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(t))])
     levels = (np.arange(size) + 0.5) / size * h[-1]
@@ -172,7 +172,7 @@ def variance_length_grid(model: DistributionModel, size: int) -> np.ndarray:
 def grid_tail_report(model: DistributionModel, grid: np.ndarray) -> dict:
     """Sqrt-variance mass the grid leaves out on each side (quadrature bias bound)."""
     lo, hi = model.support()
-    fn = lambda t: math.sqrt(max(float(model.cdf(t)) * (1.0 - float(model.cdf(t))), 0.0))
+    fn = lambda t: math.sqrt(max(model.cdf(t) * (1.0 - model.cdf(t)), 0.0))
     left = quad(fn, lo, float(grid[0])) if grid[0] > lo else 0.0
     r = model.tail_exponent()
     if math.isfinite(hi):
@@ -209,7 +209,7 @@ def _repair_psd(matrix: np.ndarray) -> tuple[np.ndarray, PsdRepair]:
 def covariance_iid(model: DistributionModel, grid) -> CovarianceGrid:
     """C(t_i, t_j) = F(min) - F(t_i) F(t_j): the Brownian-bridge kernel in F."""
     grid = np.asarray(grid, dtype=float)
-    f = np.asarray(model.cdf(grid), dtype=float)
+    f = model.cdf(grid)
     matrix = np.minimum.outer(f, f) - np.outer(f, f)
     return CovarianceGrid(grid, matrix, 0, PsdRepair(), "analytic_iid")
 
@@ -309,7 +309,7 @@ def brownian_bridge_oracle(model: DistributionModel, replications: int, mesh: in
     if replications < 1 or mesh < 1:
         raise ValidationError("replications and mesh must be >= 1")
     u = np.arange(1, mesh + 1) / (mesh + 1)
-    qd = np.asarray(model.quantile_density(u), dtype=float)  # raises if unavailable
+    qd = model.quantile_density(u)  # raises if unavailable
     if not np.all(np.isfinite(qd)):
         raise ValidationError("quantile derivative must be finite on the mesh")
     du = 1.0 / (mesh + 1)

@@ -22,7 +22,12 @@ Each kind gives the |Y| functionals in closed form.  A signed support is
 folded into the law of |Y| once: ``Uniform`` goes through the equal linear
 ``Tabulated`` table, and ``Tabulated._folded`` builds the |Y| table.
 
-All evaluation methods accept scalars or numpy arrays and are vectorized.
+The six pointwise methods above and ``quantile_density(u)`` (the quantile's
+derivative, which ``Tabulated`` lacks) are defined once, on
+``DistributionModel``: each converts its query to a float array, calls the
+kind's array kernel, named like the method with a leading underscore
+(``_cdf``, ``_tail_quantile``, ...), and returns a Python float for a scalar
+or 0-d query, a float array of the query's shape otherwise.
 """
 from __future__ import annotations
 
@@ -44,11 +49,11 @@ __all__ = [
 ]
 
 
-def _maybe_scalar(out, like):
-    """Return a python float when the query was scalar."""
-    if np.ndim(like) == 0:
-        return float(out)
-    return out
+def _pointwise(kernel, x):
+    """The kernel at x as a float array; a Python float when the query is scalar or 0-d."""
+    x = np.asarray(x, dtype=float)
+    out = kernel(x)
+    return float(out) if x.ndim == 0 else out
 
 
 class DistributionModel(WireRecord):
@@ -56,28 +61,31 @@ class DistributionModel(WireRecord):
 
     density_bound: float | None = None
 
-    # --- evaluation surface -------------------------------------------------
+    # --- evaluation surface; the kernels take and return float arrays -------
     def cdf(self, t):
-        raise NotImplementedError
+        return _pointwise(self._cdf, t)
 
     def quantile(self, u):
-        raise NotImplementedError
+        return _pointwise(self._quantile, u)
 
     def tail(self, t):
-        raise NotImplementedError
-
-    def cdf_antiderivative(self, t):
-        raise NotImplementedError
-
-    def upper_mean_excess(self, t):
-        raise NotImplementedError
+        return _pointwise(self._tail, t)
 
     def tail_quantile(self, u):
         """Cadlag inverse of ``tail``: inf{t >= 0 : tail(t) <= u}."""
-        raise NotImplementedError
+        return _pointwise(self._tail_quantile, u)
+
+    def cdf_antiderivative(self, t):
+        return _pointwise(self._cdf_antiderivative, t)
+
+    def upper_mean_excess(self, t):
+        return _pointwise(self._upper_mean_excess, t)
 
     def quantile_density(self, u):
         """Derivative of the quantile function; not all kinds have one."""
+        return _pointwise(self._quantile_density, u)
+
+    def _quantile_density(self, u):
         raise ValidationError(f"{self.kind} model has no differentiable quantile")
 
     # --- metadata -----------------------------------------------------------
@@ -94,7 +102,7 @@ class DistributionModel(WireRecord):
 
     def mean_abs(self) -> float:
         """E|Y| via E|Y| = int_0^inf tail = upper_mean_excess(0) + cdf_antiderivative(0)."""
-        return float(self.upper_mean_excess(0.0)) + float(self.cdf_antiderivative(0.0))
+        return self.upper_mean_excess(0.0) + self.cdf_antiderivative(0.0)
 
     def sqrt_tail_integral_exact(self) -> float:
         """Closed form of int_0^inf sqrt(tail(t)) dt."""
@@ -124,49 +132,36 @@ class Uniform(DistributionModel):
     def density_bound(self):
         return 1.0 / self.width
 
-    def cdf(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        return _maybe_scalar(np.clip((t_arr - self.lo) / self.width, 0.0, 1.0), t)
+    def _cdf(self, t):
+        return np.clip((t - self.lo) / self.width, 0.0, 1.0)
 
-    def quantile(self, u):
-        u_arr = np.asarray(u, dtype=float)
-        return _maybe_scalar(self.lo + u_arr * self.width, u)
+    def _quantile(self, u):
+        return self.lo + u * self.width
 
-    def tail(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        upper = np.clip((self.hi - t_arr) / self.width, 0.0, 1.0)
-        lower = np.clip((-t_arr - self.lo) / self.width, 0.0, 1.0)
-        out = np.where(t_arr < 0.0, 1.0, np.clip(upper + lower, 0.0, 1.0))
-        return _maybe_scalar(out, t)
+    def _tail(self, t):
+        upper = np.clip((self.hi - t) / self.width, 0.0, 1.0)
+        lower = np.clip((-t - self.lo) / self.width, 0.0, 1.0)
+        return np.where(t < 0.0, 1.0, np.clip(upper + lower, 0.0, 1.0))
 
     def _table(self):
         """The same law as a linear ``Tabulated``, which folds a signed support exactly."""
         return Tabulated([self.lo, self.hi], [0.0, 1.0])
 
-    def tail_quantile(self, u):
+    def _tail_quantile(self, u):
         if self.lo < 0.0:
-            return self._table().tail_quantile(u)
-        u_arr = np.asarray(u, dtype=float)
-        out = np.where(u_arr >= 1.0, 0.0, self.hi - u_arr * self.width)
-        return _maybe_scalar(out, u)
+            return self._table()._tail_quantile(u)
+        return np.where(u >= 1.0, 0.0, self.hi - u * self.width)
 
-    def cdf_antiderivative(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        w = self.width
-        inside = np.clip(t_arr, self.lo, self.hi) - self.lo
-        out = inside**2 / (2.0 * w) + np.maximum(t_arr - self.hi, 0.0)
-        return _maybe_scalar(out, t)
+    def _cdf_antiderivative(self, t):
+        inside = np.clip(t, self.lo, self.hi) - self.lo
+        return inside**2 / (2.0 * self.width) + np.maximum(t - self.hi, 0.0)
 
-    def upper_mean_excess(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        w = self.width
-        inside = self.hi - np.clip(t_arr, self.lo, self.hi)
-        out = inside**2 / (2.0 * w) + np.maximum(self.lo - t_arr, 0.0)
-        return _maybe_scalar(out, t)
+    def _upper_mean_excess(self, t):
+        inside = self.hi - np.clip(t, self.lo, self.hi)
+        return inside**2 / (2.0 * self.width) + np.maximum(self.lo - t, 0.0)
 
-    def quantile_density(self, u):
-        u_arr = np.asarray(u, dtype=float)
-        return _maybe_scalar(np.full(u_arr.shape, self.width), u)
+    def _quantile_density(self, u):
+        return np.full(u.shape, self.width)
 
     def support(self):
         return (self.lo, self.hi)
@@ -198,38 +193,31 @@ class Exponential(DistributionModel):
     def density_bound(self):
         return self.rate
 
-    def cdf(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = np.where(t_arr <= 0.0, 0.0, -np.expm1(-self.rate * np.maximum(t_arr, 0.0)))
-        return _maybe_scalar(out, t)
+    def _cdf(self, t):
+        return np.where(t <= 0.0, 0.0, -np.expm1(-self.rate * np.maximum(t, 0.0)))
 
-    def quantile(self, u):
-        u_arr = np.asarray(u, dtype=float)
-        return _maybe_scalar(-np.log1p(-u_arr) / self.rate, u)
+    # the quantile kernels are +inf at the infinite end of the support
+    @np.errstate(divide="ignore")
+    def _quantile(self, u):
+        return -np.log1p(-u) / self.rate
 
-    def tail(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = np.where(t_arr <= 0.0, 1.0, np.exp(-self.rate * np.maximum(t_arr, 0.0)))
-        return _maybe_scalar(out, t)
+    def _tail(self, t):
+        return np.where(t <= 0.0, 1.0, np.exp(-self.rate * np.maximum(t, 0.0)))
 
-    def tail_quantile(self, u):
-        u_arr = np.asarray(u, dtype=float)
-        out = np.where(u_arr >= 1.0, 0.0, -np.log(np.minimum(u_arr, 1.0)) / self.rate)
-        return _maybe_scalar(out, u)
+    @np.errstate(divide="ignore")
+    def _tail_quantile(self, u):
+        return np.where(u >= 1.0, 0.0, -np.log(np.minimum(u, 1.0)) / self.rate)
 
-    def cdf_antiderivative(self, t):
-        t_arr = np.maximum(np.asarray(t, dtype=float), 0.0)
-        out = t_arr + np.expm1(-self.rate * t_arr) / self.rate
-        return _maybe_scalar(out, t)
+    def _cdf_antiderivative(self, t):
+        t = np.maximum(t, 0.0)
+        return t + np.expm1(-self.rate * t) / self.rate
 
-    def upper_mean_excess(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = np.exp(-self.rate * np.maximum(t_arr, 0.0)) / self.rate - np.minimum(t_arr, 0.0)
-        return _maybe_scalar(out, t)
+    def _upper_mean_excess(self, t):
+        return np.exp(-self.rate * np.maximum(t, 0.0)) / self.rate - np.minimum(t, 0.0)
 
-    def quantile_density(self, u):
-        u_arr = np.asarray(u, dtype=float)
-        return _maybe_scalar(1.0 / (self.rate * (1.0 - u_arr)), u)
+    @np.errstate(divide="ignore")
+    def _quantile_density(self, u):
+        return 1.0 / (self.rate * (1.0 - u))
 
     def support(self):
         return (0.0, math.inf)
@@ -262,56 +250,43 @@ class ParetoTail(DistributionModel):
     def density_bound(self):
         return self.exponent / self.scale
 
-    def cdf(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        safe = np.maximum(t_arr, self.scale)
-        out = np.where(t_arr < self.scale, 0.0, 1.0 - (self.scale / safe) ** self.exponent)
-        return _maybe_scalar(out, t)
+    def _cdf(self, t):
+        safe = np.maximum(t, self.scale)
+        return np.where(t < self.scale, 0.0, 1.0 - (self.scale / safe) ** self.exponent)
 
-    def quantile(self, u):
-        u_arr = np.asarray(u, dtype=float)
-        return _maybe_scalar(self.scale * (1.0 - u_arr) ** (-1.0 / self.exponent), u)
+    # the quantile kernels round to +inf at and near the infinite end of the support
+    @np.errstate(divide="ignore", over="ignore")
+    def _quantile(self, u):
+        return self.scale * (1.0 - u) ** (-1.0 / self.exponent)
 
-    def tail(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        safe = np.maximum(t_arr, self.scale)
-        out = np.where(t_arr < self.scale, 1.0, (self.scale / safe) ** self.exponent)
-        return _maybe_scalar(out, t)
+    def _tail(self, t):
+        safe = np.maximum(t, self.scale)
+        return np.where(t < self.scale, 1.0, (self.scale / safe) ** self.exponent)
 
-    def tail_quantile(self, u):
-        u_arr = np.asarray(u, dtype=float)
-        out = np.where(
-            u_arr >= 1.0, 0.0, self.scale * np.minimum(u_arr, 1.0) ** (-1.0 / self.exponent)
-        )
-        return _maybe_scalar(out, u)
+    @np.errstate(divide="ignore", over="ignore")
+    def _tail_quantile(self, u):
+        return np.where(u >= 1.0, 0.0, self.scale * np.minimum(u, 1.0) ** (-1.0 / self.exponent))
 
-    def cdf_antiderivative(self, t):
-        t_arr = np.asarray(t, dtype=float)
+    def _cdf_antiderivative(self, t):
         c, r = self.scale, self.exponent
-        safe = np.maximum(t_arr, c)
+        safe = np.maximum(t, c)
         if r == 1.0:
             tail_part = c * np.log(safe / c)
         else:
             tail_part = c**r * (safe ** (1.0 - r) - c ** (1.0 - r)) / (1.0 - r)
-        out = np.where(t_arr < c, 0.0, (safe - c) - tail_part)
-        return _maybe_scalar(out, t)
+        return np.where(t < c, 0.0, (safe - c) - tail_part)
 
-    def upper_mean_excess(self, t):
-        if self.exponent <= 1.0:
-            raise ValidationError(
-                f"mean excess diverges: tail exponent {self.exponent} <= 1"
-            )
-        t_arr = np.asarray(t, dtype=float)
+    def _upper_mean_excess(self, t):
         c, r = self.scale, self.exponent
-        safe = np.maximum(t_arr, c)
-        beyond = c**r * safe ** (1.0 - r) / (r - 1.0)
-        out = beyond + np.maximum(c - t_arr, 0.0)
-        return _maybe_scalar(out, t)
+        if r <= 1.0:
+            raise ValidationError(f"mean excess diverges: tail exponent {r} <= 1")
+        beyond = c**r * np.maximum(t, c) ** (1.0 - r) / (r - 1.0)
+        return beyond + np.maximum(c - t, 0.0)
 
-    def quantile_density(self, u):
-        u_arr = np.asarray(u, dtype=float)
+    @np.errstate(divide="ignore", over="ignore")
+    def _quantile_density(self, u):
         c, r = self.scale, self.exponent
-        return _maybe_scalar((c / r) * (1.0 - u_arr) ** (-1.0 - 1.0 / r), u)
+        return (c / r) * (1.0 - u) ** (-1.0 - 1.0 / r)
 
     def support(self):
         return (self.scale, math.inf)
@@ -350,7 +325,6 @@ class Tabulated(DistributionModel):
     interp: str = "linear"
 
     kind = "tabulated"
-    density_bound = None
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -417,37 +391,28 @@ class Tabulated(DistributionModel):
             piece = 0.5 * (v[:-1] + v[1:]) * gaps
         self._a_knots = np.concatenate([[0.0], np.cumsum(piece)])
 
-    def _cdf(self, t, side):
+    def _cdf(self, t, side="right"):
         """F(t) for side "right", the left limit F(t-) for side "left"."""
-        t_arr = np.asarray(t, dtype=float)
         g, v = self.grid, self.cdf_values
         if self.interp == "step":
-            return np.concatenate([[0.0], v])[np.searchsorted(g, t_arr, side=side)]
-        below = t_arr < g[0] if side == "right" else t_arr <= g[0]
-        return np.where(below, 0.0, np.interp(t_arr, g, v))
+            return np.concatenate([[0.0], v])[np.searchsorted(g, t, side=side)]
+        below = t < g[0] if side == "right" else t <= g[0]
+        return np.where(below, 0.0, np.interp(t, g, v))
 
-    def cdf(self, t):
-        return _maybe_scalar(self._cdf(t, "right"), t)
-
-    def quantile(self, u):
-        u_arr = np.asarray(u, dtype=float)
+    def _quantile(self, u):
         g, v = self.grid, self.cdf_values
-        idx = np.searchsorted(v, u_arr, side="left")
+        idx = np.searchsorted(v, u, side="left")
         idx = np.clip(idx, 0, len(g) - 1)
         if self.interp == "step":
-            out = g[idx]
-        else:
-            left = np.clip(idx - 1, 0, len(g) - 1)
-            dv = v[idx] - v[left]
-            frac = np.where(dv > 0, (u_arr - v[left]) / np.where(dv > 0, dv, 1.0), 0.0)
-            out = np.where(idx == 0, g[0], g[left] + frac * (g[idx] - g[left]))
-        return _maybe_scalar(out, u)
+            return g[idx]
+        left = np.clip(idx - 1, 0, len(g) - 1)
+        dv = v[idx] - v[left]
+        frac = np.where(dv > 0, (u - v[left]) / np.where(dv > 0, dv, 1.0), 0.0)
+        return np.where(idx == 0, g[0], g[left] + frac * (g[idx] - g[left]))
 
-    def tail(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = (1.0 - self._cdf(t_arr, "right")) + self._cdf(-t_arr, "left")
-        out = np.where(t_arr < 0.0, 1.0, np.clip(out, 0.0, 1.0))
-        return _maybe_scalar(out, t)
+    def _tail(self, t):
+        out = (1.0 - self._cdf(t)) + self._cdf(-t, "left")
+        return np.where(t < 0.0, 1.0, np.clip(out, 0.0, 1.0))
 
     def _folded(self) -> "Tabulated":
         """The law of |Y| as a table with the same interpolation, for ``grid[0] < 0``.
@@ -459,35 +424,32 @@ class Tabulated(DistributionModel):
         """
         g = self.grid
         t = np.unique(np.concatenate([[0.0, np.nextafter(-g[0], 0.0)], np.abs(g)]))
-        f_abs = np.maximum.accumulate(self._cdf(t, "right") - self._cdf(-t, "left"))
+        f_abs = np.maximum.accumulate(self._cdf(t) - self._cdf(-t, "left"))
         return Tabulated(t, f_abs, interp=self.interp)
 
-    def tail_quantile(self, u):
+    def _tail_quantile(self, u):
         if self.grid[0] < 0.0:
-            return self._abs.tail_quantile(u)
-        u_arr = np.asarray(u, dtype=float)
-        out = np.where(u_arr >= 1.0, 0.0, np.asarray(self.quantile(1.0 - u_arr)))
-        return _maybe_scalar(out, u)
+            return self._abs._tail_quantile(u)
+        return np.where(u >= 1.0, 0.0, self._quantile(1.0 - u))
 
-    def cdf_antiderivative(self, t):
+    def _cdf_antiderivative(self, t):
         """Integral of F over (-inf, t], knot interval by knot interval.
 
         A 1-D sorted t longer than twice the grid finds its intervals by one
         merge of the grid into t; any other t by ``searchsorted(grid, t)``.
         Both give the same indices, so the same floats.
         """
-        t_arr = np.asarray(t, dtype=float)
         g, v = self.grid, self.cdf_values
-        size = t_arr.size
-        if t_arr.ndim == 1 and size > 2 * len(g) and np.all(t_arr[1:] >= t_arr[:-1]):
+        size = t.size
+        if t.ndim == 1 and size > 2 * len(g) and np.all(t[1:] >= t[:-1]):
             # idx[j] counts the interior knots g[1:-1] at or below t[j]
-            first_at = np.searchsorted(t_arr, g[1:-1], side="left")
+            first_at = np.searchsorted(t, g[1:-1], side="left")
             idx = np.cumsum(np.bincount(first_at, minlength=size + 1)[:size])
         else:
-            idx = np.clip(np.searchsorted(g, t_arr, side="right") - 1, 0, len(g) - 2)
-        # in place (a scalar t stays numpy scalars): the same operations as
+            idx = np.clip(np.searchsorted(g, t, side="right") - 1, 0, len(g) - 2)
+        # in place (a 0-d t stays numpy scalars): the same operations as
         # a[idx] + (v[idx] dt + slope[idx] / 2 * dt**2), products and sums commuted
-        dt = np.clip(t_arr, g[0], g[-1])
+        dt = np.clip(t, g[0], g[-1])
         dt -= g[idx]
         out = v[idx]
         out *= dt
@@ -496,18 +458,16 @@ class Tabulated(DistributionModel):
             dt *= self._half_slopes[idx]
             out += dt
         out += self._a_knots[idx]
-        out += np.maximum(t_arr - g[-1], 0.0)
-        out = np.where(t_arr < g[0], 0.0, out)
-        return _maybe_scalar(out, t)
+        out += np.maximum(t - g[-1], 0.0)
+        return np.where(t < g[0], 0.0, out)
 
-    def upper_mean_excess(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        a_top = self._a_knots[-1]
-        t_in = np.clip(t_arr, self.grid[0], self.grid[-1])
-        out = (self.grid[-1] - t_in) - (a_top - np.asarray(self.cdf_antiderivative(t_in)))
-        out = out + np.maximum(self.grid[0] - t_arr, 0.0)
-        out = np.where(t_arr > self.grid[-1], 0.0, out)
-        return _maybe_scalar(out, t)
+    def _upper_mean_excess(self, t):
+        g = self.grid
+        t_in = np.clip(t, g[0], g[-1])
+        # the public method, not the kernel: benchmarks/spans.py times it by wrapping it per model
+        out = (g[-1] - t_in) - (self._a_knots[-1] - self.cdf_antiderivative(t_in))
+        out = out + np.maximum(g[0] - t, 0.0)
+        return np.where(t > g[-1], 0.0, out)
 
     def support(self):
         return (float(self.grid[0]), float(self.grid[-1]))

@@ -389,7 +389,7 @@ def _linear_path(spec: CausalLinear, n: int, rng: np.random.Generator) -> tuple[
             f"n * (J + 1) = {n * (j_max + 1)} exceeds the resource limit {_LINEAR_WORK_LIMIT}"
         )
     coeffs = np.asarray(spec.coefficients.coeff(np.arange(j_max + 1)), dtype=float)
-    eps = np.asarray(spec.innovation.quantile(rng.random(n + j_max)), dtype=float)
+    eps = spec.innovation.quantile(rng.random(n + j_max))
     y = np.convolve(coeffs, eps)[j_max : j_max + n]
     bound = spec.coefficients.abs_tail(j_max) * spec.innovation.mean_abs()
     return y, bound
@@ -406,7 +406,7 @@ def generate(spec: ProcessSpec, n: int, seed: int, stream: int = 0) -> Path:
     rng = spawn_rng(seed, stream, PURPOSE_PATH)
     bound = 0.0
     if isinstance(spec, IID):
-        values = np.asarray(spec.model.quantile(rng.random(n)), dtype=float)
+        values = spec.model.quantile(rng.random(n))
     elif isinstance(spec, IntermittentMap):
         values = _intermittent_orbit(spec, n, seed, stream, rng)
     elif isinstance(spec, DoublingMap):

@@ -141,8 +141,8 @@ def w1_sample_vs_model(sample, model: DistributionModel, tail_tol: float = 1e-12
     levels, q, a_q = terms
     if not len(levels) == len(q) == len(a_q) == n - 1:
         raise ValidationError(f"level terms must have length n - 1 = {n - 1}")
-    a_s = np.asarray(model.cdf_antiderivative(s), dtype=float)
-    total = float(np.atleast_1d(a_s)[0])  # int_{-inf}^{s_(1)} F dt
+    a_s = model.cdf_antiderivative(s)
+    total = float(a_s[0])  # int_{-inf}^{s_(1)} F dt
     lo, hi = s[:-1], s[1:]
     t_star = np.clip(q, lo, hi)
     # the antiderivative at t_star, taken from the values already known at q and s
@@ -150,7 +150,7 @@ def w1_sample_vs_model(sample, model: DistributionModel, tail_tol: float = 1e-12
     below = levels * (t_star - lo) - (a_t - a_s[:-1])
     above = (a_s[1:] - a_t) - levels * (hi - t_star)
     total += float(np.sum(np.maximum(below, 0.0) + np.maximum(above, 0.0)))
-    total += float(model.upper_mean_excess(s[-1]))
+    total += model.upper_mean_excess(s[-1])
     return total
 
 
@@ -169,7 +169,7 @@ def sqrt_tail_integral(model: DistributionModel, lower: float = 0.0) -> Extended
         return ExtendedReal(math.inf, _divergence_diag(r, 0.5, "sqrt-tail"))
     lo, hi = model.support()
     upper = max(abs(lo), abs(hi))
-    fn = lambda t: math.sqrt(float(model.tail(t)))
+    fn = lambda t: math.sqrt(model.tail(t))
     if math.isfinite(upper):
         if lower >= upper:
             return ExtendedReal(0.0)

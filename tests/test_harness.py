@@ -260,6 +260,42 @@ def test_probe_insufficient_data():
     assert rep.verdict == "insufficient data"
 
 
+def _no_orbit(*args, **kwargs):
+    raise AssertionError("an orbit was generated before the input was checked")
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    ({"gamma": -1.0}, "gamma"),
+    ({"a": 0.0}, "observable exponent"),
+    ({"burn_in": -1}, "burn_in"),
+    ({"n_values": [0]}, "n_values"),
+    ({"n_values": [0, 5]}, "n_values"),
+    ({"replications": 1}, "replications"),
+    ({"growth_factor": math.nan}, "growth_factor"),
+    ({"growth_factor": math.inf}, "growth_factor"),
+    ({"growth_factor": 1.0}, "growth_factor"),
+], ids=["gamma", "a", "burn-in", "zero-n", "zero-n-of-two", "one-replication",
+        "nan-growth", "inf-growth", "unit-growth"])
+def test_probe_checks_input_before_any_work(kwargs, named, monkeypatch):
+    # a single n gives "insufficient data" only for otherwise valid input
+    monkeypatch.setattr(harness, "generate", _no_orbit)
+    monkeypatch.setattr(harness, "generate_batch", _no_orbit)
+    args = {"gamma": 0.25, "a": 0.4, "n_values": [512], "replications": 8, "seed": 3,
+            **kwargs}
+    with pytest.raises(ValidationError, match=named):
+        divergence_probe(**args)
+
+
+@pytest.mark.parametrize("process", [
+    {"variant": "iid", "model": {"kind": "uniform", "lo": 0, "hi": 1}},
+    {"variant": "intermittent", "gamma": 0.25, "observable_exponent": 0.4, "burn_in": 0},
+], ids=["iid", "intermittent"])
+def test_config_rejects_sample_size_below_one(process):
+    cfg = {**_calibrated_dict(100), "process": process, "n_values": [0, 5]}
+    with pytest.raises(ValidationError, match="n_values"):
+        ExperimentConfig.from_dict(cfg)
+
+
 def test_probe_runs_small():
     rep = divergence_probe(
         0.25, 0.1, [128, 256], replications=16, seed=3, burn_in=200,
@@ -421,7 +457,11 @@ _EXPERIMENT = {
 _THRESHOLD = {"schema_version": 1, "kind": "threshold", "gamma": 0.25, "a": 0.2}
 _LINEAR = {"schema_version": 1, "kind": "linear", "mode": "rio_312", "innovation": _UNIFORM,
            "coefficients": {"family": "geometric", "rho": 0.5}}
+_INTERMITTENT = {"variant": "intermittent", "gamma": 0.25, "observable_exponent": 0.4,
+                 "burn_in": 0}
 _CFG = ["--config", "{cfg}"]
+# a probe writes probe.json to --out-dir when it runs
+_PROBE = ["probe", "--gamma", "0.25", "--a", "0.4", "--out-dir", "{out}", "--n-values"]
 
 
 @pytest.mark.parametrize("argv, config, named", [
@@ -486,6 +526,14 @@ _CFG = ["--config", "{cfg}"]
     (["check", *_CFG], {**_LINEAR, "marginal": _UNIFORM}, "'marginal'"),
     (["check", *_CFG], {**_LINEAR, "mode": "tail_314", "r": 4, "marginal": _UNIFORM},
      "'marginal'"),
+    ([*_PROBE, "512", "--gamma", "-1"], None, "gamma"),
+    ([*_PROBE, "0"], None, "n_values"),
+    ([*_PROBE, "512", "--replications", "1"], None, "replications"),
+    ([*_PROBE, "512", "--growth-factor", "nan"], None, "growth_factor"),
+    ([*_PROBE, "512", "--growth-factor", "0.5"], None, "growth_factor"),
+    (["experiment", *_CFG], {**_EXPERIMENT, "n_values": [0, 5]}, "n_values"),
+    (["experiment", *_CFG], {**_EXPERIMENT, "n_values": [0, 5], "process": _INTERMITTENT,
+                             "reference": {"calibration_length": 50}}, "n_values"),
 ], ids=["check-threads", "w1-seed", "experiment-seed", "probe-config", "probe-threads",
         "model-typo", "spec-typo", "coefficients-typo", "limit-key", "iid-limit-lag",
         "generate-key", "out-path", "check-key", "reference-typo", "string-number",
@@ -494,13 +542,14 @@ _CFG = ["--config", "{cfg}"]
         "nan-tabulated-cdf", "inf-tabulated-knot", "inf-pareto-scale", "inf-pareto-exponent",
         "inf-polynomial-beta", "inf-polynomial-offset", "linear-negative-terms",
         "linear-zero-terms", "rio-unread-r", "exact-unread-r", "rio-unread-marginal",
-        "tail-unread-marginal"])
+        "tail-unread-marginal", "probe-gamma", "probe-zero-n", "probe-one-replication",
+        "probe-nan-growth", "probe-small-growth", "iid-zero-n", "intermittent-zero-n"])
 def test_cli_rejects_unread_input(argv, config, named, tmp_path, capsys):
     csv = tmp_path / "a.csv"
     csv.write_text("value\n0.5\n")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config).replace("{csv}", str(csv)))
-    argv = [a.format(csv=csv, cfg=cfg) for a in argv]
+    argv = [a.format(csv=csv, cfg=cfg, out=tmp_path) for a in argv]
     assert cli_main([*argv, "--out-dir", str(tmp_path)] if config else argv) == 1
     err = capsys.readouterr().err
     assert "validation error" in err

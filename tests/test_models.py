@@ -344,3 +344,60 @@ def test_density_bound_metadata():
     assert Exponential(3.0).density_bound == pytest.approx(3.0)
     assert ParetoTail(1.0, 3.0).density_bound == pytest.approx(3.0)
     assert Tabulated([0, 1], [0, 1]).density_bound is None
+
+
+
+_POINTWISE = ("cdf", "quantile", "tail", "tail_quantile", "cdf_antiderivative",
+              "upper_mean_excess", "quantile_density")
+_LEVEL_QUERIES = ("quantile", "tail_quantile", "quantile_density")
+
+
+@settings(max_examples=60, deadline=None)
+@given(ANY_MODEL, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+       st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=40), st.booleans())
+def test_pointwise_contract(model, levels, points, ascending):
+    # a scalar or 0-d query returns a float, a 1-D query a float64 array of its
+    # shape holding the scalar results; sorted points reach the merge path of
+    # a Tabulated antiderivative.  The results agree bit for bit, except that
+    # ParetoTail's ** takes numpy's scalar power (the C library's pow) on a
+    # scalar and its vectorized power loop on an array, which can differ in
+    # the last bits (more after cancellation, as in 1 - (c/t)**r)
+    for name in _POINTWISE:
+        method = getattr(model, name)
+        x = np.array(levels if name in _LEVEL_QUERIES else points)
+        if ascending:
+            x = np.sort(x)
+        queries = [(xi, q) for xi in x for q in (float(xi), np.float64(xi), np.array(xi))]
+        if ((name == "quantile_density" and isinstance(model, Tabulated))
+                or (name == "upper_mean_excess" and not model.has_finite_mean)):
+            for q in (x, *(q for _, q in queries)):
+                with pytest.raises(ValidationError):
+                    method(q)
+            continue
+        out = method(x)
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == x.shape
+        for i, (xi, q) in enumerate(queries):
+            got = method(q)
+            assert type(got) is float
+            want = out[i // 3]
+            if isinstance(model, ParetoTail):
+                assert got == want or math.isclose(got, want, rel_tol=1e-6, abs_tol=1e-12)
+            else:
+                assert np.float64(got).tobytes() == want.tobytes(), (name, xi)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: repr(m))
+def test_quantile_ends_raise_no_warning(model):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = [model.quantile(1.0), model.tail_quantile(0.0),
+                *model.quantile(np.array([1.0])), *model.tail_quantile(np.array([0.0]))]
+        if isinstance(model, Tabulated):
+            with pytest.raises(ValidationError, match="no differentiable quantile"):
+                model.quantile_density(1.0)
+        else:
+            ends += [model.quantile_density(1.0), *model.quantile_density(np.array([1.0]))]
+    if math.isinf(model.support()[1]):  # Exponential and ParetoTail
+        assert all(e == math.inf for e in ends)
+    else:
+        assert all(math.isfinite(e) for e in ends)
