@@ -18,6 +18,7 @@ from .models import (
 from .transport import (
     ExtendedReal,
     as_sorted_sample,
+    ks_two_sample,
     lambda21,
     quantile_tail_integral,
     sqrt_tail_integral,
@@ -66,7 +67,6 @@ from .harness import (
     ProbeReport,
     compare_distributions,
     divergence_probe,
-    ks_two_sample,
     run_clt_experiment,
 )
 

@@ -4,6 +4,7 @@ Subcommands: generate, w1, check, limit, experiment, compare, probe, report.
 Each takes only the flags it reads, and every config key is either read or
 rejected.  Configs are JSON with schema_version 1 (documented in the README).
 Exit codes: 0 on success, 1 on validation errors, 2 on numerical failures.
+JSON output is strict: a non-finite number is written as null.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ import sys
 import numpy as np
 
 from . import conditions, harness, limitlaw
-from .errors import NumericalError, ValidationError, read_key, read_tag, reject_unknown_keys
+from .errors import (NumericalError, ValidationError, jsonable, read_key, read_tag,
+                     reject_unknown_keys)
 from .limitlaw import StatisticSample
 from .models import model_from_dict
 from .processes import coeffs_from_dict, generate, spec_from_dict
@@ -56,8 +58,8 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out_dir, name)
 
 
-def _emit(obj: dict, args, name: str) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+def _emit(obj, args, name: str) -> None:
+    text = json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
     print(text)
     with open(_out_path(args, name), "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
@@ -126,7 +128,7 @@ def _cmd_check(args) -> int:
             marginal=None if marginal is None else model_from_dict(marginal),
             terms=read_key(cfg, "terms", int, what, 200),
         )
-    _emit(report.to_dict(), args, "check.json")
+    _emit(report, args, "check.json")
     return 0
 
 
@@ -185,7 +187,7 @@ def _cmd_compare(args) -> int:
     a = StatisticSample(_read_values(args.a), "finite_n")
     b = StatisticSample(_read_values(args.b), "finite_n")
     report = harness.compare_distributions(a, b, names=(args.a, args.b))
-    _emit(report.to_dict(), args, "compare.json")
+    _emit(report, args, "compare.json")
     return 0
 
 
@@ -194,7 +196,7 @@ def _cmd_probe(args) -> int:
         args.gamma, args.a, args.n_values, args.replications, args.seed,
         growth_factor=args.growth_factor,
     )
-    _emit(report.to_dict(), args, "probe.json")
+    _emit(report, args, "probe.json")
     return 0
 
 
@@ -215,7 +217,7 @@ def _cmd_report(args) -> int:
         _read_values(read_key(cfg, "limit", str, what)), "limit_functional"
     )
     report = harness.compare_against_limit(finite, limit_sample)
-    _emit(report.to_dict(), args, "report.json")
+    _emit(report, args, "report.json")
     return 0
 
 

@@ -15,12 +15,12 @@ The unknown theory constants default to 1 and never affect a verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import zeta
 
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, JsonRecord, ValidationError
 from .models import DistributionModel
 from .processes import CoeffFamily, first_index_below
 from .transport import quad, quantile_tail_integral, sqrt_tail_integral, lambda21
@@ -119,15 +119,12 @@ class ConstantBound:
 
 
 @dataclass
-class ConditionReport:
+class ConditionReport(JsonRecord):
     verdict: str  # "converges" | "diverges" | "undetermined"
-    partial_sum: float
+    partial_sum: float  # +inf, written as null, for a divergent series
     terms_used: int
     tail_bound: float | None
     notes: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _verdict_from_exponent(exponent: float, critical: float = -1.0) -> str:

@@ -1,14 +1,16 @@
-"""Exception types shared across the package, and the JSON wire codec.
+"""Exception types shared across the package, and the JSON codec.
 
-The codec reads JSON input: ``reject_unknown_keys``, ``read_tag`` and
-``read_key`` check one object, and ``from_wire`` decodes a ``WireRecord``.  A
+Output: every ``to_dict`` returns ``jsonable(self)``, and every JSON writer
+dumps ``jsonable`` data with ``allow_nan=False``.  Input: ``read_key`` and
+friends check one object, and ``from_wire`` decodes a ``WireRecord``.  A
 wire record is a dataclass whose JSON form is its tag (``TAG`` holding the
 class's ``kind``) followed by its fields by name.  Each field's annotation
 picks its JSON type, a field with a default may be left out and then takes
 that default, and a nested record names its decoder in the field's
 ``metadata["decode"]``.
 """
-from dataclasses import MISSING, fields
+import math
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 
@@ -62,22 +64,39 @@ def read_tag(d, tag: str, keys_by_tag: dict, what: str) -> str:
 _READERS = {"float": float, "int": int, "str": str, "int | None": int, "np.ndarray": [float]}
 
 
-class WireRecord:
+def jsonable(value):
+    """``value`` as strict JSON data.
+
+    A dataclass becomes the dict of its fields (a wire record's tag first), an
+    array or tuple a list, a dict key a string and a non-finite float None.
+    """
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if is_dataclass(value) and not isinstance(value, type):
+        out = {value.TAG: value.kind} if isinstance(value, WireRecord) else {}
+        out.update((f.name, jsonable(getattr(value, f.name))) for f in fields(value))
+        return out
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+class JsonRecord:
+    """A dataclass whose JSON form is ``jsonable(self)``."""
+
+    def to_dict(self) -> dict:
+        return jsonable(self)
+
+
+class WireRecord(JsonRecord):
     """A dataclass whose JSON form is ``{TAG: kind, field: value, ...}``."""
 
     TAG = "kind"
     kind = "abstract"
-
-    def to_dict(self) -> dict:
-        out = {self.TAG: self.kind}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, WireRecord):
-                value = value.to_dict()
-            elif isinstance(value, np.ndarray):
-                value = value.tolist()
-            out[f.name] = value
-        return out
 
 
 def from_wire(d, classes, what: str, input_only=()):

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, read_key, reject_unknown_keys
+from .errors import JsonRecord, ValidationError, read_key, reject_unknown_keys
 from .limitlaw import StatisticSample
 from .models import DistributionModel, model_from_dict
 from .processes import (
@@ -27,7 +27,7 @@ from .processes import (
     spec_from_dict,
     tabulate_cdf,
 )
-from .transport import level_terms, w1_sample_vs_model, w1_two_samples
+from .transport import ks_two_sample, level_terms, w1_sample_vs_model, w1_two_samples
 
 __all__ = [
     "ExperimentConfig",
@@ -47,18 +47,8 @@ SCHEMA_VERSION = 1
 _CONFIG_KEYS = {"schema_version", "process", "n_values", "replications", "base_seed",
                 "reference", "tail_tol"}
 _REFERENCE_KEYS = ("analytic", "calibration_length", "calibration_grid_size")
-
-
-def ks_two_sample(x, y) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic (sup CDF gap)."""
-    xs = np.sort(np.asarray(x, dtype=float).ravel())
-    ys = np.sort(np.asarray(y, dtype=float).ravel())
-    if xs.size == 0 or ys.size == 0:
-        raise ValidationError("samples must be nonempty")
-    merged = np.concatenate([xs, ys])
-    fx = np.searchsorted(xs, merged, side="right") / xs.size
-    fy = np.searchsorted(ys, merged, side="right") / ys.size
-    return float(np.max(np.abs(fx - fy)))
+# an "auto" config and the divergence probe calibrate from this many times max(n) values
+_CALIBRATION_FACTOR = 10
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +75,9 @@ class ExperimentConfig:
             raise ValidationError(f"n_values must be >= 1, got {self.n_values[0]}")
         if self.replications < 2:
             raise ValidationError("need at least 2 replications")
-        if self.reference_model is None and self.calibration_length is None:
-            raise ValidationError(
-                "no reference CDF: supply reference_model or calibration_length"
-            )
+        if (self.reference_model is None) == (self.calibration_length is None):
+            raise ValidationError("supply exactly one reference CDF: reference_model or "
+                                  "calibration_length")
         if self.calibration_length is not None and self.calibration_length < 1:
             raise ValidationError("calibration_length must be >= 1")
         if self.calibration_grid_size < 1:
@@ -109,7 +98,7 @@ class ExperimentConfig:
             reject_unknown_keys(ref, ("analytic",), "analytic reference")
             model = model_from_dict(ref["analytic"])
         if ref.get("calibration_length") == "auto":
-            cal = 10 * max(n_values, default=0)
+            cal = _CALIBRATION_FACTOR * max(n_values, default=0)
         else:
             cal = read_key(ref, "calibration_length", int, "reference", None)
         return cls(
@@ -125,31 +114,20 @@ class ExperimentConfig:
 
 
 @dataclass
-class ComparisonReport:
+class ComparisonReport(JsonRecord):
     ks_two_sample: float
     w1_between_statistics: float
     mean_gap: float
     table: list[dict] = field(default_factory=list)
     verdict: str = ""
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
-class ProbeReport:
-    medians: dict
+class ProbeReport(JsonRecord):
+    medians: dict  # n -> median T_n; NaN, written as null, when nothing was run
     ratios: list[float]
     verdict: str  # "stabilizing" | "non-stabilizing" | "indeterminate" | "insufficient data"
     growth_factor: float
-
-    def to_dict(self) -> dict:
-        return {
-            "medians": {str(k): v for k, v in self.medians.items()},
-            "ratios": self.ratios,
-            "verdict": self.verdict,
-            "growth_factor": self.growth_factor,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +228,6 @@ def compare_distributions(a: StatisticSample, b: StatisticSample,
 
     The verdict names the samples by ``names``, or by their kinds when None.
     """
-    if a.values.size == 0 or b.values.size == 0:
-        raise ValidationError("cannot compare empty samples")
     ks = ks_two_sample(a.values, b.values)
     w1 = w1_two_samples(a.values, b.values)
     mean_gap = abs(float(np.mean(a.values)) - float(np.mean(b.values)))
@@ -295,14 +271,14 @@ def compare_against_limit(finite: dict[int, StatisticSample],
 
 def divergence_probe(gamma: float, a: float, n_values: list[int], replications: int,
                      seed: int, burn_in: int = 10_000, growth_factor: float = 1.5,
-                     calibration_factor: int = 10, calibration_grid_size: int = 2048,
                      threads: int = 1) -> ProbeReport:
     """Median T_n across n for the intermittent map, with a growth verdict.
 
     "non-stabilizing" needs strictly increasing medians with cumulative growth
     >= growth_factor; "stabilizing" needs all consecutive ratios inside
-    [0.8, 1.25].  The replicates and the reference, calibrated from an orbit
-    of calibration_factor * max(n) values, come from run_clt_experiment.
+    [0.8, 1.25].  The replicates come from run_clt_experiment, against a
+    reference calibrated by the rule of an ``"auto"`` config: the CDF at 2048
+    quantiles of one orbit of _CALIBRATION_FACTOR (10) * max(n) values.
     ``threads`` must be >= 1 but does not change how lanes are scheduled:
     intermittent lane batches always run on the calling thread.  Every
     argument is checked, also when a single n gives "insufficient data"
@@ -319,8 +295,7 @@ def divergence_probe(gamma: float, a: float, n_values: list[int], replications: 
         n_values=n_values,
         replications=replications,
         base_seed=seed,
-        calibration_length=calibration_factor * max(n_values, default=0),
-        calibration_grid_size=calibration_grid_size,
+        calibration_length=_CALIBRATION_FACTOR * max(n_values, default=0),
     )
     if len(n_values) < 2:
         return ProbeReport({n: math.nan for n in n_values}, [], "insufficient data",

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import JsonRecord, NumericalError, ValidationError
 from .models import DistributionModel
 from .processes import (
     PURPOSE_BRIDGE,
@@ -54,7 +54,7 @@ class PsdRepair:
 
 
 @dataclass
-class CovarianceGrid:
+class CovarianceGrid(JsonRecord):
     """A grid, the limit covariance matrix on it, and PSD-repair metadata."""
 
     grid: np.ndarray
@@ -79,15 +79,6 @@ class CovarianceGrid:
         w = np.linalg.eigvalsh(self.matrix)
         if w.min() < -1e-10 * max(trace, 1e-300):
             raise ValidationError("matrix not PSD after repair")
-
-    def to_dict(self) -> dict:
-        return {
-            "grid": self.grid.tolist(),
-            "matrix": self.matrix.tolist(),
-            "lag_cutoff": self.lag_cutoff,
-            "psd_repair": asdict(self.psd_repair),
-            "source": self.source,
-        }
 
 
 @dataclass

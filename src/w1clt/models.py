@@ -123,6 +123,8 @@ class Uniform(DistributionModel):
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.hi > self.lo):
             raise ValidationError("Uniform requires finite lo < hi")
+        # the same law as a linear table, which folds a signed support exactly, once
+        object.__setattr__(self, "_table", Tabulated([self.lo, self.hi], [0.0, 1.0]))
 
     @property
     def width(self):
@@ -143,13 +145,9 @@ class Uniform(DistributionModel):
         lower = np.clip((-t - self.lo) / self.width, 0.0, 1.0)
         return np.where(t < 0.0, 1.0, np.clip(upper + lower, 0.0, 1.0))
 
-    def _table(self):
-        """The same law as a linear ``Tabulated``, which folds a signed support exactly."""
-        return Tabulated([self.lo, self.hi], [0.0, 1.0])
-
     def _tail_quantile(self, u):
         if self.lo < 0.0:
-            return self._table()._tail_quantile(u)
+            return self._table._tail_quantile(u)
         return np.where(u >= 1.0, 0.0, self.hi - u * self.width)
 
     def _cdf_antiderivative(self, t):
@@ -171,12 +169,12 @@ class Uniform(DistributionModel):
 
     def sqrt_tail_integral_exact(self):
         if self.lo < 0.0:
-            return self._table().sqrt_tail_integral_exact()
+            return self._table.sqrt_tail_integral_exact()
         # int_0^lo 1 dt + int_lo^hi sqrt((hi-t)/w) dt
         return self.lo + 2.0 * self.width / 3.0
 
     def quantile_tail_integral_exact(self, alpha):
-        return self._table().quantile_tail_integral_exact(alpha)
+        return self._table.quantile_tail_integral_exact(alpha)
 
 
 @dataclass(frozen=True)
@@ -245,6 +243,11 @@ class ParetoTail(DistributionModel):
     def __post_init__(self):
         if not (0.0 < self.scale < math.inf and 0.0 < self.exponent < math.inf):
             raise ValidationError("ParetoTail requires finite scale > 0 and finite exponent > 0")
+        try:  # the powers of the scale in the closed forms
+            float(self.scale) ** self.exponent, float(self.scale) ** (1.0 - self.exponent)
+        except OverflowError:
+            raise ValidationError(f"ParetoTail scale {self.scale} to the power exponent "
+                                  f"{self.exponent} or 1 - exponent overflows") from None
 
     @property
     def density_bound(self):

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import zeta
 
-from .errors import ValidationError, WireRecord, from_wire
+from .errors import ValidationError, WireRecord, from_wire, jsonable
 from .models import DistributionModel, Tabulated, model_from_dict
+from .transport import as_sorted_sample
 
 __all__ = [
     "IID",
@@ -163,8 +164,8 @@ class IntermittentMap(ProcessSpec):
     def __post_init__(self):
         if not (0.0 < self.gamma < 1.0):
             raise ValidationError("gamma must lie in (0, 1)")
-        if not (self.observable_exponent > 0.0):
-            raise ValidationError("observable exponent must be positive")
+        if not (0.0 < self.observable_exponent < math.inf):
+            raise ValidationError("observable exponent must be finite and positive")
         if self.burn_in < 0:
             raise ValidationError("burn_in must be nonnegative")
 
@@ -177,8 +178,8 @@ class DoublingMap(ProcessSpec):
     kind = "doubling"
 
     def __post_init__(self):
-        if not (self.observable_exponent > 0.0):
-            raise ValidationError("observable exponent must be positive")
+        if not (0.0 < self.observable_exponent < math.inf):
+            raise ValidationError("observable exponent must be finite and positive")
         if self.burn_in < 0:
             raise ValidationError("burn_in must be nonnegative")
 
@@ -213,13 +214,9 @@ class Path:
     truncation_error_bound: float = 0.0
 
     def to_csv(self, fileobj: io.TextIOBase) -> None:
-        header = {
-            "spec": self.spec.to_dict(),
-            "seed": self.seed,
-            "stream": self.stream,
-            "truncation_error_bound": self.truncation_error_bound,
-        }
-        fileobj.write(f"# w1clt-path {json.dumps(header, sort_keys=True)}\n")
+        header = jsonable({"spec": self.spec, "seed": self.seed, "stream": self.stream,
+                           "truncation_error_bound": self.truncation_error_bound})
+        fileobj.write(f"# w1clt-path {json.dumps(header, sort_keys=True, allow_nan=False)}\n")
         fileobj.write("value\n")
         for v in self.values:
             fileobj.write(f"{float(v)!r}\n")
@@ -446,7 +443,7 @@ def tabulate_cdf(values, grid) -> Tabulated:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or not np.all(np.diff(grid) > 0):
         raise ValidationError("grid must be strictly increasing with >= 2 points")
-    v = np.sort(np.asarray(values, dtype=float).ravel())
+    v = as_sorted_sample(values)
     cdf = np.searchsorted(v, grid, side="right") / v.size
     cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
     cdf[-1] = 1.0

@@ -7,6 +7,9 @@ single crossing point inside each order-statistic interval).  The same
 distance equals the supremum of mean differences over 1-Lipschitz test
 functions; that dual form is recorded here as an identity only and never
 computed.
+
+``as_sorted_sample`` is the only sample intake: every distance here and
+``processes.tabulate_cdf`` sort through it, so NaN, inf or empty input fails alike.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ from .models import DistributionModel
 __all__ = [
     "ExtendedReal",
     "as_sorted_sample",
+    "ks_two_sample",
     "w1_two_samples",
     "w1_sample_vs_model",
     "level_terms",
@@ -77,6 +81,21 @@ def quad(fn, a, b, *, epsrel=1e-9):
     return val
 
 
+def _ecdf_gaps(x, y):
+    """The sorted merged points of two samples and |F_x - F_y| at each of them."""
+    xs = as_sorted_sample(x)
+    ys = as_sorted_sample(y)
+    merged = np.sort(np.concatenate([xs, ys]))
+    fx = np.searchsorted(xs, merged, side="right") / xs.size
+    fy = np.searchsorted(ys, merged, side="right") / ys.size
+    return merged, np.abs(fx - fy)
+
+
+def ks_two_sample(x, y) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic (sup CDF gap)."""
+    return float(np.max(_ecdf_gaps(x, y)[1]))
+
+
 def w1_two_samples(x, y) -> float:
     """Exact W1 between two empirical distributions.
 
@@ -84,13 +103,8 @@ def w1_two_samples(x, y) -> float:
     two step CDFs.  For equal sample sizes this coincides with the mean
     absolute difference of paired order statistics.
     """
-    xs = as_sorted_sample(x)
-    ys = as_sorted_sample(y)
-    merged = np.sort(np.concatenate([xs, ys]))
-    deltas = np.diff(merged)
-    fx = np.searchsorted(xs, merged[:-1], side="right") / xs.size
-    fy = np.searchsorted(ys, merged[:-1], side="right") / ys.size
-    return float(np.sum(np.abs(fx - fy) * deltas))
+    merged, gaps = _ecdf_gaps(x, y)
+    return float(np.sum(gaps[:-1] * np.diff(merged)))
 
 
 def level_terms(model: DistributionModel, n: int):

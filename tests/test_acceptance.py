@@ -173,9 +173,9 @@ def test_criterion_7_intermittent_threshold_behavior():
     # cumulative factor >= 1.5.  Property-based surrogates at desk scale.
     n_values = [2**12, 2**14, 2**16]
     conv = divergence_probe(0.25, 0.1, n_values, replications=2000, seed=777,
-                            burn_in=10_000, calibration_factor=10, threads=THREADS)
+                            burn_in=10_000, threads=THREADS)
     div = divergence_probe(0.25, 0.4, n_values, replications=2000, seed=777,
-                           burn_in=10_000, calibration_factor=10, threads=THREADS)
+                           burn_in=10_000, threads=THREADS)
     conv_ok = all(0.8 <= r <= 1.25 for r in conv.ratios)
     div_cumulative = div.medians[n_values[-1]] / div.medians[n_values[0]]
     div_ok = (all(r > 1.0 for r in div.ratios) and div_cumulative >= 1.5

@@ -1,4 +1,4 @@
-"""Property tests of the JSON wire format: to_dict and the *_from_dict decoders.
+"""Property tests of the JSON wire format: to_dict, jsonable and the *_from_dict decoders.
 
 For every model kind, process variant and coefficient family, decoding the
 JSON text of ``to_dict`` and encoding again gives the same dict, and one
@@ -10,13 +10,17 @@ tag names none.
 import dataclasses
 import inspect
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from w1clt.errors import ValidationError
+from w1clt.conditions import ConditionReport
+from w1clt.errors import JsonRecord, ValidationError, jsonable
+from w1clt.harness import ComparisonReport, ProbeReport
+from w1clt.limitlaw import CovarianceGrid
 from w1clt.models import (
     DistributionModel,
     Exponential,
@@ -151,3 +155,23 @@ def test_spec_wire_roundtrip(spec, data):
 @given(COEFFS, st.data())
 def test_coefficients_wire_roundtrip(coeffs, data):
     _check_roundtrip_and_stray_keys(coeffs, coeffs_from_dict, data)
+
+
+def test_jsonable_gives_strict_json_data():
+    @dataclasses.dataclass
+    class Row:
+        x: float
+        ys: np.ndarray
+        by_n: dict
+
+    row = Row(math.inf, np.array([[1.5, np.nan]]), {4: (np.float64(-np.inf), 3)})
+    value = jsonable({"row": row, "model": Uniform(0.0, 2.0)})
+    assert value == {"row": {"x": None, "ys": [[1.5, None]], "by_n": {"4": [None, 3]}},
+                     "model": {"kind": "uniform", "lo": 0.0, "hi": 2.0}}
+    json.dumps(value, allow_nan=False)
+
+
+@pytest.mark.parametrize("cls", [ConditionReport, ComparisonReport, ProbeReport, CovarianceGrid],
+                         ids=lambda c: c.__name__)
+def test_reports_convert_through_jsonable_alone(cls):
+    assert issubclass(cls, JsonRecord) and "to_dict" not in vars(cls)

@@ -238,9 +238,14 @@ def test_calibration_grid_size_below_one_rejected(size):
     cfg["reference"]["calibration_grid_size"] = size
     with pytest.raises(ValidationError, match="calibration_grid_size"):
         ExperimentConfig.from_dict(cfg)
-    with pytest.raises(ValidationError, match="calibration_grid_size"):
-        divergence_probe(0.25, 0.1, [64, 128], replications=8, seed=3,
-                         calibration_grid_size=size)
+
+
+def test_config_rejects_calibration_beside_an_analytic_reference():
+    # the calibration was once accepted and silently ignored
+    with pytest.raises(ValidationError, match="exactly one reference"):
+        _uniform_config(calibration_length=100)
+    with pytest.raises(ValidationError, match="exactly one reference"):
+        _uniform_config(reference_model=None)
 
 
 @pytest.mark.parametrize("threads", [0, -1])
@@ -297,10 +302,7 @@ def test_config_rejects_sample_size_below_one(process):
 
 
 def test_probe_runs_small():
-    rep = divergence_probe(
-        0.25, 0.1, [128, 256], replications=16, seed=3, burn_in=200,
-        calibration_factor=20,
-    )
+    rep = divergence_probe(0.25, 0.1, [128, 256], replications=16, seed=3, burn_in=200)
     assert set(rep.medians) == {128, 256}
     assert all(v > 0 for v in rep.medians.values())
     assert len(rep.ratios) == 1
@@ -413,6 +415,58 @@ def test_cli_probe_and_report(tmp_path, capsys):
     assert cli_main(["report", "--config", str(rcfg), "--out-dir", str(tmp_path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ks_two_sample"] == 0.0
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not valid JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_writes_strict_json(tmp_path, capsys):
+    # a divergent series sums to +inf and a single-n probe has no median: both are null
+    cfg, out = tmp_path / "cfg", tmp_path / "out"
+    configs = {
+        "generate": {**_GENERATE, "process": {"variant": "doubling",
+                                              "observable_exponent": 0.25, "burn_in": 5}},
+        "alpha": {"schema_version": 1, "kind": "alpha", "gamma": 0.5,
+                  "model": {"kind": "pareto_tail", "scale": 1, "exponent": 2}},
+        "limit": _LIMIT,
+        "experiment": {**_EXPERIMENT, "tail_tol": math.inf},  # echoed as null
+        "report": {"schema_version": 1, "finite_n": {"8": str(out / "tn_8.csv")},
+                   "limit": str(out / "limit.csv")},
+    }
+    cfg.mkdir()
+    for name, d in configs.items():
+        (cfg / f"{name}.json").write_text(json.dumps(d))
+    commands = [
+        ["generate", "--config", str(cfg / "generate.json")],
+        ["check", "--config", str(cfg / "alpha.json")],
+        ["check", "--gamma", "0.25", "--a", "0.2"],
+        ["limit", "--config", str(cfg / "limit.json")],
+        ["experiment", "--config", str(cfg / "experiment.json")],
+        ["compare", "--a", str(out / "tn_8.csv"), "--b", str(out / "limit.csv")],
+        ["report", "--config", str(cfg / "report.json")],
+        ["probe", "--gamma", "0.25", "--a", "0.1", "--n-values", "64,128",
+         "--replications", "8"],
+        ["probe", "--gamma", "0.25", "--a", "0.4", "--n-values", "512"],
+    ]
+    printed = []
+    for argv in commands:
+        assert cli_main([*argv, "--out-dir", str(out)]) == 0, argv
+        text = capsys.readouterr().out
+        if argv[0] != "generate":  # generate prints the path it wrote
+            printed.append(_strict_json(text))
+        for written in out.glob("*.json"):
+            _strict_json(written.read_text())
+    assert cli_main(["w1", "--x", str(out / "path.csv"), "--y", str(out / "limit.csv")]) == 0
+    _strict_json(capsys.readouterr().out)
+    header = (out / "path.csv").read_text().splitlines()[0]
+    _strict_json(header.removeprefix("# w1clt-path "))
+    assert printed[0]["verdict"] == "diverges" and printed[0]["partial_sum"] is None
+    assert printed[3]["config"]["tail_tol"] is None
+    assert printed[-1] == {"growth_factor": 1.5, "medians": {"512": None}, "ratios": [],
+                           "verdict": "insufficient data"}
 
 
 def test_cli_validation_exit_code(tmp_path):
@@ -534,6 +588,9 @@ _PROBE = ["probe", "--gamma", "0.25", "--a", "0.4", "--out-dir", "{out}", "--n-v
     (["experiment", *_CFG], {**_EXPERIMENT, "n_values": [0, 5]}, "n_values"),
     (["experiment", *_CFG], {**_EXPERIMENT, "n_values": [0, 5], "process": _INTERMITTENT,
                              "reference": {"calibration_length": 50}}, "n_values"),
+    # its closed forms raised an uncaught OverflowError and a traceback
+    (["experiment", *_CFG], {**_EXPERIMENT, "reference": {"analytic": {
+        "kind": "pareto_tail", "scale": 10, "exponent": 400}}}, "overflows"),
 ], ids=["check-threads", "w1-seed", "experiment-seed", "probe-config", "probe-threads",
         "model-typo", "spec-typo", "coefficients-typo", "limit-key", "iid-limit-lag",
         "generate-key", "out-path", "check-key", "reference-typo", "string-number",
@@ -543,7 +600,8 @@ _PROBE = ["probe", "--gamma", "0.25", "--a", "0.4", "--out-dir", "{out}", "--n-v
         "inf-polynomial-beta", "inf-polynomial-offset", "linear-negative-terms",
         "linear-zero-terms", "rio-unread-r", "exact-unread-r", "rio-unread-marginal",
         "tail-unread-marginal", "probe-gamma", "probe-zero-n", "probe-one-replication",
-        "probe-nan-growth", "probe-small-growth", "iid-zero-n", "intermittent-zero-n"])
+        "probe-nan-growth", "probe-small-growth", "iid-zero-n", "intermittent-zero-n",
+        "overflowing-pareto"])
 def test_cli_rejects_unread_input(argv, config, named, tmp_path, capsys):
     csv = tmp_path / "a.csv"
     csv.write_text("value\n0.5\n")

@@ -293,6 +293,32 @@ def test_tabulated_validation_errors():
             Tabulated(grid, cdf)
 
 
+@pytest.mark.parametrize("scale, exponent", [(10, 400), (10.0, 400.0), (0.1, 400), (1e200, 2),
+                                             (1e-200, 3)])
+def test_pareto_rejects_overflowing_powers_of_the_scale(scale, exponent):
+    # ParetoTail(10, 400) once built and then raised OverflowError in its closed forms
+    with pytest.raises(ValidationError, match="overflows"):
+        ParetoTail(scale, exponent)
+
+
+def test_signed_uniform_folds_once(monkeypatch):
+    model = Uniform(-1.0, 1.0)
+    table = Tabulated([-1.0, 1.0], [0.0, 1.0])
+    u = np.linspace(0.0, 1.0, 41)
+
+    def functionals(m):
+        return (m.tail_quantile(u), m.tail_quantile(0.3), m.sqrt_tail_integral_exact(),
+                m.quantile_tail_integral_exact(0.3), m.quantile_tail_integral_exact(1.0))
+
+    expected = functionals(table)
+    built = []
+    monkeypatch.setattr(Tabulated, "__post_init__", lambda self: built.append(self))
+    got = functionals(model)
+    assert built == []  # no table is built, so none is folded, per call
+    assert np.array_equal(got[0], expected[0])
+    assert got[1:] == expected[1:]  # bit for bit
+
+
 def test_tabulated_clips_values_within_end_tolerance_above_one():
     tab = Tabulated([0.0, 1.0, 2.0], [0.0, 1.0 + 5e-10, 1.0 + 5e-10])
     assert tab.cdf_values.tolist() == [0.0, 1.0, 1.0]

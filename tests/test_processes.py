@@ -299,6 +299,16 @@ def test_tabulate_cdf_validates_grid():
         tabulate_cdf([1.0, 2.0], [0.0, 0.0])
 
 
+@pytest.mark.parametrize("make", [
+    lambda a: IntermittentMap(0.25, a), lambda a: DoublingMap(a),
+], ids=["intermittent", "doubling"])
+def test_maps_require_finite_observable_exponent(make):
+    # DoublingMap(inf) once built and generated a path of inf values
+    for a in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValidationError, match="observable exponent must be finite"):
+            make(a)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

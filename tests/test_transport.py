@@ -12,6 +12,7 @@ from w1clt.models import Exponential, ParetoTail, Tabulated, Uniform
 from w1clt.processes import tabulate_cdf
 from w1clt.transport import (
     as_sorted_sample,
+    ks_two_sample,
     lambda21,
     level_terms,
     quantile_tail_integral,
@@ -79,6 +80,33 @@ def test_rejects_non_finite():
         w1_two_samples([0.0, np.nan], [1.0])
     with pytest.raises(ValidationError):
         w1_two_samples([], [1.0])
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 1.0], [0.5, np.inf], [-np.inf], []],
+                         ids=["nan", "inf", "minus-inf", "empty"])
+def test_every_sample_intake_rejects_non_finite_and_empty(bad):
+    # ks_two_sample([nan, 1], [0.5, 2]) once returned 0.5, and tabulate_cdf
+    # counted a NaN as mass beyond the grid
+    good = [0.5, 2.0]
+    for call in (lambda: ks_two_sample(bad, good), lambda: ks_two_sample(good, bad),
+                 lambda: tabulate_cdf(bad, [0.0, 1.0])):
+        with pytest.raises(ValidationError, match="sample"):
+            call()
+
+
+_SMALL_SAMPLE = st.lists(st.floats(-5, 5, allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=30)
+
+
+@given(_SMALL_SAMPLE, _SMALL_SAMPLE)
+@settings(max_examples=100, deadline=None)
+def test_ks_is_sup_gap_over_pooled_points(x, y):
+    # the pooled-sample formula the statistic always had, for ties too
+    xs, ys = np.sort(x), np.sort(y)
+    pooled = np.concatenate([xs, ys])
+    expected = np.max(np.abs(np.searchsorted(xs, pooled, side="right") / xs.size
+                             - np.searchsorted(ys, pooled, side="right") / ys.size))
+    assert ks_two_sample(x, y) == float(expected)
 
 
 def test_coupling_identity_randomized():
