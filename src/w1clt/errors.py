@@ -2,12 +2,12 @@
 
 Output: every ``to_dict`` returns ``jsonable(self)``, and every JSON writer
 dumps ``jsonable`` data with ``allow_nan=False``.  Input: ``read_key`` and
-friends check one object, and ``from_wire`` decodes a ``WireRecord``.  A
-wire record is a dataclass whose JSON form is its tag (``TAG`` holding the
-class's ``kind``) followed by its fields by name.  Each field's annotation
-picks its JSON type, a field with a default may be left out and then takes
-that default, and a nested record names its decoder in the field's
-``metadata["decode"]``.
+friends check one object, ``as_sorted_sample`` checks one sample, and
+``from_wire`` decodes a ``WireRecord``.  A wire record is a dataclass whose
+JSON form is its tag (``TAG`` holding the class's ``kind``) followed by its
+fields by name.  Each field's annotation picks its JSON type, a field with
+a default may be left out and then takes that default, and a nested record
+names its decoder in the field's ``metadata["decode"]``.
 """
 import math
 from dataclasses import MISSING, fields, is_dataclass
@@ -33,6 +33,16 @@ class DivergenceError(NumericalError):
     def __init__(self, message: str, diagnostic: str | None = None):
         super().__init__(message)
         self.diagnostic = diagnostic
+
+
+def as_sorted_sample(values) -> np.ndarray:
+    """Validate a finite nonempty 1-D sample and return its order statistics."""
+    arr = np.asarray(values, dtype=float).ravel()
+    if arr.size == 0:
+        raise ValidationError("sample must be nonempty")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("sample contains non-finite values")
+    return np.sort(arr)
 
 
 _REQUIRED = object()

@@ -1,17 +1,24 @@
 """Monte Carlo experiments: finite-n statistics vs the sampled limit law.
 
 Replicate r of the n_values[i] run draws from stream (i << 32) | r of the
-configured base seed, so outputs are byte-identical for any worker count.
+configured base seed, so outputs are byte-identical for any process count.
 
-``threads`` spreads 256-row chunks over a thread pool for the per-row
-generators.  The intermittent map advances all lanes of a batch in one
-numpy loop that holds the GIL, so its batches run on the calling thread,
-each as wide as fits in _LANE_BUDGET bytes (one lane at least).
+``run_clt_experiment`` plans every (n, first stream, count) chunk up front:
+256 replicates for the per-row generators; for the intermittent map, whose
+lanes advance together in one numpy loop, as many lanes as fit in one
+process's share of _LANE_BUDGET bytes (one lane at least, ceil(R / p) at
+most).  ``threads`` is the number of processes p: the calling process
+computes every p-th chunk and p - 1 helper processes, forked from it once per
+call, compute the rest.  p is capped by the CPUs this process may run on and
+by the number of chunks, and is 1 where the fork start method does not
+exist.  The chunks are joined in stream order.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,49 +171,84 @@ def resolve_reference(cfg: ExperimentConfig) -> tuple[DistributionModel, dict]:
 # the experiment
 # ---------------------------------------------------------------------------
 
-def _tn_chunk(spec: ProcessSpec, reference: DistributionModel, n: int, seed: int,
-              first_stream: int, count: int, terms) -> np.ndarray:
+def _tn_chunk(spec: ProcessSpec, reference: DistributionModel, seed: int, terms: dict,
+              n: int, first_stream: int, count: int) -> np.ndarray:
     values = generate_batch(spec, n, count, seed, first_stream=first_stream)
     root_n = math.sqrt(n)
     return np.array([
-        root_n * w1_sample_vs_model(values[r], reference, terms=terms)
+        root_n * w1_sample_vs_model(values[r], reference, terms=terms[n])
         for r in range(count)
     ])
 
 
-def _tn_sample(spec: ProcessSpec, reference: DistributionModel, n: int,
-               replications: int, seed: int, n_index: int, threads: int) -> np.ndarray:
-    base_stream = n_index << 32
-    size = _REPLICATE_CHUNK
-    if isinstance(spec, IntermittentMap):  # GIL-bound: wide batches, one thread
-        size, threads = max(1, _LANE_BUDGET // (8 * n)), 1
-    chunks = [
-        (base_stream + start, min(size, replications - start))
-        for start in range(0, replications, size)
-    ]
-    terms = level_terms(reference, n)  # read-only, shared by every chunk
+# (spec, reference, seed, terms): set by _init_helper, only in a helper process
+_helper_state: tuple = ()
 
-    def work(arg):
-        first, count = arg
-        return _tn_chunk(spec, reference, n, seed, first, count, terms)
 
-    # both maps return the chunks in stream order
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.concatenate(list(pool.map(work, chunks)))
-    return np.concatenate([work(c) for c in chunks])
+def _init_helper(*state) -> None:
+    # runs in the forked helper, so the state is inherited, never pickled
+    global _helper_state
+    _helper_state = state
+
+
+def _helper_chunk(n: int, first_stream: int, count: int) -> np.ndarray:
+    return _tn_chunk(*_helper_state, n, first_stream, count)
+
+
+def _process_count(threads: int) -> int:
+    """Processes to use: ``threads``, at most the usable CPUs; 1 without fork."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(threads, cpus or 1)
+
+
+def _plan_chunks(cfg: ExperimentConfig, processes: int) -> list[tuple[int, int, int]]:
+    """Every (n, first stream, count) chunk of the experiment, in stream order."""
+    reps = cfg.replications
+    chunks = []
+    for i, n in enumerate(cfg.n_values):
+        size = _REPLICATE_CHUNK
+        if isinstance(cfg.process, IntermittentMap):  # lanes x n float64 per batch
+            size = max(1, min(_LANE_BUDGET // (8 * n * processes), -(-reps // processes)))
+        chunks += [(n, (i << 32) + start, min(size, reps - start))
+                   for start in range(0, reps, size)]
+    return chunks
+
+
+def _run_chunks(chunks: list, state: tuple, processes: int) -> list[np.ndarray]:
+    """T_n of every chunk, in order: every p-th here, the rest in p - 1 forked helpers."""
+    if processes == 1:
+        return [_tn_chunk(*state, *c) for c in chunks]
+    pool = ProcessPoolExecutor(processes - 1, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_helper, initargs=state)
+    try:
+        helped = {j: pool.submit(_helper_chunk, *c)
+                  for j, c in enumerate(chunks) if j % processes}
+        own = {j: _tn_chunk(*state, *c) for j, c in enumerate(chunks) if j % processes == 0}
+        return [own[j] if j in own else helped[j].result() for j in range(len(chunks))]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_clt_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict[int, StatisticSample]:
-    """R replicates of T_n = sqrt(n) * d1(F_n, F) for each configured n."""
+    """R replicates of T_n = sqrt(n) * d1(F_n, F) for each configured n.
+
+    ``threads`` is the number of processes that compute them (see the module
+    docstring); the output does not depend on it.
+    """
     if threads < 1:
         raise ValidationError("threads must be >= 1")
     reference, ref_meta = resolve_reference(cfg)
+    processes = _process_count(threads)
+    chunks = _plan_chunks(cfg, processes)
+    # read-only per-n terms, shared by every chunk of that n
+    terms = {n: level_terms(reference, n) for n in cfg.n_values}
+    results = _run_chunks(chunks, (cfg.process, reference, cfg.base_seed, terms),
+                          min(processes, len(chunks)))
     out: dict[int, StatisticSample] = {}
-    for i, n in enumerate(cfg.n_values):
-        values = _tn_sample(
-            cfg.process, reference, n, cfg.replications, cfg.base_seed, i, threads
-        )
+    for n in cfg.n_values:
+        values = np.concatenate([r for c, r in zip(chunks, results) if c[0] == n])
         out[n] = StatisticSample(
             values,
             "finite_n",
@@ -279,10 +321,9 @@ def divergence_probe(gamma: float, a: float, n_values: list[int], replications: 
     [0.8, 1.25].  The replicates come from run_clt_experiment, against a
     reference calibrated by the rule of an ``"auto"`` config: the CDF at 2048
     quantiles of one orbit of _CALIBRATION_FACTOR (10) * max(n) values.
-    ``threads`` must be >= 1 but does not change how lanes are scheduled:
-    intermittent lane batches always run on the calling thread.  Every
-    argument is checked, also when a single n gives "insufficient data"
-    without running anything.
+    ``threads`` is run_clt_experiment's process count.  Every argument is
+    checked, also when a single n gives "insufficient data" without running
+    anything.
     """
     if threads < 1:
         raise ValidationError("threads must be >= 1")

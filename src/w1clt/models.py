@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, WireRecord, from_wire, read_key, reject_unknown_keys
+from .errors import (ValidationError, WireRecord, as_sorted_sample, from_wire, read_key,
+                     reject_unknown_keys)
 
 __all__ = [
     "DistributionModel",
@@ -372,9 +373,7 @@ class Tabulated(DistributionModel):
     @classmethod
     def from_sample(cls, values) -> "Tabulated":
         """Step CDF placing mass 1/n at every observation (ties merge)."""
-        v = np.sort(np.asarray(values, dtype=float).ravel())
-        if len(v) == 0 or not np.all(np.isfinite(v)):
-            raise ValidationError("sample must be nonempty and finite")
+        v = as_sorted_sample(values)
         uniq, counts = np.unique(v, return_counts=True)
         if len(uniq) < 2:
             uniq = np.concatenate([uniq, uniq + max(1.0, abs(uniq[0]))])

@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import zeta
 
-from .errors import ValidationError, WireRecord, from_wire, jsonable
+from .errors import ValidationError, WireRecord, as_sorted_sample, from_wire, jsonable
 from .models import DistributionModel, Tabulated, model_from_dict
-from .transport import as_sorted_sample
 
 __all__ = [
     "IID",

@@ -8,8 +8,10 @@ distance equals the supremum of mean differences over 1-Lipschitz test
 functions; that dual form is recorded here as an identity only and never
 computed.
 
-``as_sorted_sample`` is the only sample intake: every distance here and
-``processes.tabulate_cdf`` sort through it, so NaN, inf or empty input fails alike.
+``as_sorted_sample`` (defined in ``errors``, below ``models``) is the only
+sample intake: every distance here, ``processes.tabulate_cdf`` and
+``Tabulated.from_sample`` sort through it, so NaN, inf or empty input fails
+alike.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import DivergenceError, NumericalError, ValidationError
+from .errors import DivergenceError, NumericalError, ValidationError, as_sorted_sample
 from .models import DistributionModel
 
 __all__ = [
@@ -55,16 +57,6 @@ class ExtendedReal:
 
     def __float__(self) -> float:
         return self.value
-
-
-def as_sorted_sample(values) -> np.ndarray:
-    """Validate a finite nonempty 1-D sample and return its order statistics."""
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValidationError("sample must be nonempty")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("sample contains non-finite values")
-    return np.sort(arr)
 
 
 def quad(fn, a, b, *, epsrel=1e-9):

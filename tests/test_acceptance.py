@@ -2,7 +2,8 @@
 
 One test per criterion, each printing a single PASS/FAIL line (run with
 ``pytest tests/test_acceptance.py -v -s``).  Every tolerance is pinned here;
-seeds are fixed and printed where a criterion asks for them.
+seeds are fixed and printed where a criterion asks for them.  Beside
+criterion 9, one more determinism test covers the intermittent map.
 """
 import math
 import time
@@ -33,7 +34,7 @@ from w1clt.limitlaw import (
     variance_length_grid,
 )
 from w1clt.models import Exponential, ParetoTail, Uniform
-from w1clt.processes import DoublingMap, IID, PolynomialCoeffs
+from w1clt.processes import DoublingMap, IID, IntermittentMap, PolynomialCoeffs
 from w1clt.transport import (
     lambda21,
     quantile_tail_integral,
@@ -250,3 +251,15 @@ def test_criterion_9_determinism_across_threads(tmp_path):
     ok = outputs["1"] == outputs["5"]
     _criterion(9, ok, "experiment CSVs byte-identical for --threads 1 vs 5 "
                       "(seed 424242)")
+
+
+def test_intermittent_determinism_across_processes():
+    # Criterion 9's contract for the intermittent map, whose lane batches are
+    # sized by the process count: 3 n values and a ragged R give identical
+    # T_n bytes, in stream order, at 1, 2 and 3 processes.
+    cfg = ExperimentConfig(IntermittentMap(0.25, 0.4, burn_in=100), [64, 256, 1024], 301,
+                           20261019, calibration_length=10_240)
+    runs = {t: run_clt_experiment(cfg, threads=t) for t in (1, 2, 3)}
+    for n in cfg.n_values:
+        assert runs[1][n].values.tobytes() == runs[2][n].values.tobytes()
+        assert runs[1][n].values.tobytes() == runs[3][n].values.tobytes()

@@ -1,13 +1,14 @@
 import json
 import math
-import threading
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 from w1clt import harness
 from w1clt.cli import cli_main
-from w1clt.errors import ValidationError
+from w1clt.errors import DivergenceError, ValidationError
 from w1clt.harness import (
     ExperimentConfig,
     compare_against_limit,
@@ -125,29 +126,37 @@ def test_experiment_rows_equal_one_stream_recomputation(cfg):
             assert out[n].values.tolist() == expected
 
 
-def test_intermittent_lane_batches_split_by_budget(monkeypatch):
-    # 8 * 48 * 7 bytes: 7 lanes per batch at n = 48 and 21 at n = 16, so 50
-    # replicates make 8 and 3 batches, each with a ragged last one
-    monkeypatch.setattr(harness, "_LANE_BUDGET", 8 * 48 * 7)
-    cfg = ExperimentConfig(IntermittentMap(0.25, 0.4, burn_in=50), [16, 48], 50, 5,
+def test_intermittent_lane_batches_split_by_budget(monkeypatch, tmp_path):
+    # 8 * 48 * 8 bytes: a process's share is 8 // p lanes at n = 48 and 24 // p at
+    # n = 16, so 61 replicates make at least 3 batches per n, the last one ragged,
+    # for every p up to 4
+    monkeypatch.setattr(harness, "_LANE_BUDGET", 8 * 48 * 8)
+    cfg = ExperimentConfig(IntermittentMap(0.25, 0.4, burn_in=50), [16, 48], 61, 5,
                            calibration_length=2000)
     reference, _ = resolve_reference(cfg)
-    calls = []
+    log = tmp_path / "calls.txt"
     real = harness.generate_batch
 
     def recording(spec, n, n_paths, seed, first_stream=0):
-        calls.append((n, n_paths, threading.current_thread() is threading.main_thread()))
+        # a file, so that the calls made in forked helpers are seen too
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {n} {n_paths}\n")
         return real(spec, n, n_paths, seed, first_stream=first_stream)
 
     monkeypatch.setattr(harness, "generate_batch", recording)
     for threads in (1, 4):
-        calls.clear()
+        log.write_text("")
         out = run_clt_experiment(cfg, threads=threads)
+        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        p = min(threads, len(os.sched_getaffinity(0)))
+        pids = {pid for pid, _, _ in calls}
+        assert len(pids) <= p and os.getpid() in pids
         for i, n in enumerate(cfg.n_values):
-            lanes = harness._LANE_BUDGET // (8 * n)
-            sizes = [count for m, count, _ in calls if m == n]
+            lanes = harness._LANE_BUDGET // (8 * n * p)
+            sizes = [count for _, m, count in calls if m == n]
             assert len(sizes) >= 3 and sum(sizes) == cfg.replications
-            assert max(sizes) <= lanes and sizes[-1] < lanes
+            # helpers finish in any order: every batch full but one ragged
+            assert max(sizes) == lanes and sizes.count(lanes) == len(sizes) - 1
             expected = [
                 math.sqrt(n) * w1_sample_vs_model(
                     generate(cfg.process, n, cfg.base_seed, (i << 32) | r).values, reference
@@ -155,7 +164,32 @@ def test_intermittent_lane_batches_split_by_budget(monkeypatch):
                 for r in range(cfg.replications)
             ]
             assert out[n].values.tolist() == expected
-        assert all(on_main for _, _, on_main in calls)
+
+
+@pytest.mark.parametrize("error", [
+    ValidationError("bad chunk"),
+    DivergenceError("chunk diverges", diagnostic="tail exponent r=0.5"),
+], ids=["validation", "divergence"])
+def test_helper_errors_reach_the_caller_and_no_helper_outlives_the_call(monkeypatch, error):
+    # 600 replicates make three 256-row chunks per n; at 2 processes the caller
+    # computes chunks 0, 2 and 4 and a helper the rest, so stream 256 (chunk 1)
+    # is a helper's
+    cfg = _uniform_config(n_values=[16, 64], replications=600)
+    run_clt_experiment(cfg, threads=2)
+    assert multiprocessing.active_children() == []
+    real = harness.generate_batch
+
+    def failing(spec, n, n_paths, seed, first_stream=0):
+        if first_stream == 256:
+            raise error
+        return real(spec, n, n_paths, seed, first_stream=first_stream)
+
+    monkeypatch.setattr(harness, "generate_batch", failing)
+    with pytest.raises(type(error)) as caught:
+        run_clt_experiment(cfg, threads=2)
+    assert type(caught.value) is type(error) and str(caught.value) == str(error)
+    assert getattr(caught.value, "diagnostic", None) == getattr(error, "diagnostic", None)
+    assert multiprocessing.active_children() == []
 
 
 def test_experiment_statistics_are_nonnegative_and_reasonable():
@@ -524,8 +558,7 @@ _PROBE = ["probe", "--gamma", "0.25", "--a", "0.4", "--out-dir", "{out}", "--n-v
     (["experiment", *_CFG, "--seed", "5"], _EXPERIMENT, "--seed"),
     (["probe", "--gamma", "0.25", "--a", "0.4", "--n-values", "64,128", "--config", "x.json"],
      None, "--config"),
-    (["probe", "--gamma", "0.25", "--a", "0.4", "--n-values", "64,128", "--threads", "2"],
-     None, "--threads"),
+    ([*_PROBE, "64,128", "--threads", "0"], None, "threads must be >= 1"),
     (["limit", *_CFG], {**_LIMIT, "model": {"kind": "uniform", "hgh": 5}}, "hgh"),
     (["generate", *_CFG], {**_GENERATE, "process": {
         "variant": "intermittent", "gamma": 0.25, "observable_exponent": 0.1, "burnin": 0}},

@@ -89,7 +89,7 @@ def test_every_sample_intake_rejects_non_finite_and_empty(bad):
     # counted a NaN as mass beyond the grid
     good = [0.5, 2.0]
     for call in (lambda: ks_two_sample(bad, good), lambda: ks_two_sample(good, bad),
-                 lambda: tabulate_cdf(bad, [0.0, 1.0])):
+                 lambda: tabulate_cdf(bad, [0.0, 1.0]), lambda: Tabulated.from_sample(bad)):
         with pytest.raises(ValidationError, match="sample"):
             call()
 
