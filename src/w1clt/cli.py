@@ -194,7 +194,7 @@ def _cmd_compare(args) -> int:
 def _cmd_probe(args) -> int:
     report = harness.divergence_probe(
         args.gamma, args.a, args.n_values, args.replications, args.seed,
-        growth_factor=args.growth_factor, threads=args.threads,
+        growth_factor=args.growth_factor,
     )
     _emit(report, args, "probe.json")
     return 0
@@ -242,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     config_seed = ("--seed", {"type": int, "default": None, "help": "overrides the config's seed"})
     threads = ("--threads", {"type": int, "default": 1, "help": (
         "processes computing T_n (>= 1): this one and forked helpers, at most one per "
-        "usable CPU; 1 where fork does not exist; outputs do not depend on it")})
+        "usable CPU; 1 off Linux; outputs do not depend on it")})
     out_dir = ("--out-dir", {"default": "out"})
     commands = [
         ("generate", _cmd_generate, "simulate a trajectory to CSV", config, config_seed, out_dir),
@@ -262,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
          ("--n-values", {"type": _int_list, "required": True}),
          ("--replications", {"type": int, "default": 200}),
          ("--growth-factor", {"type": float, "default": 1.5}),
-         ("--seed", {"type": int, "default": 0}), threads, out_dir),
+         ("--seed", {"type": int, "default": 0}), out_dir),
         ("report", _cmd_report, "per-n comparison table against a limit sample",
          config, out_dir),
     ]

@@ -10,14 +10,15 @@ process's share of _LANE_BUDGET bytes (one lane at least, ceil(R / p) at
 most).  ``threads`` is the number of processes p: the calling process
 computes every p-th chunk and p - 1 helper processes, forked from it once per
 call, compute the rest.  p is capped by the CPUs this process may run on and
-by the number of chunks, and is 1 where the fork start method does not
-exist.  The chunks are joined in stream order.
+by the number of chunks, and is 1 off Linux, where fork is unsafe (macOS)
+or absent (Windows).  The chunks are joined in stream order.
 """
 from __future__ import annotations
 
 import math
 import multiprocessing
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -196,11 +197,11 @@ def _helper_chunk(n: int, first_stream: int, count: int) -> np.ndarray:
 
 
 def _process_count(threads: int) -> int:
-    """Processes to use: ``threads``, at most the usable CPUs; 1 without fork."""
-    if "fork" not in multiprocessing.get_all_start_methods():
+    """Processes to use: ``threads``, at most the usable CPUs; 1 off Linux."""
+    # fork is unsafe on macOS (system libraries may start threads) and absent on Windows
+    if not sys.platform.startswith("linux"):
         return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(threads, cpus or 1)
+    return min(threads, len(os.sched_getaffinity(0)))
 
 
 def _plan_chunks(cfg: ExperimentConfig, processes: int) -> list[tuple[int, int, int]]:

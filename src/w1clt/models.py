@@ -151,13 +151,15 @@ class Uniform(DistributionModel):
             return self._table._tail_quantile(u)
         return np.where(u >= 1.0, 0.0, self.hi - u * self.width)
 
+    # inside * inside, not inside**2: a 0-d query makes numpy scalars, whose ** 2
+    # calls pow and can differ in the last bit from the array path's square
     def _cdf_antiderivative(self, t):
         inside = np.clip(t, self.lo, self.hi) - self.lo
-        return inside**2 / (2.0 * self.width) + np.maximum(t - self.hi, 0.0)
+        return inside * inside / (2.0 * self.width) + np.maximum(t - self.hi, 0.0)
 
     def _upper_mean_excess(self, t):
         inside = self.hi - np.clip(t, self.lo, self.hi)
-        return inside**2 / (2.0 * self.width) + np.maximum(self.lo - t, 0.0)
+        return inside * inside / (2.0 * self.width) + np.maximum(self.lo - t, 0.0)
 
     def _quantile_density(self, u):
         return np.full(u.shape, self.width)

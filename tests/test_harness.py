@@ -148,7 +148,7 @@ def test_intermittent_lane_batches_split_by_budget(monkeypatch, tmp_path):
         log.write_text("")
         out = run_clt_experiment(cfg, threads=threads)
         calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-        p = min(threads, len(os.sched_getaffinity(0)))
+        p = harness._process_count(threads)
         pids = {pid for pid, _, _ in calls}
         assert len(pids) <= p and os.getpid() in pids
         for i, n in enumerate(cfg.n_values):
@@ -558,7 +558,8 @@ _PROBE = ["probe", "--gamma", "0.25", "--a", "0.4", "--out-dir", "{out}", "--n-v
     (["experiment", *_CFG, "--seed", "5"], _EXPERIMENT, "--seed"),
     (["probe", "--gamma", "0.25", "--a", "0.4", "--n-values", "64,128", "--config", "x.json"],
      None, "--config"),
-    ([*_PROBE, "64,128", "--threads", "0"], None, "threads must be >= 1"),
+    (["probe", "--gamma", "0.25", "--a", "0.4", "--n-values", "64,128", "--threads", "2"],
+     None, "--threads"),
     (["limit", *_CFG], {**_LIMIT, "model": {"kind": "uniform", "hgh": 5}}, "hgh"),
     (["generate", *_CFG], {**_GENERATE, "process": {
         "variant": "intermittent", "gamma": 0.25, "observable_exponent": 0.1, "burnin": 0}},

@@ -381,6 +381,8 @@ _LEVEL_QUERIES = ("quantile", "tail_quantile", "quantile_density")
 @settings(max_examples=60, deadline=None)
 @given(ANY_MODEL, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
        st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=40), st.booleans())
+# a scalar ** 2 (pow) was one ulp off the array path's square here
+@example(Uniform(1.8784595318082893, 80.87845953180829), [0.0], [79.95444542789775], False)
 def test_pointwise_contract(model, levels, points, ascending):
     # a scalar or 0-d query returns a float, a 1-D query a float64 array of its
     # shape holding the scalar results; sorted points reach the merge path of
