@@ -148,11 +148,15 @@ def read_key(d: dict, key: str, kind, what: str, default=_REQUIRED):
     if isinstance(kind, list):
         if not isinstance(value, list):
             raise ValidationError(f"{name} must be a list, got {value!r}")
-        return [_checked(v, kind[0], name) for v in value]
-    return _checked(value, kind, name)
+        return [checked(v, kind[0], name) for v in value]
+    return checked(value, kind, name)
 
 
-def _checked(value, kind, name: str):
+def checked(value, kind, name: str):
+    """``value`` as ``kind`` (float, int, str or dict), else ValidationError naming ``name``.
+
+    Bools and strings are never numbers, and an int must be integral.
+    """
     if kind in (str, dict):
         if isinstance(value, kind):
             return value

@@ -7,6 +7,13 @@ at 0 (observable x**-a), forward orbits of the doubling map 2x mod 1
 53 iterations native floats allow), and causal linear (MA-infinity) processes
 with truncated coefficient families.
 
+The iid, doubling-map and linear generators fill a chunk of rows at a time,
+one preallocated ``(rows, n)`` array, and compute what every row shares once
+per chunk: the linear coefficients, J and the truncation error bound, or the
+doubling map's bit offsets and shifts.  ``generate`` is the one-row chunk.
+The intermittent map has a scalar orbit for one path and a lane batch for
+many, kept as a cross-checking pair.
+
 Randomness is counter-split: stream `s` of a run with base seed `k` draws
 from ``Philox(key=k, counter=[0, 0, purpose, s])``.  Streams are disjoint for
 fewer than 2**128 draws each, so replication-level parallelism cannot change
@@ -23,7 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import zeta
 
-from .errors import ValidationError, WireRecord, as_sorted_sample, from_wire, jsonable
+from .errors import (
+    ValidationError, WireRecord, as_sorted_sample, checked, from_wire, jsonable,
+)
 from .models import DistributionModel, Tabulated, model_from_dict
 
 __all__ = [
@@ -143,6 +152,11 @@ class ProcessSpec(WireRecord):
     TAG = "variant"
 
 
+def _store_integer(spec: ProcessSpec, name: str) -> None:
+    """Store field ``name`` as an int; like the wire decoder, refuse bools and non-integers."""
+    object.__setattr__(spec, name, checked(getattr(spec, name), int, name))
+
+
 @dataclass(frozen=True)
 class IID(ProcessSpec):
     model: DistributionModel = field(metadata={"decode": model_from_dict})
@@ -165,6 +179,7 @@ class IntermittentMap(ProcessSpec):
             raise ValidationError("gamma must lie in (0, 1)")
         if not (0.0 < self.observable_exponent < math.inf):
             raise ValidationError("observable exponent must be finite and positive")
+        _store_integer(self, "burn_in")
         if self.burn_in < 0:
             raise ValidationError("burn_in must be nonnegative")
 
@@ -179,6 +194,7 @@ class DoublingMap(ProcessSpec):
     def __post_init__(self):
         if not (0.0 < self.observable_exponent < math.inf):
             raise ValidationError("observable exponent must be finite and positive")
+        _store_integer(self, "burn_in")
         if self.burn_in < 0:
             raise ValidationError("burn_in must be nonnegative")
 
@@ -194,8 +210,10 @@ class CausalLinear(ProcessSpec):
     kind = "causal_linear"
 
     def __post_init__(self):
-        if self.truncation is not None and self.truncation < 1:
-            raise ValidationError("truncation must be >= 1")
+        if self.truncation is not None:
+            _store_integer(self, "truncation")
+            if self.truncation < 1:
+                raise ValidationError("truncation must be >= 1")
 
 
 def spec_from_dict(d: dict) -> ProcessSpec:
@@ -312,37 +330,49 @@ def _intermittent_orbit_batch(spec: IntermittentMap, n: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# the doubling map on a 128-bit sliding bit window
+# the per-row generators: iid draws, the doubling map and the linear process
 # ---------------------------------------------------------------------------
 
-def _doubling_orbit(spec: DoublingMap, n: int, rng: np.random.Generator) -> np.ndarray:
+# Each fills one (len(streams), n) chunk, row r from stream streams[r], and
+# computes what every row shares once; ``generate`` is the one-row chunk.
+
+def _iid_rows(spec: IID, n: int, seed: int, streams) -> np.ndarray:
+    out = np.empty((len(streams), n))
+    for r, stream in enumerate(streams):
+        out[r] = spec.model.quantile(spawn_rng(seed, int(stream)).random(n))
+    return out
+
+
+def _doubling_rows(spec: DoublingMap, n: int, seed: int, streams) -> np.ndarray:
     # Orbit step k of 2x mod 1 from a Lebesgue-random start is the 128-bit
     # window at bit offset k of one random bit stream; drawing the stream
     # lazily realizes the uniform x0 with as many bits as the orbit needs.
     offsets = spec.burn_in + np.arange(n, dtype=np.int64)
     n_words = int(offsets[-1] // 64) + 4
-    words = rng.integers(
-        0, np.iinfo(np.uint64).max, size=n_words, dtype=np.uint64, endpoint=True
-    )
     q, s = np.divmod(offsets, 64)
+    q1, q2 = q + 1, q + 2
     s = s.astype(np.uint64)
     rs = np.where(s == 0, np.uint64(63), np.uint64(64) - s)
+    aligned = np.flatnonzero(s == 0)  # a window on a word boundary takes no bits of the next
 
-    def window(idx):
-        w0, w1 = words[idx], words[idx + 1]
-        high = (w0 << s) | np.where(s == 0, np.uint64(0), w1 >> rs)
-        return high
+    def window(w0, w1):
+        low = w1 >> rs
+        low[aligned] = 0
+        return (w0 << s) | low
 
-    hi = window(q)
-    lo = window(q + 1)
-    x = hi * 2.0**-64 + lo * 2.0**-128
-    np.maximum(x, 2.0**-128, out=x)
-    return x ** (-spec.observable_exponent)
+    out = np.empty((len(streams), n))
+    for r, stream in enumerate(streams):
+        words = spawn_rng(seed, int(stream)).integers(
+            0, np.iinfo(np.uint64).max, size=n_words, dtype=np.uint64, endpoint=True
+        )
+        w1 = words[q1]
+        x = out[r]
+        np.multiply(window(words[q], w1), 2.0**-64, out=x)
+        x += window(w1, words[q2]) * 2.0**-128
+        np.maximum(x, 2.0**-128, out=x)
+        x **= -spec.observable_exponent
+    return out
 
-
-# ---------------------------------------------------------------------------
-# linear process
-# ---------------------------------------------------------------------------
 
 def first_index_below(tail, tol: float, cap: int) -> int | None:
     """Smallest k in [0, cap] with tail(k) < tol for a nonincreasing tail; None if none.
@@ -368,7 +398,7 @@ def first_index_below(tail, tol: float, cap: int) -> int | None:
 def _resolve_truncation(family: CoeffFamily, requested: int | None) -> int:
     """The requested J, or the smallest J >= 1 with abs_tail(J) < 1e-8."""
     if requested is not None:
-        return int(requested)
+        return requested
     j = first_index_below(family.abs_tail, _TRUNCATION_TOL, _TRUNCATION_CAP)
     if j is None:
         raise ValidationError(
@@ -378,17 +408,33 @@ def _resolve_truncation(family: CoeffFamily, requested: int | None) -> int:
     return max(j, 1)
 
 
-def _linear_path(spec: CausalLinear, n: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+def _linear_rows(spec: CausalLinear, n: int, seed: int,
+                 streams) -> tuple[np.ndarray, float]:
+    """Rows of Y and the bound on E|Y_k - its truncation at J| that every row shares."""
     j_max = _resolve_truncation(spec.coefficients, spec.truncation)
     if n * (j_max + 1) > _LINEAR_WORK_LIMIT:
         raise ValidationError(
             f"n * (J + 1) = {n * (j_max + 1)} exceeds the resource limit {_LINEAR_WORK_LIMIT}"
         )
     coeffs = np.asarray(spec.coefficients.coeff(np.arange(j_max + 1)), dtype=float)
-    eps = spec.innovation.quantile(rng.random(n + j_max))
-    y = np.convolve(coeffs, eps)[j_max : j_max + n]
     bound = spec.coefficients.abs_tail(j_max) * spec.innovation.mean_abs()
-    return y, bound
+    out = np.empty((len(streams), n))
+    for r, stream in enumerate(streams):
+        eps = spec.innovation.quantile(spawn_rng(seed, int(stream)).random(n + j_max))
+        # the n full-overlap sums: the same dot products as [J:J + n] of the full convolution
+        out[r] = np.convolve(coeffs, eps, mode="valid")
+    return out, bound
+
+
+def _rows(spec: ProcessSpec, n: int, seed: int, streams) -> tuple[np.ndarray, float]:
+    """A chunk of a per-row variant and its truncation error bound."""
+    if isinstance(spec, IID):
+        return _iid_rows(spec, n, seed, streams), 0.0
+    if isinstance(spec, DoublingMap):
+        return _doubling_rows(spec, n, seed, streams), 0.0
+    if isinstance(spec, CausalLinear):
+        return _linear_rows(spec, n, seed, streams)
+    raise ValidationError(f"unknown process spec {type(spec).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +445,12 @@ def generate(spec: ProcessSpec, n: int, seed: int, stream: int = 0) -> Path:
     """Realize one trajectory of length n; bitwise reproducible given inputs."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    rng = spawn_rng(seed, stream, PURPOSE_PATH)
-    bound = 0.0
-    if isinstance(spec, IID):
-        values = spec.model.quantile(rng.random(n))
-    elif isinstance(spec, IntermittentMap):
-        values = _intermittent_orbit(spec, n, seed, stream, rng)
-    elif isinstance(spec, DoublingMap):
-        values = _doubling_orbit(spec, n, rng)
-    elif isinstance(spec, CausalLinear):
-        values, bound = _linear_path(spec, n, rng)
+    if isinstance(spec, IntermittentMap):
+        rng = spawn_rng(seed, stream, PURPOSE_PATH)
+        values, bound = _intermittent_orbit(spec, n, seed, stream, rng), 0.0
     else:
-        raise ValidationError(f"unknown process spec {type(spec).__name__}")
+        rows, bound = _rows(spec, n, seed, (stream,))
+        values = rows[0]
     return Path(values, spec, int(seed), int(stream), bound)
 
 
@@ -425,13 +465,12 @@ def generate_batch(spec: ProcessSpec, n: int, n_paths: int, seed: int,
     """
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")
+    if n < 1:
+        raise ValidationError("n must be >= 1")
     streams = first_stream + np.arange(n_paths)
     if isinstance(spec, IntermittentMap):
-        if n < 1:
-            raise ValidationError("n must be >= 1")
         return _intermittent_orbit_batch(spec, n, seed, streams)
-    rows = [generate(spec, n, seed, int(s)).values for s in streams]
-    return np.stack(rows, axis=0)
+    return _rows(spec, n, seed, streams)[0]
 
 
 def tabulate_cdf(values, grid) -> Tabulated:

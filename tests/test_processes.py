@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import w1clt.processes as processes
 from w1clt.errors import ValidationError
@@ -129,6 +130,102 @@ def test_intermittent_exact_zero_states_reseed_in_order(monkeypatch, caplog):
     assert np.array_equal(batch[1], single)
     for r in (0, 2):
         assert np.array_equal(batch[r], generate(spec, 40, seed=5, stream=r).values)
+
+
+# ---------------------------------------------------------------------------
+# independent yardsticks: rows against in-test copies of the per-path formulas
+# ---------------------------------------------------------------------------
+
+# generate and generate_batch share the chunk generators, so the row tests
+# above compare the code with itself; these compare it with one path at a
+# time computed the long way: the full convolution cut to its n full-overlap
+# outputs, and the 128-bit window built with a where() per word.
+
+_yardstick = settings(max_examples=60, deadline=None)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _reference_linear_row(spec, n, seed, stream):
+    j = spec.truncation
+    if j is None:
+        j = processes._resolve_truncation(spec.coefficients, None)
+    coeffs = np.asarray(spec.coefficients.coeff(np.arange(j + 1)), dtype=float)
+    eps = spec.innovation.quantile(spawn_rng(seed, stream).random(n + j))
+    return np.convolve(coeffs, eps)[j:j + n]
+
+
+def _reference_doubling_row(spec, n, seed, stream):
+    offsets = spec.burn_in + np.arange(n, dtype=np.int64)
+    words = spawn_rng(seed, stream).integers(
+        0, np.iinfo(np.uint64).max, size=int(offsets[-1] // 64) + 4, dtype=np.uint64,
+        endpoint=True,
+    )
+    q, s = np.divmod(offsets, 64)
+    s = s.astype(np.uint64)
+    rs = np.where(s == 0, np.uint64(63), np.uint64(64) - s)
+
+    def window(idx):
+        return (words[idx] << s) | np.where(s == 0, np.uint64(0), words[idx + 1] >> rs)
+
+    x = window(q) * 2.0**-64 + window(q + 1) * 2.0**-128
+    np.maximum(x, 2.0**-128, out=x)
+    return x ** (-spec.observable_exponent)
+
+
+def _innovations():
+    return st.one_of(st.builds(Uniform, _floats(-2.0, 0.0), _floats(0.5, 2.0)),
+                     st.builds(Exponential, _floats(0.25, 4.0)))
+
+
+@st.composite
+def _linear_specs(draw):
+    if draw(st.booleans()):  # the default truncation rule, at J small enough for full convolution
+        family = draw(st.one_of(st.builds(GeometricCoeffs, _floats(0.0, 0.95)),
+                                st.builds(PolynomialCoeffs, _floats(3.5, 6.0), _floats(0.5, 3.0))))
+        truncation = None
+    else:
+        family = draw(st.one_of(st.builds(GeometricCoeffs, _floats(0.0, 0.99)),
+                                st.builds(PolynomialCoeffs, _floats(1.05, 6.0), _floats(0.5, 3.0))))
+        truncation = draw(st.integers(1, 400))
+    return CausalLinear(family, draw(_innovations()), truncation)
+
+
+def _assert_rows_equal_reference(spec, n, seed, stream, reference):
+    batch = generate_batch(spec, n, 3, seed, first_stream=stream)
+    for r in range(3):
+        assert batch[r].tobytes() == reference(spec, n, seed, stream + r).tobytes(), r
+    path = generate(spec, n, seed, stream)
+    assert path.values.tobytes() == batch[0].tobytes()
+    return path
+
+
+@_yardstick
+@given(spec=_linear_specs(), n=st.integers(1, 600), seed=st.integers(0, 2**32),
+       stream=st.integers(0, 2**40))
+@example(spec=CausalLinear(GeometricCoeffs(0.5), Uniform(0, 1), 1), n=1, seed=1, stream=0)
+@example(spec=CausalLinear(PolynomialCoeffs(2.0), Exponential(1.0), 300), n=7, seed=2, stream=5)
+@example(spec=CausalLinear(PolynomialCoeffs(2.0), Uniform(-1, 1), 5), n=500, seed=3, stream=9)
+def test_linear_rows_equal_the_full_convolution(spec, n, seed, stream):
+    path = _assert_rows_equal_reference(spec, n, seed, stream, _reference_linear_row)
+    j = spec.truncation or processes._resolve_truncation(spec.coefficients, None)
+    assert path.truncation_error_bound == (
+        spec.coefficients.abs_tail(j) * spec.innovation.mean_abs()
+    )
+
+
+@_yardstick
+@given(a=st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0]), _floats(0.05, 3.0)),
+       burn_in=st.sampled_from([0, 63, 64, 65]), n=st.integers(1, 300),
+       seed=st.integers(0, 2**32), stream=st.integers(0, 2**40))
+@example(a=1.0, burn_in=0, n=64, seed=4, stream=0)
+@example(a=0.25, burn_in=63, n=2, seed=5, stream=1)
+@example(a=0.25, burn_in=65, n=129, seed=6, stream=2)
+def test_doubling_rows_equal_the_bit_window(a, burn_in, n, seed, stream):
+    _assert_rows_equal_reference(DoublingMap(a, burn_in=burn_in), n, seed, stream,
+                                 _reference_doubling_row)
 
 
 def test_spawn_rng_streams_differ():
@@ -307,6 +404,23 @@ def test_maps_require_finite_observable_exponent(make):
     for a in (math.inf, math.nan, 0.0):
         with pytest.raises(ValidationError, match="observable exponent must be finite"):
             make(a)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda v: CausalLinear(GeometricCoeffs(0.5), Uniform(0, 1), truncation=v), "truncation"),
+    (lambda v: DoublingMap(0.25, burn_in=v), "burn_in"),
+    (lambda v: IntermittentMap(0.25, 0.4, burn_in=v), "burn_in"),
+], ids=["truncation", "doubling_burn_in", "intermittent_burn_in"])
+def test_specs_take_only_integral_counts(make, name):
+    # as the wire decoder: 2.5 must neither run as J = 2 nor fail inside an orbit
+    for bad in (2.5, True, math.nan, math.inf, "3"):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            make(bad)
+    for good in (3.0, np.int64(3)):
+        spec = make(good)
+        assert type(getattr(spec, name)) is int
+        assert spec == make(3)
+        assert spec_from_dict(spec.to_dict()) == spec
 
 
 # ---------------------------------------------------------------------------
