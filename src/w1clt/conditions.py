@@ -18,11 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import DivergenceError, JsonRecord, ValidationError
 from .models import DistributionModel
-from .processes import CoeffFamily, first_index_below
+from .processes import CoeffFamily, first_index_below, hurwitz_zeta
 from .transport import quad, quantile_tail_integral, sqrt_tail_integral, lambda21
 
 __all__ = [
@@ -92,7 +91,7 @@ class AlphaPolynomial:
         """sum_{j>k} c_gamma / (j+1)**theta: the tail of the unclipped bound."""
         if self.theta <= 1.0:
             return math.inf
-        return self.c_gamma * float(zeta(self.theta, k + 2))
+        return self.c_gamma * hurwitz_zeta(self.theta, k + 2)
 
     def decay_exponent(self) -> float:
         return self.theta

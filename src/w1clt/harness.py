@@ -34,6 +34,7 @@ from .processes import (
     generate_batch,
     spec_from_dict,
     tabulate_cdf,
+    with_truncation,
 )
 from .transport import ks_two_sample, level_terms, w1_sample_vs_model, w1_two_samples
 
@@ -245,7 +246,9 @@ def run_clt_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict[int, Sta
     chunks = _plan_chunks(cfg, processes)
     # read-only per-n terms, shared by every chunk of that n
     terms = {n: level_terms(reference, n) for n in cfg.n_values}
-    results = _run_chunks(chunks, (cfg.process, reference, cfg.base_seed, terms),
+    # J of the linear default truncation rule is resolved here, before any fork
+    spec = with_truncation(cfg.process)
+    results = _run_chunks(chunks, (spec, reference, cfg.base_seed, terms),
                           min(processes, len(chunks)))
     out: dict[int, StatisticSample] = {}
     for n in cfg.n_values:

@@ -9,10 +9,15 @@ with truncated coefficient families.
 
 The iid, doubling-map and linear generators fill a chunk of rows at a time,
 one preallocated ``(rows, n)`` array, and compute what every row shares once
-per chunk: the linear coefficients, J and the truncation error bound, or the
-doubling map's bit offsets and shifts.  ``generate`` is the one-row chunk.
+per chunk: the linear coefficients and the work-limit check, or the doubling
+map's bit offsets and shifts.  ``generate`` is the one-row chunk; it alone
+computes the linear truncation error bound, which it returns on ``Path``.
 The intermittent map has a scalar orbit for one path and a lane batch for
 many, kept as a cross-checking pair.
+
+Only polynomial coefficient tails load scipy (``hurwitz_zeta``, imported on
+first use): the linear default truncation rule and the truncation error bound
+of a polynomial family.  Every other generator runs on numpy alone.
 
 Randomness is counter-split: stream `s` of a run with base seed `k` draws
 from ``Philox(key=k, counter=[0, 0, purpose, s])``.  Streams are disjoint for
@@ -25,10 +30,9 @@ import io
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import (
     ValidationError, WireRecord, as_sorted_sample, checked, from_wire, jsonable,
@@ -66,6 +70,13 @@ PURPOSE_BRIDGE = 3
 _LINEAR_WORK_LIMIT = 2**28
 _TRUNCATION_CAP = 2**22
 _TRUNCATION_TOL = 1e-8  # the default truncation J leaves a coefficient tail below this
+
+
+def hurwitz_zeta(s: float, q: float) -> float:
+    """sum_{k>=0} (k + q)**-s by scipy.special.zeta, imported on the first call."""
+    from scipy.special import zeta
+
+    return float(zeta(s, q))
 
 
 def spawn_rng(seed: int, stream: int = 0, purpose: int = PURPOSE_PATH) -> np.random.Generator:
@@ -132,7 +143,7 @@ class PolynomialCoeffs(CoeffFamily):
         return (np.asarray(j, dtype=float) + self.offset) ** (-self.beta)
 
     def abs_tail(self, j: int) -> float:
-        return float(zeta(self.beta, j + 1 + self.offset))
+        return hurwitz_zeta(self.beta, j + 1 + self.offset)
 
     def decay_exponent(self) -> float:
         return self.beta
@@ -293,7 +304,7 @@ def _intermittent_orbit(spec: IntermittentMap, n: int, seed: int, stream: int,
 
 
 def _intermittent_orbit_batch(spec: IntermittentMap, n: int, seed: int,
-                              streams: np.ndarray) -> np.ndarray:
+                              streams: range) -> np.ndarray:
     gamma = np.float64(spec.gamma)
     c = 2.0**spec.gamma
     x = np.array([_intermittent_start(spawn_rng(seed, int(s), PURPOSE_PATH)) for s in streams])
@@ -408,30 +419,40 @@ def _resolve_truncation(family: CoeffFamily, requested: int | None) -> int:
     return max(j, 1)
 
 
-def _linear_rows(spec: CausalLinear, n: int, seed: int,
-                 streams) -> tuple[np.ndarray, float]:
-    """Rows of Y and the bound on E|Y_k - its truncation at J| that every row shares."""
-    j_max = _resolve_truncation(spec.coefficients, spec.truncation)
+def with_truncation(spec: ProcessSpec) -> ProcessSpec:
+    """``spec``, with a linear process's default truncation J written out.
+
+    Its rows equal ``spec``'s bit for bit.  A caller about to fork resolves
+    J first, so helpers inherit the scipy import a polynomial tail needs
+    instead of each repeating it.
+    """
+    if isinstance(spec, CausalLinear) and spec.truncation is None:
+        return replace(spec, truncation=_resolve_truncation(spec.coefficients, None))
+    return spec
+
+
+def _linear_rows(spec: CausalLinear, n: int, seed: int, streams) -> np.ndarray:
+    """Rows of Y for a spec whose truncation J is explicit (``with_truncation``)."""
+    j_max = spec.truncation
     if n * (j_max + 1) > _LINEAR_WORK_LIMIT:
         raise ValidationError(
             f"n * (J + 1) = {n * (j_max + 1)} exceeds the resource limit {_LINEAR_WORK_LIMIT}"
         )
     coeffs = np.asarray(spec.coefficients.coeff(np.arange(j_max + 1)), dtype=float)
-    bound = spec.coefficients.abs_tail(j_max) * spec.innovation.mean_abs()
     out = np.empty((len(streams), n))
     for r, stream in enumerate(streams):
         eps = spec.innovation.quantile(spawn_rng(seed, int(stream)).random(n + j_max))
         # the n full-overlap sums: the same dot products as [J:J + n] of the full convolution
         out[r] = np.convolve(coeffs, eps, mode="valid")
-    return out, bound
+    return out
 
 
-def _rows(spec: ProcessSpec, n: int, seed: int, streams) -> tuple[np.ndarray, float]:
-    """A chunk of a per-row variant and its truncation error bound."""
+def _rows(spec: ProcessSpec, n: int, seed: int, streams) -> np.ndarray:
+    """A chunk of a per-row variant; a linear spec's truncation is explicit."""
     if isinstance(spec, IID):
-        return _iid_rows(spec, n, seed, streams), 0.0
+        return _iid_rows(spec, n, seed, streams)
     if isinstance(spec, DoublingMap):
-        return _doubling_rows(spec, n, seed, streams), 0.0
+        return _doubling_rows(spec, n, seed, streams)
     if isinstance(spec, CausalLinear):
         return _linear_rows(spec, n, seed, streams)
     raise ValidationError(f"unknown process spec {type(spec).__name__}")
@@ -447,10 +468,13 @@ def generate(spec: ProcessSpec, n: int, seed: int, stream: int = 0) -> Path:
         raise ValidationError("n must be >= 1")
     if isinstance(spec, IntermittentMap):
         rng = spawn_rng(seed, stream, PURPOSE_PATH)
-        values, bound = _intermittent_orbit(spec, n, seed, stream, rng), 0.0
-    else:
-        rows, bound = _rows(spec, n, seed, (stream,))
-        values = rows[0]
+        return Path(_intermittent_orbit(spec, n, seed, stream, rng), spec, int(seed), int(stream))
+    explicit = with_truncation(spec)
+    values = _rows(explicit, n, seed, (stream,))[0]
+    bound = 0.0
+    if isinstance(explicit, CausalLinear):  # E|Y_k - its truncation at J|
+        tail = explicit.coefficients.abs_tail(explicit.truncation)
+        bound = tail * explicit.innovation.mean_abs()
     return Path(values, spec, int(seed), int(stream), bound)
 
 
@@ -459,18 +483,22 @@ def generate_batch(spec: ProcessSpec, n: int, n_paths: int, seed: int,
     """Stack of ``n_paths`` trajectories, one per stream, shape (n_paths, n).
 
     Row r equals ``generate(spec, n, seed, first_stream + r).values`` bit for
-    bit.  The intermittent map iterates all lanes at once; lane values do not
-    depend on how a batch is chunked, so parallel replication is
-    scheduling-invariant.
+    bit, for every stream below 2**64.  The intermittent map iterates all
+    lanes at once; lane values do not depend on how a batch is chunked, so
+    parallel replication is scheduling-invariant.
     """
+    n_paths = checked(n_paths, int, "n_paths")
     if n_paths < 1:
         raise ValidationError("n_paths must be >= 1")
     if n < 1:
         raise ValidationError("n must be >= 1")
-    streams = first_stream + np.arange(n_paths)
+    first_stream = checked(first_stream, int, "first_stream")
+    if not (0 <= first_stream and first_stream + n_paths <= 2**64):
+        raise ValidationError("streams must fit in 64 bits")
+    streams = range(first_stream, first_stream + n_paths)
     if isinstance(spec, IntermittentMap):
         return _intermittent_orbit_batch(spec, n, seed, streams)
-    return _rows(spec, n, seed, streams)[0]
+    return _rows(with_truncation(spec), n, seed, streams)
 
 
 def tabulate_cdf(values, grid) -> Tabulated:

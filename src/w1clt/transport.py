@@ -12,6 +12,10 @@ computed.
 sample intake: every distance here, ``processes.tabulate_cdf`` and
 ``Tabulated.from_sample`` sort through it, so NaN, inf or empty input fails
 alike.
+
+Only ``quad`` loads scipy, on its first call; its callers are
+``sqrt_tail_integral`` here, the condition checkers' integral-test tails and
+``limitlaw.grid_tail_report``.  The exact distances run on numpy alone.
 """
 from __future__ import annotations
 
@@ -20,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DivergenceError, NumericalError, ValidationError, as_sorted_sample
 from .models import DistributionModel
@@ -61,7 +64,9 @@ class ExtendedReal:
 
 def quad(fn, a, b, *, epsrel=1e-9):
     """scipy.integrate.quad (epsabs 1e-13, 200 subintervals) with an accuracy
-    check instead of warnings."""
+    check instead of warnings; scipy.integrate is imported on the first call."""
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         res = integrate.quad(fn, a, b, epsabs=1e-13, epsrel=epsrel, limit=200, full_output=1)

@@ -73,6 +73,20 @@ def test_batch_rows_match_single_streams(spec):
         assert np.array_equal(batch[r], single.values), f"lane {r} differs"
 
 
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
+def test_batch_takes_every_stream_below_2_to_the_64(spec):
+    batch = generate_batch(spec, 20, 2, seed=7, first_stream=2**63 - 1)
+    for r, stream in enumerate((2**63 - 1, 2**63)):
+        assert batch[r].tobytes() == generate(spec, 20, seed=7, stream=stream).values.tobytes()
+    with pytest.raises(ValidationError, match="64 bits"):
+        generate_batch(spec, 20, 2, seed=7, first_stream=2**64 - 1)
+    for bad in (2.5, "3", True, None):
+        with pytest.raises(ValidationError, match="first_stream must be an integer"):
+            generate_batch(spec, 20, 2, seed=7, first_stream=bad)
+    with pytest.raises(ValidationError, match="n_paths must be an integer"):
+        generate_batch(spec, 20, 2.5, seed=7)
+
+
 @pytest.mark.parametrize("burn_in", [0, 7])
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
 def test_intermittent_batch_rows_match_across_store_blocks(n, burn_in):
@@ -223,6 +237,9 @@ def test_linear_rows_equal_the_full_convolution(spec, n, seed, stream):
 @example(a=1.0, burn_in=0, n=64, seed=4, stream=0)
 @example(a=0.25, burn_in=63, n=2, seed=5, stream=1)
 @example(a=0.25, burn_in=65, n=129, seed=6, stream=2)
+# a word-aligned window whose high word (0x120b6f5543dd74) is below 2**53, so one
+# stray bit of the next word would change the float
+@example(a=0.25, burn_in=0, n=1, seed=405, stream=0)
 def test_doubling_rows_equal_the_bit_window(a, burn_in, n, seed, stream):
     _assert_rows_equal_reference(DoublingMap(a, burn_in=burn_in), n, seed, stream,
                                  _reference_doubling_row)
