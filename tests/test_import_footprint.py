@@ -19,7 +19,7 @@ SRC = str(Path(w1clt.__file__).resolve().parents[1])
 
 PRELUDE = """
 import json, os, sys
-sys.path.insert(0, {src!r})
+sys.path.insert(0, sys.argv[1])
 import w1clt, w1clt.cli
 from w1clt import harness
 from w1clt.harness import ExperimentConfig, divergence_probe, run_clt_experiment
@@ -37,11 +37,11 @@ chunk = harness._tn_chunk
 def watched(*args):
     before = loaded()
     out = chunk(*args)
-    emit({{"pid": os.getpid(), "before": before, "after": loaded()}})
+    emit({"pid": os.getpid(), "before": before, "after": loaded()})
     return out
 
 harness._tn_chunk = watched
-emit({{"caller": os.getpid(), "after_import": loaded()}})
+emit({"caller": os.getpid(), "after_import": loaded()})
 """
 
 NUMPY_ONLY = """
@@ -60,9 +60,8 @@ run_clt_experiment(ExperimentConfig(CausalLinear(PolynomialCoeffs(3.0), Uniform(
 
 def _run(body: str):
     """The caller's pid and first record, and every chunk record, of a fresh interpreter."""
-    script = PRELUDE.format(src=SRC) + body
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=120, check=False)
+    proc = subprocess.run([sys.executable, "-c", PRELUDE + body, SRC], capture_output=True,
+                          text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
     records = [json.loads(line) for line in proc.stdout.splitlines()]
     head = records[0]
