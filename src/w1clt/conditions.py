@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, JsonRecord, ValidationError
+from .errors import DivergenceError, JsonRecord, ValidationError, count
 from .models import DistributionModel
 from .processes import CoeffFamily, first_index_below, hurwitz_zeta
 from .transport import quad, quantile_tail_integral, sqrt_tail_integral, lambda21
@@ -168,8 +168,8 @@ def check_phi_condition(bound: PhiGeometric, model: DistributionModel,
     """
     if not isinstance(bound, PhiGeometric):
         raise ValidationError("phi condition requires a geometric bound")
-    if terms is not None and terms < 1:
-        raise ValidationError(f"terms must be >= 1, got {terms}")
+    if terms is not None:
+        terms = count(terms, "terms", 1)
     sqrt_rho = math.sqrt(bound.rho)
 
     def tail_bound_after(k: int) -> float:
@@ -180,10 +180,10 @@ def check_phi_condition(bound: PhiGeometric, model: DistributionModel,
     cap = terms if terms is not None else 2_000_000
     block = 512
     while used < cap:
-        count = min(block, cap - used)
-        ks = np.arange(used + 1, used + count + 1, dtype=float)
+        size = min(block, cap - used)
+        ks = np.arange(used + 1, used + size + 1, dtype=float)
         partial += float(np.sum(np.sqrt(np.asarray(bound(ks)) / ks)))
-        used += count
+        used += size
         block = min(block * 2, 262_144)
         if terms is None and tail_bound_after(used) <= 1e-9 * max(partial, 1e-300):
             break
@@ -211,8 +211,7 @@ def check_phi_condition(bound: PhiGeometric, model: DistributionModel,
 # ---------------------------------------------------------------------------
 
 def check_alpha_condition(bound, model: DistributionModel, terms: int = 200) -> ConditionReport:
-    if terms < 10:
-        raise ValidationError("need at least 10 terms")
+    terms = count(terms, "terms", 10)
     e_q = _qti_alpha_exponent(model)
     if e_q is None:
         r = model.tail_exponent()
@@ -243,8 +242,7 @@ def alpha_forms_pair(bound, model: DistributionModel, k: int) -> tuple[float, fl
     Right: half the quantile-substitution integral.  The two routes share no
     quadrature code.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    k = count(k, "k", 1)
     alpha = float(bound(k))
     r = model.tail_exponent()
     if r <= 2.0:
@@ -298,8 +296,7 @@ def check_linear_conditions(family: CoeffFamily, innovation: DistributionModel,
     """
     if mode not in _LINEAR_MODES:
         raise ValidationError(f"mode must be one of {_LINEAR_MODES}")
-    if terms < 1:
-        raise ValidationError(f"terms must be >= 1, got {terms}")
+    terms = count(terms, "terms", 1)
     if mode in ("moment_313", "tail_314"):
         if r is None or not (r > 2.0):
             raise ValidationError("moment/tail modes require r > 2")

@@ -2,7 +2,8 @@
 
 Output: every ``to_dict`` returns ``jsonable(self)``, and every JSON writer
 dumps ``jsonable`` data with ``allow_nan=False``.  Input: ``read_key`` and
-friends check one object, ``as_sorted_sample`` checks one sample, and
+friends check one object, ``count`` checks every count, seed and stream the
+Python API takes, ``as_sorted_sample`` checks one sample, and
 ``from_wire`` decodes a ``WireRecord``.  A wire record is a dataclass whose
 JSON form is its tag (``TAG`` holding the class's ``kind``) followed by its
 fields by name.  Each field's annotation picks its JSON type, a field with
@@ -160,7 +161,7 @@ def checked(value, kind, name: str):
     if kind in (str, dict):
         if isinstance(value, kind):
             return value
-    elif not isinstance(value, (str, bool)):
+    elif not isinstance(value, (str, bool, np.bool_)):
         try:
             out = kind(value)
         except (TypeError, ValueError, OverflowError):
@@ -169,3 +170,11 @@ def checked(value, kind, name: str):
             if kind is float or out == value:  # an int must be integral
                 return out
     raise ValidationError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
+
+def count(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int by the rule of ``checked``, at least ``least`` when given."""
+    out = checked(value, int, name)
+    if least is not None and out < least:
+        raise ValidationError(f"{name} must be >= {least}, got {out}")
+    return out

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import JsonRecord, ValidationError, read_key, reject_unknown_keys
+from .errors import JsonRecord, ValidationError, count, read_key, reject_unknown_keys
 from .limitlaw import StatisticSample
 from .models import DistributionModel, model_from_dict
 from .processes import (
@@ -64,6 +64,16 @@ _CALIBRATION_FACTOR = 10
 # configuration
 # ---------------------------------------------------------------------------
 
+def _sample_sizes(n_values) -> list[int]:
+    """``n_values`` as a nonempty increasing list of sample sizes n >= 1."""
+    if np.ndim(n_values) != 1:
+        raise ValidationError(f"n_values must be a list, got {n_values!r}")
+    sizes = [count(n, "n_values", 1) for n in n_values]
+    if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValidationError("n_values must be a nonempty increasing list")
+    return sizes
+
+
 @dataclass
 class ExperimentConfig:
     process: ProcessSpec
@@ -76,21 +86,15 @@ class ExperimentConfig:
     tail_tol: float = 1e-12  # must be > 0; no built-in reference model reads it
 
     def __post_init__(self):
-        if len(self.n_values) == 0 or any(
-            b <= a for a, b in zip(self.n_values, self.n_values[1:])
-        ):
-            raise ValidationError("n_values must be a nonempty increasing list")
-        if self.n_values[0] < 1:
-            raise ValidationError(f"n_values must be >= 1, got {self.n_values[0]}")
-        if self.replications < 2:
-            raise ValidationError("need at least 2 replications")
+        self.n_values = _sample_sizes(self.n_values)
+        self.replications = count(self.replications, "replications", 2)
+        self.base_seed = count(self.base_seed, "base_seed")
         if (self.reference_model is None) == (self.calibration_length is None):
             raise ValidationError("supply exactly one reference CDF: reference_model or "
                                   "calibration_length")
-        if self.calibration_length is not None and self.calibration_length < 1:
-            raise ValidationError("calibration_length must be >= 1")
-        if self.calibration_grid_size < 1:
-            raise ValidationError("calibration_grid_size must be >= 1")
+        if self.calibration_length is not None:
+            self.calibration_length = count(self.calibration_length, "calibration_length", 1)
+        self.calibration_grid_size = count(self.calibration_grid_size, "calibration_grid_size", 1)
         if not (self.tail_tol > 0):
             raise ValidationError("tail_tol must be positive")
 
@@ -145,6 +149,7 @@ class ProbeReport(JsonRecord):
 
 def auto_calibration_grid(values: np.ndarray, size: int) -> np.ndarray:
     """Quantile-based grid over an orbit's observed range."""
+    size = count(size, "size", 1)
     levels = (np.arange(size) + 0.5) / size
     grid = np.quantile(values, levels)
     grid = np.unique(np.concatenate([[values.min()], grid, [values.max()]]))
@@ -174,12 +179,12 @@ def resolve_reference(cfg: ExperimentConfig) -> tuple[DistributionModel, dict]:
 # ---------------------------------------------------------------------------
 
 def _tn_chunk(spec: ProcessSpec, reference: DistributionModel, seed: int, terms: dict,
-              n: int, first_stream: int, count: int) -> np.ndarray:
-    values = generate_batch(spec, n, count, seed, first_stream=first_stream)
+              n: int, first_stream: int, rows: int) -> np.ndarray:
+    values = generate_batch(spec, n, rows, seed, first_stream=first_stream)
     root_n = math.sqrt(n)
     return np.array([
         root_n * w1_sample_vs_model(values[r], reference, terms=terms[n])
-        for r in range(count)
+        for r in range(rows)
     ])
 
 
@@ -193,8 +198,8 @@ def _init_helper(*state) -> None:
     _helper_state = state
 
 
-def _helper_chunk(n: int, first_stream: int, count: int) -> np.ndarray:
-    return _tn_chunk(*_helper_state, n, first_stream, count)
+def _helper_chunk(n: int, first_stream: int, rows: int) -> np.ndarray:
+    return _tn_chunk(*_helper_state, n, first_stream, rows)
 
 
 def _process_count(threads: int) -> int:
@@ -239,8 +244,7 @@ def run_clt_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict[int, Sta
     ``threads`` is the number of processes that compute them (see the module
     docstring); the output does not depend on it.
     """
-    if threads < 1:
-        raise ValidationError("threads must be >= 1")
+    threads = count(threads, "threads", 1)
     reference, ref_meta = resolve_reference(cfg)
     processes = _process_count(threads)
     chunks = _plan_chunks(cfg, processes)
@@ -329,12 +333,11 @@ def divergence_probe(gamma: float, a: float, n_values: list[int], replications: 
     checked, also when a single n gives "insufficient data" without running
     anything.
     """
-    if threads < 1:
-        raise ValidationError("threads must be >= 1")
+    threads = count(threads, "threads", 1)
     # at or below 1 the growth test cannot fail once every ratio is above 1
     if not (math.isfinite(growth_factor) and growth_factor > 1.0):
         raise ValidationError(f"growth_factor must be a finite number > 1, got {growth_factor}")
-    n_values = [int(n) for n in n_values]
+    n_values = _sample_sizes(n_values)
     cfg = ExperimentConfig(
         process=IntermittentMap(gamma, a, burn_in),
         n_values=n_values,

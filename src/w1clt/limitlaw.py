@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import JsonRecord, NumericalError, ValidationError
+from .errors import JsonRecord, NumericalError, ValidationError, count
 from .models import DistributionModel
 from .processes import (
     PURPOSE_BRIDGE,
@@ -131,8 +131,7 @@ class StatisticSample:
 
 def quantile_grid(model: DistributionModel, size: int) -> np.ndarray:
     """Quantile-spaced grid F^{-1}((i - 1/2) / size)."""
-    if size < 1:
-        raise ValidationError("grid size must be >= 1")
+    size = count(size, "size", 1)
     u = (np.arange(size) + 0.5) / size
     g = model.quantile(u)
     if not np.all(np.diff(g) > 0):
@@ -148,8 +147,7 @@ def variance_length_grid(model: DistributionModel, size: int) -> np.ndarray:
     both the truncated tail mass and the per-segment trapezoid error at
     O(1/size).
     """
-    if size < 2:
-        raise ValidationError("grid size must be >= 2")
+    size = count(size, "size", 2)
     u = np.linspace(1e-9, 1.0 - 1e-9, _VARTAIL_MESH)
     t = model.quantile(u)
     f = model.cdf(t)
@@ -216,8 +214,8 @@ def covariance_dependent(spec: ProcessSpec, grid, lag_cutoff: int, sim_length: i
     points, O(sim_length * (L+1) + (L+1) * m^2) time, O(sim_length + m^2)
     memory.
     """
-    if lag_cutoff < 0:
-        raise ValidationError("lag cutoff must be >= 0")
+    lag_cutoff, seed = count(lag_cutoff, "lag_cutoff", 0), count(seed, "seed")
+    sim_length = count(sim_length, "sim_length", 1)
     if lag_cutoff >= sim_length / 10:
         raise ValidationError("lag cutoff too large for sim_length (noisy tails)")
     grid = np.asarray(grid, dtype=float)
@@ -259,8 +257,7 @@ def sample_limit_functional(cg: CovarianceGrid, replications: int, seed: int) ->
     covariance matrix; replicates are generated in fixed-size chunks with
     counter-split seeds, so the values do not depend on scheduling.
     """
-    if replications < 1:
-        raise ValidationError("need at least one replication")
+    replications, seed = count(replications, "replications", 1), count(seed, "seed")
     try:
         w, v = np.linalg.eigh(cg.matrix)
     except np.linalg.LinAlgError as exc:  # matrix already repaired; should not happen
@@ -297,8 +294,8 @@ def brownian_bridge_oracle(model: DistributionModel, replications: int, mesh: in
     into int_0^1 |B(u)| (F^-1)'(u) du; for Uniform(0,1) this is the plain
     integral of |B|.  Models without a differentiable quantile are rejected.
     """
-    if replications < 1 or mesh < 1:
-        raise ValidationError("replications and mesh must be >= 1")
+    replications, mesh = count(replications, "replications", 1), count(mesh, "mesh", 1)
+    seed = count(seed, "seed")
     u = np.arange(1, mesh + 1) / (mesh + 1)
     qd = model.quantile_density(u)  # raises if unavailable
     if not np.all(np.isfinite(qd)):

@@ -34,9 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    ValidationError, WireRecord, as_sorted_sample, checked, from_wire, jsonable,
-)
+from .errors import ValidationError, WireRecord, as_sorted_sample, count, from_wire, jsonable
 from .models import DistributionModel, Tabulated, model_from_dict
 
 __all__ = [
@@ -81,11 +79,12 @@ def hurwitz_zeta(s: float, q: float) -> float:
 
 def spawn_rng(seed: int, stream: int = 0, purpose: int = PURPOSE_PATH) -> np.random.Generator:
     """Independent generator for (seed, stream, purpose) via Philox counters."""
-    if not (0 <= int(stream) < 2**64):
+    stream = count(stream, "stream", 0)
+    if stream >= 2**64:
         raise ValidationError("stream must fit in 64 bits")
-    key = int(seed) % 2**128
+    key = count(seed, "seed") % 2**128
     return np.random.Generator(
-        np.random.Philox(key=key, counter=[0, 0, int(purpose), int(stream)])
+        np.random.Philox(key=key, counter=[0, 0, count(purpose, "purpose", 0), stream])
     )
 
 
@@ -163,11 +162,6 @@ class ProcessSpec(WireRecord):
     TAG = "variant"
 
 
-def _store_integer(spec: ProcessSpec, name: str) -> None:
-    """Store field ``name`` as an int; like the wire decoder, refuse bools and non-integers."""
-    object.__setattr__(spec, name, checked(getattr(spec, name), int, name))
-
-
 @dataclass(frozen=True)
 class IID(ProcessSpec):
     model: DistributionModel = field(metadata={"decode": model_from_dict})
@@ -190,9 +184,7 @@ class IntermittentMap(ProcessSpec):
             raise ValidationError("gamma must lie in (0, 1)")
         if not (0.0 < self.observable_exponent < math.inf):
             raise ValidationError("observable exponent must be finite and positive")
-        _store_integer(self, "burn_in")
-        if self.burn_in < 0:
-            raise ValidationError("burn_in must be nonnegative")
+        object.__setattr__(self, "burn_in", count(self.burn_in, "burn_in", 0))
 
 
 @dataclass(frozen=True)
@@ -205,9 +197,7 @@ class DoublingMap(ProcessSpec):
     def __post_init__(self):
         if not (0.0 < self.observable_exponent < math.inf):
             raise ValidationError("observable exponent must be finite and positive")
-        _store_integer(self, "burn_in")
-        if self.burn_in < 0:
-            raise ValidationError("burn_in must be nonnegative")
+        object.__setattr__(self, "burn_in", count(self.burn_in, "burn_in", 0))
 
 
 @dataclass(frozen=True)
@@ -222,9 +212,7 @@ class CausalLinear(ProcessSpec):
 
     def __post_init__(self):
         if self.truncation is not None:
-            _store_integer(self, "truncation")
-            if self.truncation < 1:
-                raise ValidationError("truncation must be >= 1")
+            object.__setattr__(self, "truncation", count(self.truncation, "truncation", 1))
 
 
 def spec_from_dict(d: dict) -> ProcessSpec:
@@ -273,17 +261,16 @@ def _reseed(rngs: dict, seed: int, stream: int) -> float:
     return max(float(rngs[stream].random()), _TINY)
 
 
-def _log_reseeds(count: int) -> None:
-    if count:
-        logger.info("intermittent orbit re-randomized %d exact-zero state(s)", count)
+def _log_reseeds(reseeds: int) -> None:
+    if reseeds:
+        logger.info("intermittent orbit re-randomized %d exact-zero state(s)", reseeds)
 
 
-def _intermittent_orbit(spec: IntermittentMap, n: int, seed: int, stream: int,
-                        rng: np.random.Generator) -> np.ndarray:
+def _intermittent_orbit(spec: IntermittentMap, n: int, seed: int, stream: int) -> np.ndarray:
     # A one-lane batch would give the same floats at over 10x the cost per step.
     gamma = np.float64(spec.gamma)
     c = 2.0**spec.gamma
-    x = _intermittent_start(rng)
+    x = _intermittent_start(spawn_rng(seed, stream, PURPOSE_PATH))
     rngs, reseeds = {}, 0
     out = np.empty(n)
     for i in range(spec.burn_in + n):
@@ -307,7 +294,7 @@ def _intermittent_orbit_batch(spec: IntermittentMap, n: int, seed: int,
                               streams: range) -> np.ndarray:
     gamma = np.float64(spec.gamma)
     c = 2.0**spec.gamma
-    x = np.array([_intermittent_start(spawn_rng(seed, int(s), PURPOSE_PATH)) for s in streams])
+    x = np.array([_intermittent_start(spawn_rng(seed, s, PURPOSE_PATH)) for s in streams])
     rngs, reseeds = {}, 0
     out = np.empty((len(streams), n))
     y, lower = np.empty_like(x), np.empty(x.shape, dtype=bool)
@@ -325,7 +312,7 @@ def _intermittent_orbit_batch(spec: IntermittentMap, n: int, seed: int,
         np.copyto(x, y, where=lower)
         if np.count_nonzero(x) < len(x):  # some lane is at exact 0; counting beats x.all()
             for lane in np.flatnonzero(x == 0.0):
-                x[lane] = _reseed(rngs, seed, int(streams[lane]))
+                x[lane] = _reseed(rngs, seed, streams[lane])
                 reseeds += 1
         np.minimum(x, _BELOW_ONE, out=x)  # any other state is >= _TINY already
         k = i - spec.burn_in
@@ -350,7 +337,7 @@ def _intermittent_orbit_batch(spec: IntermittentMap, n: int, seed: int,
 def _iid_rows(spec: IID, n: int, seed: int, streams) -> np.ndarray:
     out = np.empty((len(streams), n))
     for r, stream in enumerate(streams):
-        out[r] = spec.model.quantile(spawn_rng(seed, int(stream)).random(n))
+        out[r] = spec.model.quantile(spawn_rng(seed, stream).random(n))
     return out
 
 
@@ -373,7 +360,7 @@ def _doubling_rows(spec: DoublingMap, n: int, seed: int, streams) -> np.ndarray:
 
     out = np.empty((len(streams), n))
     for r, stream in enumerate(streams):
-        words = spawn_rng(seed, int(stream)).integers(
+        words = spawn_rng(seed, stream).integers(
             0, np.iinfo(np.uint64).max, size=n_words, dtype=np.uint64, endpoint=True
         )
         w1 = words[q1]
@@ -441,7 +428,7 @@ def _linear_rows(spec: CausalLinear, n: int, seed: int, streams) -> np.ndarray:
     coeffs = np.asarray(spec.coefficients.coeff(np.arange(j_max + 1)), dtype=float)
     out = np.empty((len(streams), n))
     for r, stream in enumerate(streams):
-        eps = spec.innovation.quantile(spawn_rng(seed, int(stream)).random(n + j_max))
+        eps = spec.innovation.quantile(spawn_rng(seed, stream).random(n + j_max))
         # the n full-overlap sums: the same dot products as [J:J + n] of the full convolution
         out[r] = np.convolve(coeffs, eps, mode="valid")
     return out
@@ -464,18 +451,16 @@ def _rows(spec: ProcessSpec, n: int, seed: int, streams) -> np.ndarray:
 
 def generate(spec: ProcessSpec, n: int, seed: int, stream: int = 0) -> Path:
     """Realize one trajectory of length n; bitwise reproducible given inputs."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n, seed, stream = count(n, "n", 1), count(seed, "seed"), count(stream, "stream", 0)
     if isinstance(spec, IntermittentMap):
-        rng = spawn_rng(seed, stream, PURPOSE_PATH)
-        return Path(_intermittent_orbit(spec, n, seed, stream, rng), spec, int(seed), int(stream))
+        return Path(_intermittent_orbit(spec, n, seed, stream), spec, seed, stream)
     explicit = with_truncation(spec)
     values = _rows(explicit, n, seed, (stream,))[0]
     bound = 0.0
     if isinstance(explicit, CausalLinear):  # E|Y_k - its truncation at J|
         tail = explicit.coefficients.abs_tail(explicit.truncation)
         bound = tail * explicit.innovation.mean_abs()
-    return Path(values, spec, int(seed), int(stream), bound)
+    return Path(values, spec, seed, stream, bound)
 
 
 def generate_batch(spec: ProcessSpec, n: int, n_paths: int, seed: int,
@@ -487,13 +472,9 @@ def generate_batch(spec: ProcessSpec, n: int, n_paths: int, seed: int,
     lanes at once; lane values do not depend on how a batch is chunked, so
     parallel replication is scheduling-invariant.
     """
-    n_paths = checked(n_paths, int, "n_paths")
-    if n_paths < 1:
-        raise ValidationError("n_paths must be >= 1")
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    first_stream = checked(first_stream, int, "first_stream")
-    if not (0 <= first_stream and first_stream + n_paths <= 2**64):
+    n, n_paths, seed = count(n, "n", 1), count(n_paths, "n_paths", 1), count(seed, "seed")
+    first_stream = count(first_stream, "first_stream", 0)
+    if first_stream + n_paths > 2**64:
         raise ValidationError("streams must fit in 64 bits")
     streams = range(first_stream, first_stream + n_paths)
     if isinstance(spec, IntermittentMap):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, NumericalError, ValidationError, as_sorted_sample
+from .errors import DivergenceError, NumericalError, ValidationError, as_sorted_sample, count
 from .models import DistributionModel
 
 __all__ = [
@@ -111,6 +111,7 @@ def level_terms(model: DistributionModel, n: int):
     replicates of one n computes them once and passes them as ``terms``.
     The arrays are read-only, so threads can share them.
     """
+    n = count(n, "n", 1)
     levels = np.arange(1, n) / n
     q = np.array(model.quantile(levels), dtype=float)
     terms = (levels, q, np.array(model.cdf_antiderivative(q), dtype=float))

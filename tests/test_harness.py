@@ -1,13 +1,16 @@
+import argparse
 import json
 import math
 import multiprocessing
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from w1clt import harness
-from w1clt.cli import cli_main
+from w1clt.cli import _build_parser, cli_main
 from w1clt.errors import DivergenceError, ValidationError
 from w1clt.harness import (
     ExperimentConfig,
@@ -350,6 +353,19 @@ def test_cli_unknown_subcommand():
     assert cli_main(["frobnicate"]) == 1  # usage error, not a numerical failure
     assert cli_main([]) == 1
     assert cli_main(["--help"]) == 0
+
+
+def test_readme_command_table_matches_the_parser():
+    # one row per subcommand, naming every flag it takes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {m[1]: set(re.findall(r"`(--[a-z-]+)`", m[2]))
+             for m in re.finditer(r"^\| `([a-z0-9]+)` \| (.*) \|$", readme, re.MULTILINE)}
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: {o for a in p._actions for o in a.option_strings
+                     if o.startswith("--") and o != "--help"}
+              for name, p in sub.choices.items()}
+    assert table == parsed
 
 
 def test_cli_check_threshold(tmp_path, capsys):

@@ -1,0 +1,197 @@
+"""Every count, seed and stream of the Python API goes through ``errors.count``.
+
+A non-integral value (2.5, a bool, a string, None) or one below the
+parameter's minimum raises ValidationError naming the parameter before any
+orbit, calibration, covariance or sampling work starts; an integral float or
+a numpy int gives the bytes of the plain int.
+"""
+import io
+import json
+
+import numpy as np
+import pytest
+
+import w1clt.harness as harness
+import w1clt.limitlaw as limitlaw
+import w1clt.processes as processes
+from w1clt.conditions import (
+    AlphaPolynomial,
+    PhiGeometric,
+    alpha_forms_pair,
+    check_alpha_condition,
+    check_linear_conditions,
+    check_phi_condition,
+)
+from w1clt.errors import ValidationError, count
+from w1clt.harness import (
+    ExperimentConfig,
+    auto_calibration_grid,
+    divergence_probe,
+    run_clt_experiment,
+)
+from w1clt.limitlaw import (
+    brownian_bridge_oracle,
+    covariance_dependent,
+    covariance_iid,
+    quantile_grid,
+    sample_limit_functional,
+    variance_length_grid,
+)
+from w1clt.models import ParetoTail, Uniform
+from w1clt.processes import (
+    IID,
+    CausalLinear,
+    DoublingMap,
+    GeometricCoeffs,
+    IntermittentMap,
+    generate,
+    generate_batch,
+    spawn_rng,
+)
+from w1clt.transport import level_terms
+
+U = Uniform(0, 1)
+INTERMITTENT = IntermittentMap(0.25, 0.4, burn_in=0)
+
+
+def _config(**kwargs):
+    args = {"process": IID(U), "n_values": [16, 32], "replications": 4, "base_seed": 5,
+            "reference_model": U, **kwargs}
+    return ExperimentConfig(**args)
+
+
+def _calibrated(**kwargs):
+    return _config(reference_model=None, calibration_length=64, **kwargs)
+
+
+# (entry point, parameter, least or None, call taking the value under test)
+CASES = [
+    ("spawn_rng", "seed", None, lambda v: spawn_rng(v, 0)),
+    ("spawn_rng", "stream", 0, lambda v: spawn_rng(1, v)),
+    ("spawn_rng", "purpose", 0, lambda v: spawn_rng(1, 0, v)),
+    ("generate", "n", 1, lambda v: generate(IID(U), v, 1)),
+    ("generate", "seed", None, lambda v: generate(IID(U), 8, v)),
+    ("generate", "stream", 0, lambda v: generate(IID(U), 8, 1, stream=v)),
+    ("generate_intermittent", "stream", 0, lambda v: generate(INTERMITTENT, 8, 1, stream=v)),
+    ("generate_batch", "n", 1, lambda v: generate_batch(IID(U), v, 2, 1)),
+    ("generate_batch", "n_paths", 1, lambda v: generate_batch(IID(U), 8, v, 1)),
+    ("generate_batch", "seed", None, lambda v: generate_batch(INTERMITTENT, 8, 2, v)),
+    ("ExperimentConfig", "n_values", 1, lambda v: _config(n_values=[v])),
+    ("ExperimentConfig", "replications", 2, lambda v: _config(replications=v)),
+    ("ExperimentConfig", "base_seed", None, lambda v: _config(base_seed=v)),
+    ("ExperimentConfig", "calibration_length", 1,
+     lambda v: _config(reference_model=None, calibration_length=v)),
+    ("ExperimentConfig", "calibration_grid_size", 1,
+     lambda v: _calibrated(calibration_grid_size=v)),
+    ("run_clt_experiment", "threads", 1, lambda v: run_clt_experiment(_calibrated(), v)),
+    ("divergence_probe", "threads", 1,
+     lambda v: divergence_probe(0.25, 0.4, [64, 128], 4, 3, threads=v)),
+    ("divergence_probe", "n_values", 1, lambda v: divergence_probe(0.25, 0.4, [v], 4, 3)),
+    ("divergence_probe", "seed", None, lambda v: divergence_probe(0.25, 0.4, [64, 128], 4, v)),
+    ("auto_calibration_grid", "size", 1, lambda v: auto_calibration_grid(np.arange(5.0), v)),
+    ("level_terms", "n", 1, lambda v: level_terms(U, v)),
+    ("quantile_grid", "size", 1, lambda v: quantile_grid(U, v)),
+    ("variance_length_grid", "size", 2, lambda v: variance_length_grid(U, v)),
+    ("covariance_dependent", "lag_cutoff", 0,
+     lambda v: covariance_dependent(DoublingMap(0.25), [0.5, 2.0], v, 100, 1)),
+    ("covariance_dependent", "sim_length", 1,
+     lambda v: covariance_dependent(DoublingMap(0.25), [0.5, 2.0], 0, v, 1)),
+    ("covariance_dependent", "seed", None,
+     lambda v: covariance_dependent(DoublingMap(0.25), [0.5, 2.0], 2, 100, v)),
+    ("sample_limit_functional", "replications", 1,
+     lambda v: sample_limit_functional(covariance_iid(U, [0.25, 0.75]), v, 1)),
+    ("sample_limit_functional", "seed", None,
+     lambda v: sample_limit_functional(covariance_iid(U, [0.25, 0.75]), 4, v)),
+    ("brownian_bridge_oracle", "replications", 1, lambda v: brownian_bridge_oracle(U, v, 8, 1)),
+    ("brownian_bridge_oracle", "mesh", 1, lambda v: brownian_bridge_oracle(U, 4, v, 1)),
+    ("brownian_bridge_oracle", "seed", None, lambda v: brownian_bridge_oracle(U, 4, 8, v)),
+    ("check_phi_condition", "terms", 1,
+     lambda v: check_phi_condition(PhiGeometric(1.0, 0.5), U, terms=v)),
+    ("check_alpha_condition", "terms", 10,
+     lambda v: check_alpha_condition(AlphaPolynomial(1.0, 0.5), ParetoTail(1.0, 3.0), v)),
+    ("check_linear_conditions", "terms", 1,
+     lambda v: check_linear_conditions(GeometricCoeffs(0.5), U, "rio_312", terms=v)),
+    ("alpha_forms_pair", "k", 1,
+     lambda v: alpha_forms_pair(AlphaPolynomial(1.0, 0.5), ParetoTail(1.0, 3.0), v)),
+]
+
+
+# parameters for which None is a valid choice: no calibration, adaptive terms
+NONE_ALLOWED = {("ExperimentConfig", "calibration_length"), ("check_phi_condition", "terms")}
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the input was checked")
+
+
+@pytest.mark.parametrize("entry, name, least, call", CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in CASES])
+def test_counts_seeds_and_streams_are_integers_checked_before_any_work(
+        entry, name, least, call, monkeypatch):
+    for module, attr in ((processes, "_rows"), (processes, "_intermittent_orbit"),
+                         (processes, "_intermittent_orbit_batch"), (harness, "generate"),
+                         (harness, "generate_batch"), (limitlaw, "generate"),
+                         (limitlaw, "spawn_rng")):
+        monkeypatch.setattr(module, attr, _no_work)
+    for bad in (2.5, True, "3") + (() if (entry, name) in NONE_ALLOWED else (None,)):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            call(bad)
+    if least is not None:
+        with pytest.raises(ValidationError, match=f"{name} must be >= {least}, got {least - 1}"):
+            call(least - 1)
+
+
+def test_count_takes_integral_values_only():
+    for good in (16, 16.0, np.int64(16), np.float64(16.0), np.array(16)):
+        out = count(good, "n", 16)
+        assert out == 16 and type(out) is int
+    for bad in (np.bool_(True), np.float64(16.5), float("nan"), float("inf"), [16]):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            count(bad, "n")
+    assert count(-7, "seed") == -7  # no bound unless one is given
+
+
+@pytest.mark.parametrize("bad", [None, 64, 2.5, "64", [[64]]])
+def test_n_values_must_be_a_list(bad):
+    with pytest.raises(ValidationError, match="n_values"):
+        _config(n_values=bad)
+    with pytest.raises(ValidationError, match="n_values"):
+        divergence_probe(0.25, 0.4, bad, 4, 3)
+
+
+SPECS = [
+    IID(U),
+    IntermittentMap(0.25, 0.4, burn_in=16),
+    DoublingMap(0.25, burn_in=16),
+    CausalLinear(GeometricCoeffs(0.5), Uniform(-1, 1), truncation=16),
+]
+
+
+def _csv(path):
+    buf = io.StringIO()
+    path.to_csv(buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("make", [float, np.int64], ids=["float", "numpy_int"])
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
+def test_integral_floats_and_numpy_ints_give_the_bytes_of_ints(spec, make):
+    # the CSV header carries the seed and stream, so a numpy int must come out an int
+    assert _csv(generate(spec, make(16), make(16), stream=make(16))) == \
+        _csv(generate(spec, 16, 16, stream=16))
+    batch = generate_batch(spec, make(16), make(3), make(16), first_stream=make(16))
+    assert batch.tobytes() == generate_batch(spec, 16, 3, 16, first_stream=16).tobytes()
+
+
+@pytest.mark.parametrize("make", [float, np.int64], ids=["float", "numpy_int"])
+def test_experiment_takes_integral_floats_and_numpy_ints(make):
+    def run(f):
+        cfg = ExperimentConfig(DoublingMap(0.25, burn_in=16), [f(16), f(32)], f(4), f(16),
+                               calibration_length=f(320), calibration_grid_size=f(64))
+        return run_clt_experiment(cfg, threads=f(2))
+
+    got, want = run(make), run(int)
+    assert [type(n) for n in got] == [int, int] and list(got) == list(want)
+    for n in want:
+        assert got[n].values.tobytes() == want[n].values.tobytes()
+        assert json.dumps(got[n].metadata) == json.dumps(want[n].metadata)

@@ -80,11 +80,15 @@ def test_batch_takes_every_stream_below_2_to_the_64(spec):
         assert batch[r].tobytes() == generate(spec, 20, seed=7, stream=stream).values.tobytes()
     with pytest.raises(ValidationError, match="64 bits"):
         generate_batch(spec, 20, 2, seed=7, first_stream=2**64 - 1)
+    with pytest.raises(ValidationError, match="first_stream must be >= 0, got -1"):
+        generate_batch(spec, 20, 2, seed=7, first_stream=-1)
     for bad in (2.5, "3", True, None):
         with pytest.raises(ValidationError, match="first_stream must be an integer"):
             generate_batch(spec, 20, 2, seed=7, first_stream=bad)
-    with pytest.raises(ValidationError, match="n_paths must be an integer"):
-        generate_batch(spec, 20, 2.5, seed=7)
+        with pytest.raises(ValidationError, match="n_paths must be an integer"):
+            generate_batch(spec, 20, bad, seed=7)
+    with pytest.raises(ValidationError, match="n_paths must be >= 1, got 0"):
+        generate_batch(spec, 20, 0, seed=7)
 
 
 @pytest.mark.parametrize("burn_in", [0, 7])
@@ -423,16 +427,19 @@ def test_maps_require_finite_observable_exponent(make):
             make(a)
 
 
-@pytest.mark.parametrize("make, name", [
-    (lambda v: CausalLinear(GeometricCoeffs(0.5), Uniform(0, 1), truncation=v), "truncation"),
-    (lambda v: DoublingMap(0.25, burn_in=v), "burn_in"),
-    (lambda v: IntermittentMap(0.25, 0.4, burn_in=v), "burn_in"),
+@pytest.mark.parametrize("make, name, least", [
+    (lambda v: CausalLinear(GeometricCoeffs(0.5), Uniform(0, 1), truncation=v), "truncation", 1),
+    (lambda v: DoublingMap(0.25, burn_in=v), "burn_in", 0),
+    (lambda v: IntermittentMap(0.25, 0.4, burn_in=v), "burn_in", 0),
 ], ids=["truncation", "doubling_burn_in", "intermittent_burn_in"])
-def test_specs_take_only_integral_counts(make, name):
-    # as the wire decoder: 2.5 must neither run as J = 2 nor fail inside an orbit
-    for bad in (2.5, True, math.nan, math.inf, "3"):
+def test_specs_take_only_integral_counts(make, name, least):
+    # as the wire decoder: 2.5 must neither run as J = 2 nor fail inside an orbit;
+    # a None truncation picks J by the tail rule
+    for bad in (2.5, True, math.nan, math.inf, "3") + ((None,) if least == 0 else ()):
         with pytest.raises(ValidationError, match=f"{name} must be an integer"):
             make(bad)
+    with pytest.raises(ValidationError, match=f"{name} must be >= {least}, got {least - 1}"):
+        make(least - 1)
     for good in (3.0, np.int64(3)):
         spec = make(good)
         assert type(getattr(spec, name)) is int
