@@ -3,7 +3,7 @@
 Output: every ``to_dict`` returns ``jsonable(self)``, and every JSON writer
 dumps ``jsonable`` data with ``allow_nan=False``.  Input: ``read_key`` and
 friends check one object, ``count`` checks every count, seed and stream the
-Python API takes, ``as_sorted_sample`` checks one sample, and
+Python API takes, ``as_sorted_sample`` checks one sample or a stack, and
 ``from_wire`` decodes a ``WireRecord``.  A wire record is a dataclass whose
 JSON form is its tag (``TAG`` holding the class's ``kind``) followed by its
 fields by name.  Each field's annotation picks its JSON type, a field with
@@ -36,14 +36,20 @@ class DivergenceError(NumericalError):
         self.diagnostic = diagnostic
 
 
-def as_sorted_sample(values) -> np.ndarray:
-    """Validate a finite nonempty 1-D sample and return its order statistics."""
-    arr = np.asarray(values, dtype=float).ravel()
+def as_sorted_sample(values, rows: bool = False) -> np.ndarray:
+    """Validate a finite nonempty sample and return its order statistics.
+
+    The values are flattened into one sample; with ``rows``, a 2-D array is
+    a stack of samples and each row is sorted on its own.
+    """
+    arr = np.asarray(values, dtype=float)
+    if not rows:
+        arr = arr.ravel()
     if arr.size == 0:
         raise ValidationError("sample must be nonempty")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("sample contains non-finite values")
-    return np.sort(arr)
+    return np.sort(arr, axis=-1)
 
 
 _REQUIRED = object()

@@ -11,7 +11,9 @@ most).  ``threads`` is the number of processes p: the calling process
 computes every p-th chunk and p - 1 helper processes, forked from it once per
 call, compute the rest.  p is capped by the CPUs this process may run on and
 by the number of chunks, and is 1 off Linux, where fork is unsafe (macOS)
-or absent (Windows).  The chunks are joined in stream order.
+or absent (Windows).  The chunks are joined in stream order.  Each chunk's
+T_n values come from one stacked ``w1_sample_vs_model`` call on its
+``(rows, n)`` array, which equals the rows' one-at-a-time calls bit for bit.
 """
 from __future__ import annotations
 
@@ -181,11 +183,7 @@ def resolve_reference(cfg: ExperimentConfig) -> tuple[DistributionModel, dict]:
 def _tn_chunk(spec: ProcessSpec, reference: DistributionModel, seed: int, terms: dict,
               n: int, first_stream: int, rows: int) -> np.ndarray:
     values = generate_batch(spec, n, rows, seed, first_stream=first_stream)
-    root_n = math.sqrt(n)
-    return np.array([
-        root_n * w1_sample_vs_model(values[r], reference, terms=terms[n])
-        for r in range(rows)
-    ])
+    return math.sqrt(n) * w1_sample_vs_model(values, reference, terms=terms[n])
 
 
 # (spec, reference, seed, terms): set by _init_helper, only in a helper process

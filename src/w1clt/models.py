@@ -27,7 +27,10 @@ derivative, which ``Tabulated`` lacks) are defined once, on
 ``DistributionModel``: each converts its query to a float array, calls the
 kind's array kernel, named like the method with a leading underscore
 (``_cdf``, ``_tail_quantile``, ...), and returns a Python float for a scalar
-or 0-d query, a float array of the query's shape otherwise.
+or 0-d query, a float array of the query's shape otherwise.  A scalar query
+answers bit for bit like the same value inside an array query, and a 2-D
+query (a stack of samples, as ``transport.w1_sample_vs_model`` passes) like
+each of its rows.
 """
 from __future__ import annotations
 
@@ -51,10 +54,16 @@ __all__ = [
 
 
 def _pointwise(kernel, x):
-    """The kernel at x as a float array; a Python float when the query is scalar or 0-d."""
+    """The kernel at x as a float array; a Python float when the query is scalar or 0-d.
+
+    A scalar query runs the kernel on a one-element array: on numpy scalars
+    ``**`` calls the C library's pow, while an array takes numpy's vector
+    power loop, and the two can differ in the last bits.
+    """
     x = np.asarray(x, dtype=float)
-    out = kernel(x)
-    return float(out) if x.ndim == 0 else out
+    if x.ndim == 0:
+        return float(kernel(x.reshape(1))[0])
+    return kernel(x)
 
 
 class DistributionModel(WireRecord):
@@ -151,8 +160,6 @@ class Uniform(DistributionModel):
             return self._table._tail_quantile(u)
         return np.where(u >= 1.0, 0.0, self.hi - u * self.width)
 
-    # inside * inside, not inside**2: a 0-d query makes numpy scalars, whose ** 2
-    # calls pow and can differ in the last bit from the array path's square
     def _cdf_antiderivative(self, t):
         inside = np.clip(t, self.lo, self.hi) - self.lo
         return inside * inside / (2.0 * self.width) + np.maximum(t - self.hi, 0.0)
@@ -162,7 +169,7 @@ class Uniform(DistributionModel):
         return inside * inside / (2.0 * self.width) + np.maximum(self.lo - t, 0.0)
 
     def _quantile_density(self, u):
-        return np.full(u.shape, self.width)
+        return np.full(u.shape, float(self.width))
 
     def support(self):
         return (self.lo, self.hi)
@@ -451,7 +458,7 @@ class Tabulated(DistributionModel):
             idx = np.cumsum(np.bincount(first_at, minlength=size + 1)[:size])
         else:
             idx = np.clip(np.searchsorted(g, t, side="right") - 1, 0, len(g) - 2)
-        # in place (a 0-d t stays numpy scalars): the same operations as
+        # in place: the same operations as
         # a[idx] + (v[idx] dt + slope[idx] / 2 * dt**2), products and sums commuted
         dt = np.clip(t, g[0], g[-1])
         dt -= g[idx]

@@ -341,15 +341,29 @@ def _iid_rows(spec: IID, n: int, seed: int, streams) -> np.ndarray:
     return out
 
 
+def _unit_float(u: np.ndarray, scale: float) -> np.ndarray:
+    """``u * scale`` for uint64 words u and a power of two scale, with one rounding.
+
+    The halves u >> 32 and u & (2**32 - 1) convert to floats exactly, and
+    their scaled sum rounds once, to the float nearest u times scale, as the
+    direct conversion does; numpy's uint64-to-float cast has no vector loop,
+    its int64 cast has.
+    """
+    high = (u >> np.uint64(32)).view(np.int64).astype(float)
+    low = (u & np.uint64(0xFFFFFFFF)).view(np.int64).astype(float)
+    high *= scale * 2.0**32
+    low *= scale
+    high += low
+    return high
+
+
 def _doubling_rows(spec: DoublingMap, n: int, seed: int, streams) -> np.ndarray:
     # Orbit step k of 2x mod 1 from a Lebesgue-random start is the 128-bit
     # window at bit offset k of one random bit stream; drawing the stream
     # lazily realizes the uniform x0 with as many bits as the orbit needs.
-    offsets = spec.burn_in + np.arange(n, dtype=np.int64)
-    n_words = int(offsets[-1] // 64) + 4
-    q, s = np.divmod(offsets, 64)
-    q1, q2 = q + 1, q + 2
-    s = s.astype(np.uint64)
+    first, lead = divmod(spec.burn_in, 64)  # the word and bit of step 0
+    n_words = (spec.burn_in + n - 1) // 64 + 4
+    s = (np.arange(lead, lead + n) % 64).astype(np.uint64)
     rs = np.where(s == 0, np.uint64(63), np.uint64(64) - s)
     aligned = np.flatnonzero(s == 0)  # a window on a word boundary takes no bits of the next
 
@@ -363,10 +377,12 @@ def _doubling_rows(spec: DoublingMap, n: int, seed: int, streams) -> np.ndarray:
         words = spawn_rng(seed, stream).integers(
             0, np.iinfo(np.uint64).max, size=n_words, dtype=np.uint64, endpoint=True
         )
-        w1 = words[q1]
+        # element j of each slice is the word holding bit offset burn_in + j, or the next two
+        each = np.repeat(words[first:], 64)[lead:]
+        w0, w1, w2 = each[:n], each[64:64 + n], each[128:128 + n]
         x = out[r]
-        np.multiply(window(words[q], w1), 2.0**-64, out=x)
-        x += window(w1, words[q2]) * 2.0**-128
+        x[:] = _unit_float(window(w0, w1), 2.0**-64)
+        x += _unit_float(window(w1, w2), 2.0**-128)
         np.maximum(x, 2.0**-128, out=x)
         x **= -spec.observable_exponent
     return out

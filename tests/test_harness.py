@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from w1clt import harness
+from w1clt import harness, transport
 from w1clt.cli import _build_parser, cli_main
 from w1clt.errors import DivergenceError, ValidationError
 from w1clt.harness import (
@@ -105,16 +105,19 @@ def test_experiment_deterministic_across_thread_counts():
 
 
 @pytest.mark.parametrize("cfg", [
-    ExperimentConfig(IntermittentMap(0.25, 0.4, burn_in=50), [16, 48], 300, 5,
+    ExperimentConfig(IntermittentMap(0.25, 0.4, burn_in=50), [16, 48, 100], 300, 5,
                      calibration_length=2000),
     ExperimentConfig(CausalLinear(PolynomialCoeffs(2.5), Uniform(-1, 1), truncation=32),
-                     [16, 48], 300, 6, calibration_length=2000),
-    ExperimentConfig(IID(ParetoTail(1.0, 3.0)), [16, 48], 300, 7,
+                     [16, 48, 100], 300, 6, calibration_length=2000),
+    ExperimentConfig(IID(ParetoTail(1.0, 3.0)), [16, 48, 100], 300, 7,
                      reference_model=ParetoTail(1.0, 3.0)),
 ], ids=["intermittent", "causal_linear", "iid_pareto"])
 def test_experiment_rows_equal_one_stream_recomputation(cfg):
     # 300 replicates make two 256-row chunks of the per-row generators, so the
-    # per-n terms are shared across chunks; the intermittent case is one lane batch
+    # per-n terms are shared across chunks; the intermittent case is one lane batch.
+    # At n = 100 a stacked W1 block holds 163 rows, so a 256-row chunk, and the
+    # 300-lane intermittent batch of one process, end in a ragged block
+    assert transport._W1_BLOCK_VALUES // 100 == 163
     reference, _ = resolve_reference(cfg)
     assert isinstance(reference, Tabulated) == (cfg.reference_model is None)
     for threads in (1, 2):

@@ -236,7 +236,7 @@ def test_linear_rows_equal_the_full_convolution(spec, n, seed, stream):
 
 @_yardstick
 @given(a=st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0]), _floats(0.05, 3.0)),
-       burn_in=st.sampled_from([0, 63, 64, 65]), n=st.integers(1, 300),
+       burn_in=st.sampled_from([0, 63, 64, 65, 1000]), n=st.integers(1, 300),
        seed=st.integers(0, 2**32), stream=st.integers(0, 2**40))
 @example(a=1.0, burn_in=0, n=64, seed=4, stream=0)
 @example(a=0.25, burn_in=63, n=2, seed=5, stream=1)
@@ -247,6 +247,24 @@ def test_linear_rows_equal_the_full_convolution(spec, n, seed, stream):
 def test_doubling_rows_equal_the_bit_window(a, burn_in, n, seed, stream):
     _assert_rows_equal_reference(DoublingMap(a, burn_in=burn_in), n, seed, stream,
                                  _reference_doubling_row)
+
+
+# the largest word, the top bit alone, the first integer a float cannot hold, and
+# words of 53 leading bits (2**52 + 1, odd) and 11 more that round down, tie to
+# even (up) and round up, and a tie of an even 2**52 that rounds down
+_EDGE_WORDS = [0, 1, 2**64 - 1, 2**63, 2**53 + 1,
+               *((2**52 + 1) * 2**11 + k for k in (1023, 1024, 1025)), 2**63 + 1024]
+
+
+@pytest.mark.parametrize("scale", [2.0**-64, 2.0**-128])
+def test_unit_float_rounds_words_once(scale):
+    # the two-half conversion equals Python's correctly rounded int -> float, and
+    # numpy's direct uint64 * float product it replaces
+    words = np.array(_EDGE_WORDS, dtype=np.uint64)
+    got = processes._unit_float(words, scale)
+    assert got.tolist() == [float(w) * scale for w in _EDGE_WORDS]
+    assert got.tobytes() == (words * scale).tobytes()
+    assert got[-4] < got[-3] == got[-2] and got[-1] == got[3]
 
 
 def test_spawn_rng_streams_differ():

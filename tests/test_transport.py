@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import integrate
 from scipy.stats import wasserstein_distance
 
 from test_dict_properties import MODELS
+from w1clt import transport
 from w1clt.errors import DivergenceError, ValidationError
 from w1clt.models import Exponential, ParetoTail, Tabulated, Uniform
 from w1clt.processes import tabulate_cdf
@@ -288,6 +290,51 @@ def test_w1_fast_path_matches_clip_formula_bit_for_bit(case):
     assert w1_sample_vs_model(x, model, terms=level_terms(model, x.size)) == expected
 
 
+@st.composite
+def model_and_stack(draw):
+    """A finite-mean model, a stack of rows of one length drawn (with ties)
+    from values inside and past both ends of its support, and a block size."""
+    model, pool = draw(model_and_sample())
+    n = draw(st.sampled_from([1, 2, 8, 9, 129]))
+    rows = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    stack = rng.choice(pool, size=(rows, n))
+    # from one row per block to every row in one block, most leaving a ragged last block
+    block = draw(st.integers(1, rows * n + n))
+    return model, stack, block
+
+
+@_w1_settings
+@given(model_and_stack())
+def test_w1_stacked_rows_equal_one_row_calls(case):
+    # rows longer than twice a table's knots take the merge route of the
+    # Tabulated antiderivative in a 1-D call and searchsorted in a 2-D one
+    model, stack, block = case
+    single = np.array([w1_sample_vs_model(row, model) for row in stack])
+    with mock.patch.object(transport, "_W1_BLOCK_VALUES", block):
+        for terms in (None, level_terms(model, stack.shape[1])):
+            out = w1_sample_vs_model(stack, model, terms=terms)
+            assert type(out) is np.ndarray and out.shape == (len(stack),)
+            assert out.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("block", [4, 2**14])
+def test_w1_stack_with_one_bad_value_raises(bad, block):
+    stack = np.tile(np.linspace(0.1, 0.9, 4), (5, 1))
+    stack[3, 2] = bad  # in the last of several blocks, or in the only one
+    with mock.patch.object(transport, "_W1_BLOCK_VALUES", block):
+        with pytest.raises(ValidationError, match="non-finite"):
+            w1_sample_vs_model(stack, Uniform(0, 1))
+
+
+@pytest.mark.parametrize("sample", [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((2, 2, 2))],
+                         ids=["no rows", "empty rows", "3-D"])
+def test_w1_rejects_empty_or_3d_stacks(sample):
+    with pytest.raises(ValidationError, match="nonempty|2-D"):
+        w1_sample_vs_model(sample, Uniform(0, 1))
+
+
 @_w1_settings
 @given(model_and_sample(), st.sampled_from([-1, 1]))
 def test_w1_rejects_level_terms_of_another_n(case, offset):
@@ -460,3 +507,8 @@ def test_sorted_sample_contract():
     assert list(s) == [1.0, 2.0, 3.0]
     with pytest.raises(ValidationError):
         as_sorted_sample([np.inf])
+    stack = [[3.0, 1.0], [0.0, -1.0]]
+    assert as_sorted_sample(stack).tolist() == [-1.0, 0.0, 1.0, 3.0]
+    assert as_sorted_sample(stack, rows=True).tolist() == [[1.0, 3.0], [-1.0, 0.0]]
+    with pytest.raises(ValidationError, match="non-finite"):
+        as_sorted_sample([[0.0, 1.0], [np.nan, 2.0]], rows=True)
