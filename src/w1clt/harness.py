@@ -38,7 +38,7 @@ from .processes import (
     tabulate_cdf,
     with_truncation,
 )
-from .transport import ks_two_sample, level_terms, w1_sample_vs_model, w1_two_samples
+from .transport import ks_two_sample, w1_sample_vs_model, w1_two_samples
 
 __all__ = [
     "ExperimentConfig",
@@ -180,13 +180,13 @@ def resolve_reference(cfg: ExperimentConfig) -> tuple[DistributionModel, dict]:
 # the experiment
 # ---------------------------------------------------------------------------
 
-def _tn_chunk(spec: ProcessSpec, reference: DistributionModel, seed: int, terms: dict,
+def _tn_chunk(spec: ProcessSpec, reference: DistributionModel, seed: int,
               n: int, first_stream: int, rows: int) -> np.ndarray:
     values = generate_batch(spec, n, rows, seed, first_stream=first_stream)
-    return math.sqrt(n) * w1_sample_vs_model(values, reference, terms=terms[n])
+    return math.sqrt(n) * w1_sample_vs_model(values, reference)
 
 
-# (spec, reference, seed, terms): set by _init_helper, only in a helper process
+# (spec, reference, seed): set by _init_helper, only in a helper process
 _helper_state: tuple = ()
 
 
@@ -246,12 +246,9 @@ def run_clt_experiment(cfg: ExperimentConfig, threads: int = 1) -> dict[int, Sta
     reference, ref_meta = resolve_reference(cfg)
     processes = _process_count(threads)
     chunks = _plan_chunks(cfg, processes)
-    # read-only per-n terms, shared by every chunk of that n
-    terms = {n: level_terms(reference, n) for n in cfg.n_values}
     # J of the linear default truncation rule is resolved here, before any fork
     spec = with_truncation(cfg.process)
-    results = _run_chunks(chunks, (spec, reference, cfg.base_seed, terms),
-                          min(processes, len(chunks)))
+    results = _run_chunks(chunks, (spec, reference, cfg.base_seed), min(processes, len(chunks)))
     out: dict[int, StatisticSample] = {}
     for n in cfg.n_values:
         values = np.concatenate([r for c, r in zip(chunks, results) if c[0] == n])

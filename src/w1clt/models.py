@@ -280,21 +280,32 @@ class ParetoTail(DistributionModel):
     def _tail_quantile(self, u):
         return np.where(u >= 1.0, 0.0, self.scale * np.minimum(u, 1.0) ** (-1.0 / self.exponent))
 
+    def _scaled_power(self, s):
+        """c**r * s**(1 - r) for s >= c, written c * (s / c)**(1 - r) because c**r
+        underflows for a tiny scale; from logarithms where s / c overflows."""
+        c, r = self.scale, self.exponent
+        with np.errstate(over="ignore"):
+            ratio = s / c
+        out = c * ratio ** (1.0 - r)
+        if c < 1.0:  # s / c <= s otherwise
+            far = np.isinf(ratio)
+            out[far] = np.exp(r * math.log(c) + (1.0 - r) * np.log(s[far]))
+        return out
+
     def _cdf_antiderivative(self, t):
         c, r = self.scale, self.exponent
         safe = np.maximum(t, c)
         if r == 1.0:
             tail_part = c * np.log(safe / c)
         else:
-            tail_part = c**r * (safe ** (1.0 - r) - c ** (1.0 - r)) / (1.0 - r)
+            tail_part = (self._scaled_power(safe) - c) / (1.0 - r)
         return np.where(t < c, 0.0, (safe - c) - tail_part)
 
     def _upper_mean_excess(self, t):
         c, r = self.scale, self.exponent
         if r <= 1.0:
             raise ValidationError(f"mean excess diverges: tail exponent {r} <= 1")
-        beyond = c**r * np.maximum(t, c) ** (1.0 - r) / (r - 1.0)
-        return beyond + np.maximum(c - t, 0.0)
+        return self._scaled_power(np.maximum(t, c)) / (r - 1.0) + np.maximum(c - t, 0.0)
 
     @np.errstate(divide="ignore", over="ignore")
     def _quantile_density(self, u):

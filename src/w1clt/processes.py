@@ -409,29 +409,23 @@ def first_index_below(tail, tol: float, cap: int) -> int | None:
     return hi
 
 
-def _resolve_truncation(family: CoeffFamily, requested: int | None) -> int:
-    """The requested J, or the smallest J >= 1 with abs_tail(J) < 1e-8."""
-    if requested is not None:
-        return requested
-    j = first_index_below(family.abs_tail, _TRUNCATION_TOL, _TRUNCATION_CAP)
+def with_truncation(spec: ProcessSpec) -> ProcessSpec:
+    """``spec``, with a linear process's default truncation J written out.
+
+    The default J is the smallest J >= 1 with abs_tail(J) < 1e-8.  The rows
+    equal ``spec``'s bit for bit.  A caller about to fork resolves J first, so
+    helpers inherit the scipy import a polynomial tail needs instead of each
+    repeating it.
+    """
+    if not isinstance(spec, CausalLinear) or spec.truncation is not None:
+        return spec
+    j = first_index_below(spec.coefficients.abs_tail, _TRUNCATION_TOL, _TRUNCATION_CAP)
     if j is None:
         raise ValidationError(
             "coefficient tail decays too slowly for the default truncation rule; "
             "set an explicit truncation"
         )
-    return max(j, 1)
-
-
-def with_truncation(spec: ProcessSpec) -> ProcessSpec:
-    """``spec``, with a linear process's default truncation J written out.
-
-    Its rows equal ``spec``'s bit for bit.  A caller about to fork resolves
-    J first, so helpers inherit the scipy import a polynomial tail needs
-    instead of each repeating it.
-    """
-    if isinstance(spec, CausalLinear) and spec.truncation is None:
-        return replace(spec, truncation=_resolve_truncation(spec.coefficients, None))
-    return spec
+    return replace(spec, truncation=max(j, 1))
 
 
 def _linear_rows(spec: CausalLinear, n: int, seed: int, streams) -> np.ndarray:

@@ -4,8 +4,9 @@ In one dimension ``d1(P, Q) = int |F_P - F_Q| dt``, which is computable
 exactly for step CDFs (finite sums over merged breakpoints) and for
 sample-vs-model comparisons (signed antiderivative differences split at the
 single crossing point inside each order-statistic interval).  A 2-D sample
-is a stack of samples: ``w1_sample_vs_model`` scores it in blocks of rows,
-one vector call per model function and block, with one W1 per row.  The same
+is a stack of samples: ``w1_sample_vs_model`` computes the level terms i/n,
+Q(i/n) and A(Q(i/n)) once per call and scores the rows in blocks, one vector
+call per model function and block, with one W1 per row.  The same
 distance equals the supremum of mean differences over 1-Lipschitz test
 functions; that dual form is recorded here as an identity only and never
 computed.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, NumericalError, ValidationError, as_sorted_sample, count
+from .errors import DivergenceError, NumericalError, ValidationError, as_sorted_sample
 from .models import DistributionModel
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "ks_two_sample",
     "w1_two_samples",
     "w1_sample_vs_model",
-    "level_terms",
     "lambda21",
     "quantile_tail_integral",
     "sqrt_tail_integral",
@@ -111,24 +111,8 @@ def w1_two_samples(x, y) -> float:
     return float(np.sum(gaps[:-1] * np.diff(merged)))
 
 
-def level_terms(model: DistributionModel, n: int):
-    """The per-n terms of ``w1_sample_vs_model``: levels i/n, Q(i/n) and their antiderivatives.
-
-    They depend on n and the model only, so a caller computing many
-    replicates of one n computes them once and passes them as ``terms``.
-    The arrays are read-only, so threads can share them.
-    """
-    n = count(n, "n", 1)
-    levels = np.arange(1, n) / n
-    q = np.array(model.quantile(levels), dtype=float)
-    terms = (levels, q, np.array(model.cdf_antiderivative(q), dtype=float))
-    for t in terms:
-        t.flags.writeable = False
-    return terms
-
-
-def w1_sample_vs_model(sample, model: DistributionModel, tail_tol: float = 1e-12,
-                       terms=None) -> float | np.ndarray:
+def w1_sample_vs_model(sample, model: DistributionModel,
+                       tail_tol: float = 1e-12) -> float | np.ndarray:
     """Exact ``int |F_n - F| dt`` for a sample against a reference model.
 
     Between consecutive order statistics F_n is the constant i/n, and |i/n - F|
@@ -137,15 +121,15 @@ def w1_sample_vs_model(sample, model: DistributionModel, tail_tol: float = 1e-12
     pieces use the model's closed-form mean-excess integrals, exact for all
     built-in kinds.  ``tail_tol`` is the additive error allowed to a
     quadrature-backed model; no built-in model is one, so none reads it and
-    it is only checked to be positive.  ``terms`` is ``level_terms(model, n)``
-    for the sample size n; it is computed here when not given.
+    it is only checked to be positive.
 
     A 2-D ``sample`` is a stack of samples of one size n, one per row, and
     the result is an array of one W1 per row, each bit for bit the float a
-    1-D call on that row returns.  The rows are scored _W1_BLOCK_VALUES
-    values at a time: one row-wise sort, one antiderivative call and one
-    upper-tail call per block.  Rows longer than half a block are scored one
-    at a time.
+    1-D call on that row returns.  The levels i/n, Q(i/n) and A(Q(i/n)) are
+    computed once per call and shared by every row.  The rows are scored
+    _W1_BLOCK_VALUES values at a time: one row-wise sort, one antiderivative
+    call and one upper-tail call per block.  Rows longer than half a block are
+    scored one at a time.
 
     Raises
     ------
@@ -167,10 +151,9 @@ def w1_sample_vs_model(sample, model: DistributionModel, tail_tol: float = 1e-12
     if x.size == 0:
         raise ValidationError("sample must be nonempty")
     n = x.shape[1] if x.ndim == 2 else x.size
-    if terms is None:
-        terms = level_terms(model, n)
-    if any(len(t) != n - 1 for t in terms):
-        raise ValidationError(f"level terms must have length n - 1 = {n - 1}")
+    levels = np.arange(1, n) / n
+    q = model.quantile(levels)
+    terms = (levels, q, model.cdf_antiderivative(q))
     if x.ndim < 2:
         return float(_w1_sorted(as_sorted_sample(x), model, terms))
     step = _W1_BLOCK_VALUES // n

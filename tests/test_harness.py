@@ -14,6 +14,7 @@ from w1clt.cli import _build_parser, cli_main
 from w1clt.errors import DivergenceError, ValidationError
 from w1clt.harness import (
     ExperimentConfig,
+    auto_calibration_grid,
     compare_against_limit,
     compare_distributions,
     divergence_probe,
@@ -263,6 +264,11 @@ def test_config_auto_calibration_length():
     assert cfg.calibration_grid_size == 64
     out = run_clt_experiment(cfg)
     assert out[32].metadata["calibration_length"] == 320
+
+
+def test_auto_calibration_grid_of_a_constant_orbit():
+    # one distinct value gives no interval, so the grid falls back to [v, v + 1]
+    np.testing.assert_array_equal(auto_calibration_grid(np.full(50, 3.5), 16), [3.5, 4.5])
 
 
 @pytest.mark.parametrize("length", [0, -5])
@@ -550,6 +556,48 @@ def test_cli_limit_iid(tmp_path, capsys):
         assert np.all(vals >= 0)
 
 
+def test_cli_limit_dependent(tmp_path, capsys):
+    cfg = {
+        "schema_version": 1,
+        "model": {"kind": "pareto_tail", "scale": 1, "exponent": 4},
+        "process": {"variant": "doubling", "observable_exponent": 0.25},
+        "grid": {"size": 16},
+        "lag_cutoff": 5,
+        "sim_length": 5000,
+        "replications": 200,
+        "seed": 3,
+    }
+    f = tmp_path / "limit.json"
+    f.write_text(json.dumps(cfg))
+    assert cli_main(["limit", "--config", str(f), "--out-dir", str(tmp_path)]) == 0
+    covariance = json.loads(capsys.readouterr().out)["covariance"]
+    assert covariance["source"] == "simulated_dependent"
+    assert covariance["lag_cutoff"] == 5 and len(covariance["grid"]) == 16
+    with open(tmp_path / "limit.csv") as fh:
+        vals = StatisticSample.read_csv_values(fh)
+    assert vals.size == 200 and np.all(vals >= 0)
+
+
+def test_cli_check_phi(tmp_path, capsys):
+    f = tmp_path / "phi.json"
+    f.write_text(json.dumps({"schema_version": 1, "kind": "phi", "rho": 0.5,
+                             "model": {"kind": "uniform", "lo": 0, "hi": 1}}))
+    assert cli_main(["check", "--config", str(f), "--out-dir", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "converges"
+
+
+def test_cli_numerical_failure_exit_code(tmp_path, capsys):
+    # an infinite-mean reference makes W1 diverge: exit 2, with the diagnostic
+    pareto = {"kind": "pareto_tail", "scale": 1, "exponent": 0.8}
+    f = tmp_path / "exp.json"
+    f.write_text(json.dumps({**_EXPERIMENT, "process": {"variant": "iid", "model": pareto},
+                             "reference": {"analytic": pareto}}))
+    assert cli_main(["experiment", "--config", str(f), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: W1 against a model with infinite mean diverges")
+    assert "tail exponent r=0.8" in err
+
+
 _UNIFORM = {"kind": "uniform", "lo": 0, "hi": 1}
 _GENERATE = {"schema_version": 1, "process": {"variant": "iid", "model": _UNIFORM}, "n": 10}
 _LIMIT = {"schema_version": 1, "model": _UNIFORM, "grid": {"size": 8}, "replications": 10}
@@ -573,6 +621,7 @@ _PROBE = ["probe", "--gamma", "0.25", "--a", "0.4", "--out-dir", "{out}", "--n-v
 
 @pytest.mark.parametrize("argv, config, named", [
     (["check", "--gamma", "0.25", "--a", "0.2", "--threads", "0"], None, "--threads"),
+    (["check", "--gamma", "0.25"], None, "check needs either --gamma and --a, or --config"),
     (["w1", "--x", "{csv}", "--y", "{csv}", "--seed", "5"], None, "--seed"),
     (["experiment", *_CFG, "--seed", "5"], _EXPERIMENT, "--seed"),
     (["probe", "--gamma", "0.25", "--a", "0.4", "--n-values", "64,128", "--config", "x.json"],
@@ -644,7 +693,7 @@ _PROBE = ["probe", "--gamma", "0.25", "--a", "0.4", "--out-dir", "{out}", "--n-v
     # its closed forms raised an uncaught OverflowError and a traceback
     (["experiment", *_CFG], {**_EXPERIMENT, "reference": {"analytic": {
         "kind": "pareto_tail", "scale": 10, "exponent": 400}}}, "overflows"),
-], ids=["check-threads", "w1-seed", "experiment-seed", "probe-config", "probe-threads",
+], ids=["check-threads", "check-half-threshold", "w1-seed", "experiment-seed", "probe-config", "probe-threads",
         "model-typo", "spec-typo", "coefficients-typo", "limit-key", "iid-limit-lag",
         "generate-key", "out-path", "check-key", "reference-typo", "string-number",
         "scalar-list", "grid-scheme", "report-same-n", "zero-tail-tol",

@@ -48,7 +48,6 @@ from w1clt.processes import (
     generate_batch,
     spawn_rng,
 )
-from w1clt.transport import level_terms
 
 U = Uniform(0, 1)
 INTERMITTENT = IntermittentMap(0.25, 0.4, burn_in=0)
@@ -89,7 +88,6 @@ CASES = [
     ("divergence_probe", "n_values", 1, lambda v: divergence_probe(0.25, 0.4, [v], 4, 3)),
     ("divergence_probe", "seed", None, lambda v: divergence_probe(0.25, 0.4, [64, 128], 4, v)),
     ("auto_calibration_grid", "size", 1, lambda v: auto_calibration_grid(np.arange(5.0), v)),
-    ("level_terms", "n", 1, lambda v: level_terms(U, v)),
     ("quantile_grid", "size", 1, lambda v: quantile_grid(U, v)),
     ("variance_length_grid", "size", 2, lambda v: variance_length_grid(U, v)),
     ("covariance_dependent", "lag_cutoff", 0,

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from w1clt.conditions import PhiGeometric, lag_cutoff
-from w1clt.errors import ValidationError
+from w1clt.errors import NumericalError, ValidationError
 from w1clt.limitlaw import (
     CovarianceGrid,
     PsdRepair,
@@ -318,6 +318,63 @@ def test_variance_length_grid_covers_heavy_tail():
     rep_q = grid_tail_report(model, g_q)
     rep_v = grid_tail_report(model, g_v)
     assert rep_v["sqrt_variance_mass_above"] < 0.1 * rep_q["sqrt_variance_mass_above"]
+
+
+def test_quantile_grid_drops_tied_quantiles_of_a_step_table():
+    # F jumps to 0.5 at 0 and to 0.8 at 1: the eight levels take only three quantiles
+    step = Tabulated([0.0, 1.0, 2.0], [0.5, 0.8, 1.0], interp="step")
+    np.testing.assert_array_equal(quantile_grid(step, 8), [0.0, 1.0, 2.0])
+
+
+def test_grid_tail_report_finite_support_and_heavy_tail():
+    sd = lambda t: math.sqrt(t * (1.0 - t))
+    rep = grid_tail_report(Uniform(0, 1), np.array([0.25, 0.75]))
+    mass = integrate.quad(sd, 0.0, 0.25)[0]
+    assert rep["sqrt_variance_mass_below"] == pytest.approx(mass, rel=1e-9)
+    assert rep["sqrt_variance_mass_above"] == pytest.approx(mass, rel=1e-9)
+    assert grid_tail_report(Uniform(0, 1), np.array([0.0, 1.0])) == {
+        "sqrt_variance_mass_below": 0.0, "sqrt_variance_mass_above": 0.0}
+    # sqrt(1 - F) = t^(-r/2) is not integrable at infinity for r <= 2
+    for r in (2.0, 1.5):
+        assert grid_tail_report(ParetoTail(1.0, r), np.array([2.0, 3.0]))[
+            "sqrt_variance_mass_above"] == math.inf
+
+
+def _failing_eigh(monkeypatch, failures):
+    """Make np.linalg.eigh raise LinAlgError on its first ``failures`` calls;
+    returns the list of matrices it was called with."""
+    real, calls = np.linalg.eigh, []
+
+    def eigh(matrix):
+        calls.append(matrix)
+        if len(calls) <= failures:
+            raise np.linalg.LinAlgError("forced")
+        return real(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return calls
+
+
+def test_repair_psd_escalates_jitter_after_a_failed_eigh(monkeypatch):
+    matrix = covariance_iid(Uniform(0, 1), [0.25, 0.5, 0.75]).matrix
+    calls = _failing_eigh(monkeypatch, 2)
+    repaired, repair = _repair_psd(matrix)
+    jitter = 1e-11 * np.trace(matrix)  # 1e-12 trace, then ten times that
+    assert repair.jitter_added == pytest.approx(jitter, rel=1e-12)
+    assert len(calls) == 3
+    np.testing.assert_array_equal(calls[2], matrix + repair.jitter_added * np.eye(3))
+    np.testing.assert_allclose(repaired, matrix + jitter * np.eye(3), atol=1e-15)
+
+
+def test_repair_psd_and_sampler_raise_when_eigh_always_fails(monkeypatch):
+    matrix = covariance_iid(Uniform(0, 1), [0.25, 0.75]).matrix
+    calls = _failing_eigh(monkeypatch, math.inf)
+    with pytest.raises(NumericalError, match="jitter escalation"):
+        _repair_psd(matrix)
+    assert len(calls) == 8
+    cg = CovarianceGrid(np.array([0.25, 0.75]), matrix, 0, PsdRepair(), "analytic_iid")
+    with pytest.raises(NumericalError, match="factorization failed"):
+        sample_limit_functional(cg, 10, seed=1)
 
 
 def test_covariance_grid_json_fields():

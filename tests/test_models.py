@@ -301,6 +301,47 @@ def test_pareto_rejects_overflowing_powers_of_the_scale(scale, exponent):
         ParetoTail(scale, exponent)
 
 
+def _scaled_quad(fn, scale, lo, hi):
+    """int_{scale * lo}^{scale * hi} fn(t) dt, integrated in u = t / scale."""
+    val, abserr = integrate.quad(lambda u: float(fn(scale * u)), lo, hi, epsabs=0.0,
+                                 epsrel=1e-12, limit=200)
+    assert abserr <= 1e-10 * abs(val)
+    return scale * val
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-3, 1.0, 7.5])
+def test_pareto_tiny_scale_keeps_its_tail(scale):
+    # c**r underflowed for a tiny scale: mean_abs read 1e-150 for 1.5e-150
+    model = ParetoTail(scale, 3.0)
+    assert model.mean_abs() == pytest.approx(1.5 * scale, rel=1e-14)
+    assert model.mean_abs() == pytest.approx(
+        _scaled_quad(model.tail, scale, 0.0, 1.0) + _scaled_quad(model.tail, scale, 1.0, math.inf),
+        rel=1e-10)
+    excess = model.upper_mean_excess(2 * scale)
+    assert excess == pytest.approx(_scaled_quad(model.tail, scale, 2.0, math.inf), rel=1e-10)
+    assert excess == pytest.approx(0.125 * scale, rel=1e-14)  # 1.25e-151 at scale 1e-150
+
+
+@pytest.mark.parametrize("scale", [1e-150, 0.5, 2.0])
+def test_pareto_exponent_one_antiderivative_matches_quadrature(scale):
+    model = ParetoTail(scale, 1.0)
+    for t in (0.5 * scale, 1.5 * scale, 40.0 * scale):
+        expected = _scaled_quad(model.cdf, scale, 1.0, max(t / scale, 1.0))
+        assert model.cdf_antiderivative(t) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("scale, exponent, t", [(1e-10, 1.001, 1e299), (1e-10, 1.5, 1e299),
+                                                (1e-300, 0.01, 1e300)])
+def test_pareto_closed_forms_where_t_over_scale_overflows(scale, exponent, t):
+    # c**r * t**(1 - r) is finite here although t / c is not
+    power = scale**exponent * t ** (1.0 - exponent)
+    expected = (t - scale) - (power - scale) / (1.0 - exponent)
+    assert ParetoTail(scale, exponent).cdf_antiderivative(t) == pytest.approx(expected, rel=1e-12)
+    if exponent > 1.0:
+        excess = ParetoTail(scale, exponent).upper_mean_excess(t)
+        assert excess == pytest.approx(power / (exponent - 1.0), rel=1e-12)
+
+
 def test_signed_uniform_folds_once(monkeypatch):
     model = Uniform(-1.0, 1.0)
     table = Tabulated([-1.0, 1.0], [0.0, 1.0])

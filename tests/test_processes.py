@@ -20,6 +20,7 @@ from w1clt.processes import (
     spawn_rng,
     spec_from_dict,
     tabulate_cdf,
+    with_truncation,
 )
 from w1clt.transport import w1_sample_vs_model
 
@@ -167,9 +168,7 @@ def _floats(lo, hi):
 
 
 def _reference_linear_row(spec, n, seed, stream):
-    j = spec.truncation
-    if j is None:
-        j = processes._resolve_truncation(spec.coefficients, None)
+    j = with_truncation(spec).truncation
     coeffs = np.asarray(spec.coefficients.coeff(np.arange(j + 1)), dtype=float)
     eps = spec.innovation.quantile(spawn_rng(seed, stream).random(n + j))
     return np.convolve(coeffs, eps)[j:j + n]
@@ -228,7 +227,7 @@ def _assert_rows_equal_reference(spec, n, seed, stream, reference):
 @example(spec=CausalLinear(PolynomialCoeffs(2.0), Uniform(-1, 1), 5), n=500, seed=3, stream=9)
 def test_linear_rows_equal_the_full_convolution(spec, n, seed, stream):
     path = _assert_rows_equal_reference(spec, n, seed, stream, _reference_linear_row)
-    j = spec.truncation or processes._resolve_truncation(spec.coefficients, None)
+    j = with_truncation(spec).truncation
     assert path.truncation_error_bound == (
         spec.coefficients.abs_tail(j) * spec.innovation.mean_abs()
     )
@@ -364,30 +363,30 @@ def test_linear_small_case_hand_convolution():
     assert path.truncation_error_bound == pytest.approx(fam.abs_tail(2) * 0.5)
 
 
+def _default_truncation(fam):
+    return with_truncation(CausalLinear(fam, Uniform(-1, 1))).truncation
+
+
 def test_truncation_rule_geometric():
     fam = GeometricCoeffs(0.5)
     spec = CausalLinear(fam, Uniform(0, 1))
     path = generate(spec, 10, seed=1)
     assert path.truncation_error_bound < 1e-8
     # the rule picks the smallest J >= 1 with abs_tail(J) < 1e-8
-    from w1clt.processes import _resolve_truncation
-
     for rho in np.geomspace(1e-9, 0.99, 400):
         fam = GeometricCoeffs(float(rho))
-        j = _resolve_truncation(fam, None)
+        j = _default_truncation(fam)
         assert fam.abs_tail(j) < 1e-8
         assert j == 1 or fam.abs_tail(j - 1) >= 1e-8, rho
 
 
 def test_truncation_rule_polynomial_and_cap():
     fam = PolynomialCoeffs(4.0)
-    from w1clt.processes import _resolve_truncation
-
-    j = _resolve_truncation(fam, None)
+    j = _default_truncation(fam)
     assert fam.abs_tail(j) < 1e-8 <= fam.abs_tail(j - 1)
     slow = PolynomialCoeffs(1.2)
     with pytest.raises(ValidationError):
-        _resolve_truncation(slow, None)
+        _default_truncation(slow)
 
 
 def test_resource_limit():

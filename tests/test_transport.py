@@ -16,7 +16,6 @@ from w1clt.transport import (
     as_sorted_sample,
     ks_two_sample,
     lambda21,
-    level_terms,
     quantile_tail_integral,
     sqrt_tail_integral,
     w1_sample_vs_model,
@@ -242,7 +241,7 @@ def test_permutation_invariance():
 # ---------------------------------------------------------------------------
 
 def clip_then_antiderivative_w1(sample, model):
-    """The W1 formula before level_terms: A evaluated at the clipped quantiles.
+    """The W1 formula with A evaluated at the clipped quantiles.
 
     A copy kept as the bit-for-bit yardstick of the fast path, which selects
     A(t*) from the values already known at Q(i/n) and at the order statistics.
@@ -287,7 +286,6 @@ def test_w1_fast_path_matches_clip_formula_bit_for_bit(case):
     model, x = case
     expected = clip_then_antiderivative_w1(x, model)
     assert w1_sample_vs_model(x, model) == expected
-    assert w1_sample_vs_model(x, model, terms=level_terms(model, x.size)) == expected
 
 
 @st.composite
@@ -312,10 +310,9 @@ def test_w1_stacked_rows_equal_one_row_calls(case):
     model, stack, block = case
     single = np.array([w1_sample_vs_model(row, model) for row in stack])
     with mock.patch.object(transport, "_W1_BLOCK_VALUES", block):
-        for terms in (None, level_terms(model, stack.shape[1])):
-            out = w1_sample_vs_model(stack, model, terms=terms)
-            assert type(out) is np.ndarray and out.shape == (len(stack),)
-            assert out.tobytes() == single.tobytes()
+        out = w1_sample_vs_model(stack, model)
+    assert type(out) is np.ndarray and out.shape == (len(stack),)
+    assert out.tobytes() == single.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -333,16 +330,6 @@ def test_w1_stack_with_one_bad_value_raises(bad, block):
 def test_w1_rejects_empty_or_3d_stacks(sample):
     with pytest.raises(ValidationError, match="nonempty|2-D"):
         w1_sample_vs_model(sample, Uniform(0, 1))
-
-
-@_w1_settings
-@given(model_and_sample(), st.sampled_from([-1, 1]))
-def test_w1_rejects_level_terms_of_another_n(case, offset):
-    model, x = case
-    if x.size + offset < 1:
-        offset = 1
-    with pytest.raises(ValidationError, match="length"):
-        w1_sample_vs_model(x, model, terms=level_terms(model, x.size + offset))
 
 
 @_w1_settings
