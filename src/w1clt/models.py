@@ -99,13 +99,6 @@ class DistributionModel(WireRecord):
         raise ValidationError(f"{self.kind} model has no differentiable quantile")
 
     # --- metadata -----------------------------------------------------------
-    def support(self) -> tuple[float, float]:
-        raise NotImplementedError
-
-    def tail_exponent(self) -> float:
-        """Polynomial decay rate r of P(|Y|>t); math.inf if faster than any power."""
-        raise NotImplementedError
-
     @property
     def has_finite_mean(self) -> bool:
         return self.tail_exponent() > 1.0
@@ -113,14 +106,6 @@ class DistributionModel(WireRecord):
     def mean_abs(self) -> float:
         """E|Y| via E|Y| = int_0^inf tail = upper_mean_excess(0) + cdf_antiderivative(0)."""
         return self.upper_mean_excess(0.0) + self.cdf_antiderivative(0.0)
-
-    def sqrt_tail_integral_exact(self) -> float:
-        """Closed form of int_0^inf sqrt(tail(t)) dt."""
-        raise NotImplementedError
-
-    def quantile_tail_integral_exact(self, alpha: float) -> float:
-        """Closed form of int_0^alpha Q(u)/sqrt(u) du, Q the tail quantile of |Y|."""
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -253,11 +238,6 @@ class ParetoTail(DistributionModel):
     def __post_init__(self):
         if not (0.0 < self.scale < math.inf and 0.0 < self.exponent < math.inf):
             raise ValidationError("ParetoTail requires finite scale > 0 and finite exponent > 0")
-        try:  # the powers of the scale in the closed forms
-            float(self.scale) ** self.exponent, float(self.scale) ** (1.0 - self.exponent)
-        except OverflowError:
-            raise ValidationError(f"ParetoTail scale {self.scale} to the power exponent "
-                                  f"{self.exponent} or 1 - exponent overflows") from None
 
     @property
     def density_bound(self):
@@ -296,7 +276,12 @@ class ParetoTail(DistributionModel):
         c, r = self.scale, self.exponent
         safe = np.maximum(t, c)
         if r == 1.0:
-            tail_part = c * np.log(safe / c)
+            with np.errstate(over="ignore"):
+                ratio = safe / c
+            tail_part = c * np.log(ratio)
+            if c < 1.0:  # as in _scaled_power
+                far = np.isinf(ratio)
+                tail_part[far] = c * (np.log(safe[far]) - math.log(c))
         else:
             tail_part = (self._scaled_power(safe) - c) / (1.0 - r)
         return np.where(t < c, 0.0, (safe - c) - tail_part)
@@ -457,16 +442,20 @@ class Tabulated(DistributionModel):
     def _cdf_antiderivative(self, t):
         """Integral of F over (-inf, t], knot interval by knot interval.
 
-        A 1-D sorted t longer than twice the grid finds its intervals by one
-        merge of the grid into t; any other t by ``searchsorted(grid, t)``.
-        Both give the same indices, so the same floats.
+        A t whose rows (along its last axis) are sorted and longer than twice
+        the grid, a 1-D t or a stack alike, finds each row's intervals by one
+        merge of the grid into the row; any other t by
+        ``searchsorted(grid, t)``.  Both give the same indices, so the same
+        floats.
         """
         g, v = self.grid, self.cdf_values
-        size = t.size
-        if t.ndim == 1 and size > 2 * len(g) and np.all(t[1:] >= t[:-1]):
-            # idx[j] counts the interior knots g[1:-1] at or below t[j]
-            first_at = np.searchsorted(t, g[1:-1], side="left")
-            idx = np.cumsum(np.bincount(first_at, minlength=size + 1)[:size])
+        size = t.shape[-1]
+        if size > 2 * len(g) and np.all(t[..., 1:] >= t[..., :-1]):
+            # idx counts, row by row, the interior knots g[1:-1] at or below each t
+            idx = np.empty(t.shape, dtype=np.intp)
+            for row, counts in zip(t.reshape(-1, size), idx.reshape(-1, size)):
+                first_at = np.searchsorted(row, g[1:-1], side="left")
+                np.cumsum(np.bincount(first_at, minlength=size + 1)[:size], out=counts)
         else:
             idx = np.clip(np.searchsorted(g, t, side="right") - 1, 0, len(g) - 2)
         # in place: the same operations as

@@ -3,13 +3,13 @@
 In one dimension ``d1(P, Q) = int |F_P - F_Q| dt``, which is computable
 exactly for step CDFs (finite sums over merged breakpoints) and for
 sample-vs-model comparisons (signed antiderivative differences split at the
-single crossing point inside each order-statistic interval).  A 2-D sample
-is a stack of samples: ``w1_sample_vs_model`` computes the level terms i/n,
-Q(i/n) and A(Q(i/n)) once per call and scores the rows in blocks, one vector
-call per model function and block, with one W1 per row.  The same
-distance equals the supremum of mean differences over 1-Lipschitz test
-functions; that dual form is recorded here as an identity only and never
-computed.
+single crossing point inside each order-statistic interval).
+``w1_sample_vs_model`` scores every sample as a stack of rows (a 1-D sample
+is a one-row stack): it computes the level terms i/n, Q(i/n) and A(Q(i/n))
+once per call and scores the rows in blocks, one vector call per model
+function and block, with one W1 per row.  The same distance equals the
+supremum of mean differences over 1-Lipschitz test functions; that dual
+form is recorded here as an identity only and never computed.
 
 ``as_sorted_sample`` (defined in ``errors``, below ``models``) is the only
 sample intake: every distance here, ``processes.tabulate_cdf`` and
@@ -124,12 +124,13 @@ def w1_sample_vs_model(sample, model: DistributionModel,
     it is only checked to be positive.
 
     A 2-D ``sample`` is a stack of samples of one size n, one per row, and
-    the result is an array of one W1 per row, each bit for bit the float a
-    1-D call on that row returns.  The levels i/n, Q(i/n) and A(Q(i/n)) are
-    computed once per call and shared by every row.  The rows are scored
-    _W1_BLOCK_VALUES values at a time: one row-wise sort, one antiderivative
-    call and one upper-tail call per block.  Rows longer than half a block are
-    scored one at a time.
+    the result is an array of one W1 per row; a 1-D (or 0-d) sample is a
+    one-row stack whose W1 is returned as a float, so a 1-D call on a row
+    equals that row of the stacked result bit for bit.  The levels i/n,
+    Q(i/n) and A(Q(i/n)) are computed once per call and shared by every row.
+    The rows are scored in blocks of ``max(1, _W1_BLOCK_VALUES // n)`` rows:
+    one row-wise sort, one antiderivative call and one upper-tail call per
+    block.
 
     Raises
     ------
@@ -150,35 +151,31 @@ def w1_sample_vs_model(sample, model: DistributionModel,
                               f"got {x.ndim} dimensions")
     if x.size == 0:
         raise ValidationError("sample must be nonempty")
-    n = x.shape[1] if x.ndim == 2 else x.size
+    stack = x if x.ndim == 2 else x.reshape(1, -1)
+    n = stack.shape[1]
     levels = np.arange(1, n) / n
     q = model.quantile(levels)
     terms = (levels, q, model.cdf_antiderivative(q))
-    if x.ndim < 2:
-        return float(_w1_sorted(as_sorted_sample(x), model, terms))
-    step = _W1_BLOCK_VALUES // n
-    if step < 2:
-        # rows this long are scored one by one, as 1-D samples, which a long
-        # Tabulated reference bins by one merge instead of a search per value
-        return np.array([_w1_sorted(as_sorted_sample(row), model, terms) for row in x])
-    return np.concatenate([_w1_sorted(as_sorted_sample(x[i:i + step], rows=True), model, terms)
-                           for i in range(0, len(x), step)])
+    step = max(1, _W1_BLOCK_VALUES // n)
+    out = np.concatenate([_w1_sorted(as_sorted_sample(stack[i:i + step], rows=True), model, terms)
+                          for i in range(0, len(stack), step)])
+    return out if x.ndim == 2 else float(out[0])
 
 
 def _w1_sorted(s, model: DistributionModel, terms):
-    """W1 of each sorted sample along the last axis of ``s`` (one sample when 1-D)."""
+    """W1 of each row of a 2-D block ``s`` of sorted samples."""
     levels, q, a_q = terms
     a_s = model.cdf_antiderivative(s)
-    lo, hi = s[..., :-1], s[..., 1:]
-    a_lo, a_hi = a_s[..., :-1], a_s[..., 1:]
+    lo, hi = s[:, :-1], s[:, 1:]
+    a_lo, a_hi = a_s[:, :-1], a_s[:, 1:]
     t_star = np.clip(q, lo, hi)
     # the antiderivative at t_star, taken from the values already known at q and s
     a_t = np.where(q < lo, a_lo, np.where(q > hi, a_hi, a_q))
     below = levels * (t_star - lo) - (a_t - a_lo)
     above = (a_hi - a_t) - levels * (hi - t_star)
     # int_{-inf}^{s_(1)} F dt, the n - 1 inner pieces, then the upper tail
-    inner = np.sum(np.maximum(below, 0.0) + np.maximum(above, 0.0), axis=-1)
-    return (a_s[..., 0] + inner) + model.upper_mean_excess(s[..., -1])
+    inner = np.sum(np.maximum(below, 0.0) + np.maximum(above, 0.0), axis=1)
+    return (a_s[:, 0] + inner) + model.upper_mean_excess(s[:, -1])
 
 
 def _divergence_diag(r: float, power: float, context: str) -> str:

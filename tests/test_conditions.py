@@ -39,6 +39,16 @@ def test_bounds_are_clamped_and_nonincreasing():
     assert a.theta == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("cls, args", [
+    (PhiGeometric, (0.0, 0.5)), (PhiGeometric, (1.0, 1.0)),
+    (AlphaPolynomial, (0.0, 0.25)), (AlphaPolynomial, (1.0, 1.0)),
+    (ConstantBound, (0.0,)), (ConstantBound, (1.5,)),
+], ids=["phi-c1", "phi-rho", "alpha-c", "alpha-gamma", "constant-0", "constant-above-1"])
+def test_bounds_reject_out_of_range_parameters(cls, args):
+    with pytest.raises(ValidationError, match=f"{cls.__name__} needs"):
+        cls(*args)
+
+
 # ---------------------------------------------------------------------------
 # phi condition
 # ---------------------------------------------------------------------------
@@ -271,6 +281,12 @@ def test_linear_rio_mode_bounded_innovation():
     assert "K = 1" in rep.notes  # density bound surfaced
 
 
+def test_linear_rio_mode_heavy_innovation_diverges():
+    rep = check_linear_conditions(GeometricCoeffs(0.5), ParetoTail(1.0, 1.5), "rio_312")
+    assert rep.verdict == "diverges" and rep.partial_sum == math.inf
+    assert "quantile tail integral of the innovation diverges" in rep.notes
+
+
 def test_linear_exact_mode_requires_marginal():
     with pytest.raises(ValidationError):
         check_linear_conditions(GeometricCoeffs(0.5), Uniform(0, 1), "exact_311")
@@ -297,11 +313,14 @@ def test_linear_check_rejects_arguments_it_does_not_read():
         ({"mode": "rio_312", "marginal": inn}, "'marginal'"),
         ({"mode": "moment_313", "r": 4.0, "marginal": inn}, "'marginal'"),
         ({"mode": "tail_314", "r": 4.0, "marginal": inn}, "'marginal'"),
+        ({"mode": "exact_312"}, "mode must be one of"),
     ]:
         with pytest.raises(ValidationError, match=match):
             check_linear_conditions(fam, inn, **kwargs)
     with pytest.raises(ValidationError, match="terms must be >= 1"):
         check_phi_condition(PhiGeometric(1.0, 0.5), Uniform(0, 1), terms=0)
+    with pytest.raises(ValidationError, match="geometric bound"):
+        check_phi_condition(AlphaPolynomial(1.0, 0.25), Uniform(0, 1))
 
 
 def _linear_terms(family, innovation, mode, r, marginal, ks):
@@ -430,6 +449,9 @@ def test_lag_cutoff_rejects_nonsummable():
         lag_cutoff(AlphaPolynomial(1.0, 0.6))  # theta < 1
     with pytest.raises(ValidationError):
         lag_cutoff(ConstantBound(1.0))
+    for tol in (0.0, -1e-3):
+        with pytest.raises(ValidationError, match="tol must be positive"):
+            lag_cutoff(PhiGeometric(1.0, 0.5), tol)
 
 
 def test_report_json_fields():

@@ -70,6 +70,8 @@ def test_compare_against_limit_table():
     rep = compare_against_limit(finite, limit)
     assert [row["n"] for row in rep.table] == [10, 100]
     assert "n=100" in rep.verdict
+    with pytest.raises(ValidationError, match="no finite-n samples"):
+        compare_against_limit({}, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +356,13 @@ def test_probe_runs_small():
     assert len(rep.ratios) == 1
 
 
+def test_probe_flags_growing_medians_as_non_stabilizing():
+    # a + gamma = 1.15, far above the threshold 1/2, so T_n diverges
+    rep = divergence_probe(0.25, 0.9, [64, 256, 1024], replications=32, seed=3, burn_in=200)
+    assert rep.verdict == "non-stabilizing"
+    assert all(r > 1.0 for r in rep.ratios)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -392,6 +401,15 @@ def test_cli_w1_identical_files(tmp_path, capsys):
     code = cli_main(["w1", "--x", str(f), "--y", str(f)])
     assert code == 0
     assert float(capsys.readouterr().out.strip()) == 0.0
+
+
+@pytest.mark.parametrize("text", ["values\n0.25\n", "# no rows\n\n"],
+                         ids=["wrong-header", "no-header"])
+def test_cli_w1_rejects_csv_without_value_header(text, tmp_path, capsys):
+    f = tmp_path / "a.csv"
+    f.write_text(text)
+    assert cli_main(["w1", "--x", str(f), "--y", str(f)]) == 1
+    assert "expected a 'value' header row" in capsys.readouterr().err
 
 
 def test_cli_generate_and_compare(tmp_path, capsys):
@@ -690,9 +708,7 @@ _PROBE = ["probe", "--gamma", "0.25", "--a", "0.4", "--out-dir", "{out}", "--n-v
     (["experiment", *_CFG], {**_EXPERIMENT, "n_values": [0, 5]}, "n_values"),
     (["experiment", *_CFG], {**_EXPERIMENT, "n_values": [0, 5], "process": _INTERMITTENT,
                              "reference": {"calibration_length": 50}}, "n_values"),
-    # its closed forms raised an uncaught OverflowError and a traceback
-    (["experiment", *_CFG], {**_EXPERIMENT, "reference": {"analytic": {
-        "kind": "pareto_tail", "scale": 10, "exponent": 400}}}, "overflows"),
+    (["experiment", *_CFG], {**_EXPERIMENT, "reference": 5}, "reference must be an object"),
 ], ids=["check-threads", "check-half-threshold", "w1-seed", "experiment-seed", "probe-config", "probe-threads",
         "model-typo", "spec-typo", "coefficients-typo", "limit-key", "iid-limit-lag",
         "generate-key", "out-path", "check-key", "reference-typo", "string-number",
@@ -703,7 +719,7 @@ _PROBE = ["probe", "--gamma", "0.25", "--a", "0.4", "--out-dir", "{out}", "--n-v
         "linear-zero-terms", "rio-unread-r", "exact-unread-r", "rio-unread-marginal",
         "tail-unread-marginal", "probe-gamma", "probe-zero-n", "probe-one-replication",
         "probe-nan-growth", "probe-small-growth", "iid-zero-n", "intermittent-zero-n",
-        "overflowing-pareto"])
+        "number-reference"])
 def test_cli_rejects_unread_input(argv, config, named, tmp_path, capsys):
     csv = tmp_path / "a.csv"
     csv.write_text("value\n0.5\n")

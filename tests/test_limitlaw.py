@@ -219,6 +219,17 @@ def test_covariance_grid_validates_symmetry():
                        np.array([[1.0, 0.5], [0.2, 1.0]]), 0, PsdRepair(), "analytic_iid")
 
 
+@pytest.mark.parametrize("grid, matrix, match", [
+    ([0.0, 1.0], np.eye(3), "shape"),
+    ([1.0, 0.0], np.eye(2), "strictly increasing"),
+    ([0.0, 1.0], np.diag([-1.0, 1.0]), "diagonal"),
+    ([0.0, 1.0], [[1.0, 2.0], [2.0, 1.0]], "PSD"),
+], ids=["shape", "decreasing-grid", "negative-diagonal", "indefinite"])
+def test_covariance_grid_validates_shape_grid_and_psd(grid, matrix, match):
+    with pytest.raises(ValidationError, match=match):
+        CovarianceGrid(np.array(grid), np.array(matrix), 0, PsdRepair(), "analytic_iid")
+
+
 # ---------------------------------------------------------------------------
 # sampling the limit functional
 # ---------------------------------------------------------------------------
@@ -298,6 +309,9 @@ def test_bridge_rejects_nondifferentiable_quantile():
     tab = Tabulated([0.0, 1.0], [0.0, 1.0])
     with pytest.raises(ValidationError):
         brownian_bridge_oracle(tab, 10, mesh=8, seed=0)
+    # (1 - u)**(-1 - 1/r) overflows on the mesh for r = 0.001
+    with pytest.raises(ValidationError, match="finite on the mesh"):
+        brownian_bridge_oracle(ParetoTail(1.0, 0.001), 10, mesh=10, seed=0)
 
 
 # ---------------------------------------------------------------------------

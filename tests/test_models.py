@@ -192,7 +192,9 @@ def test_antiderivative_per_knot_slopes_bit_identical(interp, data):
         model, t).tobytes()
     # sorted t longer than twice the grid takes the merge binning: ties on the
     # knots, points below and above the grid; then one sorted t of at most 2m
-    # points and one unsorted t of more, which keep searchsorted
+    # points and one unsorted t of more, which keep searchsorted.  A stack of
+    # long sorted rows merges row by row; one unsorted row sends the whole
+    # stack to searchsorted
     m = len(g)
     extra = data.draw(st.lists(st.floats(g[0] - 5.0, g[-1] + 5.0), min_size=1,
                                max_size=3 * m), label="extra")
@@ -200,7 +202,9 @@ def test_antiderivative_per_knot_slopes_bit_identical(interp, data):
     assert len(long_sorted) > 2 * m
     short_sorted = np.sort(t)[:2 * m]
     unsorted = long_sorted[::-1].copy()
-    for u in (long_sorted, short_sorted, unsorted):
+    sorted_stack = np.stack([long_sorted, long_sorted + offsets[1], long_sorted - offsets[0]])
+    mixed_stack = np.stack([long_sorted, unsorted])
+    for u in (long_sorted, short_sorted, unsorted, sorted_stack, mixed_stack):
         assert model.cdf_antiderivative(u).tobytes() == _antiderivative_per_point_slopes(
             model, u).tobytes()
 
@@ -293,12 +297,20 @@ def test_tabulated_validation_errors():
             Tabulated(grid, cdf)
 
 
-@pytest.mark.parametrize("scale, exponent", [(10, 400), (10.0, 400.0), (0.1, 400), (1e200, 2),
-                                             (1e-200, 3)])
-def test_pareto_rejects_overflowing_powers_of_the_scale(scale, exponent):
-    # ParetoTail(10, 400) once built and then raised OverflowError in its closed forms
-    with pytest.raises(ValidationError, match="overflows"):
-        ParetoTail(scale, exponent)
+@pytest.mark.parametrize("make, match", [
+    (lambda: Exponential(0.0), "rate > 0"),
+    (lambda: Exponential(math.inf), "rate > 0"),
+    (lambda: power_pushforward(0.0), "exponent > 0"),
+    (lambda: power_pushforward(1.0, Tabulated([0.5, 2.0], [0.0, 1.0])), "live on"),
+    (lambda: Tabulated([0.0], [1.0]), "at least 2 points"),
+    (lambda: Tabulated([0.0, 1.0, 2.0], [0.0, 1.0]), "length mismatch"),
+    (lambda: Tabulated([0.0, 1.0], [0.0, 1.0], interp="cubic"), "interp"),
+], ids=["exponential-zero-rate", "exponential-inf-rate", "pushforward-exponent",
+        "pushforward-base-above-1", "tabulated-one-knot", "tabulated-lengths",
+        "tabulated-interp"])
+def test_models_reject_out_of_range_parameters(make, match):
+    with pytest.raises(ValidationError, match=match):
+        make()
 
 
 def _scaled_quad(fn, scale, lo, hi):
@@ -322,6 +334,29 @@ def test_pareto_tiny_scale_keeps_its_tail(scale):
     assert excess == pytest.approx(0.125 * scale, rel=1e-14)  # 1.25e-151 at scale 1e-150
 
 
+@pytest.mark.parametrize("scale, exponent", [(10, 400), (0.1, 400), (1e200, 2), (1e200, 3),
+                                             (1e-200, 3)])
+def test_pareto_closed_forms_where_powers_of_the_scale_overflow(scale, exponent):
+    # c**r or c**(1 - r) overflows, and no closed form computes either
+    model = ParetoTail(scale, exponent)
+    t = scale * np.array([0.5, 1.0, 2.0, 1e6])
+    u = np.linspace(0.0, 0.99, 7)
+    for values in (model.cdf(t), model.quantile(u), model.tail(t), model.tail_quantile(1.0 - u),
+                   model.cdf_antiderivative(t), model.upper_mean_excess(t),
+                   w1_sample_vs_model(np.stack([t, 2.0 * t]), model)):
+        assert np.all(np.isfinite(values))
+    assert model.mean_abs() == pytest.approx(
+        _scaled_quad(model.tail, scale, 0.0, 1.0) + _scaled_quad(model.tail, scale, 1.0, math.inf),
+        rel=1e-10)
+    assert model.upper_mean_excess(2 * scale) == pytest.approx(
+        _scaled_quad(model.tail, scale, 2.0, math.inf), rel=1e-10)
+    assert model.cdf_antiderivative(2 * scale) == pytest.approx(
+        _scaled_quad(model.cdf, scale, 1.0, 2.0), rel=1e-10)
+    # the |Y| tail integrals are finite exactly when r > 2
+    tails = (model.sqrt_tail_integral_exact(), model.quantile_tail_integral_exact(0.3))
+    assert all(math.isfinite(v) == (exponent > 2) for v in tails)
+
+
 @pytest.mark.parametrize("scale", [1e-150, 0.5, 2.0])
 def test_pareto_exponent_one_antiderivative_matches_quadrature(scale):
     model = ParetoTail(scale, 1.0)
@@ -331,11 +366,14 @@ def test_pareto_exponent_one_antiderivative_matches_quadrature(scale):
 
 
 @pytest.mark.parametrize("scale, exponent, t", [(1e-10, 1.001, 1e299), (1e-10, 1.5, 1e299),
-                                                (1e-300, 0.01, 1e300)])
+                                                (1e-300, 0.01, 1e300), (1e-10, 1.0, 1e299)])
 def test_pareto_closed_forms_where_t_over_scale_overflows(scale, exponent, t):
-    # c**r * t**(1 - r) is finite here although t / c is not
-    power = scale**exponent * t ** (1.0 - exponent)
-    expected = (t - scale) - (power - scale) / (1.0 - exponent)
+    # c**r * t**(1 - r), and log(t / c) at r = 1, are finite here although t / c is not
+    if exponent == 1.0:
+        expected = (t - scale) - scale * (math.log(t) - math.log(scale))
+    else:
+        power = scale**exponent * t ** (1.0 - exponent)
+        expected = (t - scale) - (power - scale) / (1.0 - exponent)
     assert ParetoTail(scale, exponent).cdf_antiderivative(t) == pytest.approx(expected, rel=1e-12)
     if exponent > 1.0:
         excess = ParetoTail(scale, exponent).upper_mean_excess(t)
@@ -434,7 +472,7 @@ def test_pointwise_contract(model, levels, points, ascending):
     # a scalar or 0-d query returns a float, a 1-D query a float64 array of its
     # shape holding the scalar results bit for bit, and a 2-D query stacks
     # them by row; sorted points reach the merge path of a Tabulated
-    # antiderivative in 1-D and its searchsorted path in 2-D
+    # antiderivative in 1-D and 2-D alike
     for name in _POINTWISE:
         method = getattr(model, name)
         x = np.array(levels if name in _LEVEL_QUERIES else points)

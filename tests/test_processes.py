@@ -395,6 +395,15 @@ def test_resource_limit():
         generate(spec, 2**10, seed=0)
 
 
+def test_stream_rho_and_spec_checks():
+    with pytest.raises(ValidationError, match="64 bits"):
+        spawn_rng(1, 2**64)
+    with pytest.raises(ValidationError, match="rho in"):
+        GeometricCoeffs(1.0)
+    with pytest.raises(ValidationError, match="unknown process spec ProcessSpec"):
+        generate_batch(processes.ProcessSpec(), 4, 2, seed=0)
+
+
 def test_coefficient_family_sums():
     g = GeometricCoeffs(0.5)
     assert g.abs_tail(3) == pytest.approx(0.5**4 / 0.5)

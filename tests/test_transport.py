@@ -9,10 +9,11 @@ from scipy.stats import wasserstein_distance
 
 from test_dict_properties import MODELS
 from w1clt import transport
-from w1clt.errors import DivergenceError, ValidationError
+from w1clt.errors import DivergenceError, NumericalError, ValidationError
 from w1clt.models import Exponential, ParetoTail, Tabulated, Uniform
 from w1clt.processes import tabulate_cdf
 from w1clt.transport import (
+    ExtendedReal,
     as_sorted_sample,
     ks_two_sample,
     lambda21,
@@ -305,8 +306,8 @@ def model_and_stack(draw):
 @_w1_settings
 @given(model_and_stack())
 def test_w1_stacked_rows_equal_one_row_calls(case):
-    # rows longer than twice a table's knots take the merge route of the
-    # Tabulated antiderivative in a 1-D call and searchsorted in a 2-D one
+    # a 1-D call is a one-row stack; blocks of one row up to every row must
+    # give the same bits, in the merge and the searchsorted binning of a table
     model, stack, block = case
     single = np.array([w1_sample_vs_model(row, model) for row in stack])
     with mock.patch.object(transport, "_W1_BLOCK_VALUES", block):
@@ -375,6 +376,23 @@ def test_lambda21_closed_form_vs_quadrature_route():
         assert float(lambda21(m)) == pytest.approx(
             float(sqrt_tail_integral(m, 0.0)), rel=1e-8
         )
+
+
+def test_sqrt_tail_integral_divergent_and_past_the_support():
+    res = sqrt_tail_integral(ParetoTail(1.0, 2.0))
+    assert res.is_infinite and "r=2" in res.diagnostic
+    assert float(sqrt_tail_integral(Uniform(0, 1), lower=2.0)) == 0.0
+
+
+def test_quad_raises_where_it_does_not_converge():
+    with pytest.raises(NumericalError, match="did not converge"):
+        transport.quad(lambda t: math.sin(1.0 / t) / t, 1e-12, 1.0)
+
+
+@pytest.mark.parametrize("value, match", [(-1.0, "nonnegative"), (math.inf, "diagnostic")])
+def test_extended_real_rejects_negative_or_unexplained_infinity(value, match):
+    with pytest.raises(ValidationError, match=match):
+        ExtendedReal(value)
 
 
 def _midpoint_sqrt_tail(table, per_piece=2000):
