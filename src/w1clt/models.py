@@ -52,6 +52,13 @@ __all__ = [
     "model_from_dict",
 ]
 
+# Tabulated bins a sorted row by merging the grid into it only when the row is
+# longer than this: the merge costs a few microseconds of Python per row, and on
+# a 2-vCPU x86-64 machine a search of up to about 2,048 values against a 2- to
+# 512-knot grid was as fast or faster (row-by-row merge over search in blocks of
+# 2**14 values: 1.1 to 2.1 at 512 values, 0.6 to 1.1 at 2,048, 0.4 to 0.8 at 4,096)
+_MERGE_MIN_ROW = 2048
+
 
 def _pointwise(kernel, x):
     """The kernel at x as a float array; a Python float when the query is scalar or 0-d.
@@ -260,15 +267,20 @@ class ParetoTail(DistributionModel):
     def _tail_quantile(self, u):
         return np.where(u >= 1.0, 0.0, self.scale * np.minimum(u, 1.0) ** (-1.0 / self.exponent))
 
+    def _ratio(self, s):
+        """s / c, and the mask of the entries where it overflows (None when c >= 1,
+        since s / c <= s then)."""
+        with np.errstate(over="ignore"):
+            ratio = s / self.scale
+        return ratio, (np.isinf(ratio) if self.scale < 1.0 else None)
+
     def _scaled_power(self, s):
         """c**r * s**(1 - r) for s >= c, written c * (s / c)**(1 - r) because c**r
         underflows for a tiny scale; from logarithms where s / c overflows."""
         c, r = self.scale, self.exponent
-        with np.errstate(over="ignore"):
-            ratio = s / c
+        ratio, far = self._ratio(s)
         out = c * ratio ** (1.0 - r)
-        if c < 1.0:  # s / c <= s otherwise
-            far = np.isinf(ratio)
+        if far is not None:
             out[far] = np.exp(r * math.log(c) + (1.0 - r) * np.log(s[far]))
         return out
 
@@ -276,11 +288,9 @@ class ParetoTail(DistributionModel):
         c, r = self.scale, self.exponent
         safe = np.maximum(t, c)
         if r == 1.0:
-            with np.errstate(over="ignore"):
-                ratio = safe / c
+            ratio, far = self._ratio(safe)
             tail_part = c * np.log(ratio)
-            if c < 1.0:  # as in _scaled_power
-                far = np.isinf(ratio)
+            if far is not None:
                 tail_part[far] = c * (np.log(safe[far]) - math.log(c))
         else:
             tail_part = (self._scaled_power(safe) - c) / (1.0 - r)
@@ -442,15 +452,15 @@ class Tabulated(DistributionModel):
     def _cdf_antiderivative(self, t):
         """Integral of F over (-inf, t], knot interval by knot interval.
 
-        A t whose rows (along its last axis) are sorted and longer than twice
-        the grid, a 1-D t or a stack alike, finds each row's intervals by one
-        merge of the grid into the row; any other t by
-        ``searchsorted(grid, t)``.  Both give the same indices, so the same
-        floats.
+        A t whose rows (along its last axis) are sorted and longer than both
+        twice the grid and ``_MERGE_MIN_ROW``, a 1-D t or a stack alike, finds
+        each row's intervals by one merge of the grid into the row; any other
+        t by ``searchsorted(grid, t)``.  Both give the same indices, so the
+        same floats.
         """
         g, v = self.grid, self.cdf_values
         size = t.shape[-1]
-        if size > 2 * len(g) and np.all(t[..., 1:] >= t[..., :-1]):
+        if size > max(2 * len(g), _MERGE_MIN_ROW) and np.all(t[..., 1:] >= t[..., :-1]):
             # idx counts, row by row, the interior knots g[1:-1] at or below each t
             idx = np.empty(t.shape, dtype=np.intp)
             for row, counts in zip(t.reshape(-1, size), idx.reshape(-1, size)):

@@ -9,6 +9,7 @@ from test_dict_properties import MODELS as ANY_MODEL, _tabulated
 
 from w1clt.errors import ValidationError
 from w1clt.models import (
+    _MERGE_MIN_ROW,
     Exponential,
     ParetoTail,
     Tabulated,
@@ -190,17 +191,19 @@ def test_antiderivative_per_knot_slopes_bit_identical(interp, data):
     ])
     assert model.cdf_antiderivative(t).tobytes() == _antiderivative_per_point_slopes(
         model, t).tobytes()
-    # sorted t longer than twice the grid takes the merge binning: ties on the
-    # knots, points below and above the grid; then one sorted t of at most 2m
-    # points and one unsorted t of more, which keep searchsorted.  A stack of
-    # long sorted rows merges row by row; one unsorted row sends the whole
-    # stack to searchsorted
+    # sorted t longer than twice the grid and _MERGE_MIN_ROW takes the merge
+    # binning: ties on the knots, points below and above the grid; then one
+    # sorted t of more than 2m points but too short to merge, and one unsorted
+    # t, which keep searchsorted.  A stack of long sorted rows merges row by
+    # row; one unsorted row sends the whole stack to searchsorted
     m = len(g)
     extra = data.draw(st.lists(st.floats(g[0] - 5.0, g[-1] + 5.0), min_size=1,
                                max_size=3 * m), label="extra")
-    long_sorted = np.sort(np.concatenate([t, g, extra]))
-    assert len(long_sorted) > 2 * m
-    short_sorted = np.sort(t)[:2 * m]
+    fill = np.linspace(g[0] - 5.0, g[-1] + 5.0, _MERGE_MIN_ROW)
+    long_sorted = np.sort(np.concatenate([t, g, extra, fill]))
+    assert len(long_sorted) > max(2 * m, _MERGE_MIN_ROW)
+    short_sorted = np.sort(np.concatenate([t, g, extra]))
+    assert 2 * m < len(short_sorted) <= _MERGE_MIN_ROW
     unsorted = long_sorted[::-1].copy()
     sorted_stack = np.stack([long_sorted, long_sorted + offsets[1], long_sorted - offsets[0]])
     mixed_stack = np.stack([long_sorted, unsorted])
@@ -471,8 +474,7 @@ _LEVEL_QUERIES = ("quantile", "tail_quantile", "quantile_density")
 def test_pointwise_contract(model, levels, points, ascending):
     # a scalar or 0-d query returns a float, a 1-D query a float64 array of its
     # shape holding the scalar results bit for bit, and a 2-D query stacks
-    # them by row; sorted points reach the merge path of a Tabulated
-    # antiderivative in 1-D and 2-D alike
+    # them by row
     for name in _POINTWISE:
         method = getattr(model, name)
         x = np.array(levels if name in _LEVEL_QUERIES else points)

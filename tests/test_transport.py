@@ -8,7 +8,7 @@ from scipy import integrate
 from scipy.stats import wasserstein_distance
 
 from test_dict_properties import MODELS
-from w1clt import transport
+from w1clt import models, transport
 from w1clt.errors import DivergenceError, NumericalError, ValidationError
 from w1clt.models import Exponential, ParetoTail, Tabulated, Uniform
 from w1clt.processes import tabulate_cdf
@@ -307,10 +307,13 @@ def model_and_stack(draw):
 @given(model_and_stack())
 def test_w1_stacked_rows_equal_one_row_calls(case):
     # a 1-D call is a one-row stack; blocks of one row up to every row must
-    # give the same bits, in the merge and the searchsorted binning of a table
+    # give the same bits.  The stack is scored with no row-length floor on a
+    # table's merge binning, so its sorted rows longer than twice the grid
+    # merge, while the one-row calls search
     model, stack, block = case
     single = np.array([w1_sample_vs_model(row, model) for row in stack])
-    with mock.patch.object(transport, "_W1_BLOCK_VALUES", block):
+    with (mock.patch.object(transport, "_W1_BLOCK_VALUES", block),
+          mock.patch.object(models, "_MERGE_MIN_ROW", 0)):
         out = w1_sample_vs_model(stack, model)
     assert type(out) is np.ndarray and out.shape == (len(stack),)
     assert out.tobytes() == single.tobytes()
