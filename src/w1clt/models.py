@@ -56,7 +56,7 @@ __all__ = [
 # longer than this: the merge costs a few microseconds of Python per row, and on
 # a 2-vCPU x86-64 machine a search of up to about 2,048 values against a 2- to
 # 512-knot grid was as fast or faster (row-by-row merge over search in blocks of
-# 2**14 values: 1.1 to 2.1 at 512 values, 0.6 to 1.1 at 2,048, 0.4 to 0.8 at 4,096)
+# 2**14 values: 1.6 to 2.1 at 512 values, 0.6 to 1.1 at 2,048, 0.4 to 0.7 at 4,096)
 _MERGE_MIN_ROW = 2048
 
 
