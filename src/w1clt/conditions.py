@@ -158,18 +158,15 @@ def _qti_alpha_exponent(model: DistributionModel) -> float | None:
 # phi-dependence condition: sum sqrt(phi(k)/k) plus finite sqrt-tail integral
 # ---------------------------------------------------------------------------
 
-def check_phi_condition(bound: PhiGeometric, model: DistributionModel,
-                        terms: int | None = None) -> ConditionReport:
+def check_phi_condition(bound: PhiGeometric, model: DistributionModel) -> ConditionReport:
     """Joint check: sum_k sqrt(phi(k)/k) < inf and the sqrt-tail integral < inf.
 
     For a geometric phi bound the series always converges; the verdict then
     hinges on the tail-integral side.  The partial sum grows adaptively until
-    the closed-form geometric tail bound is negligible (or `terms` is hit).
+    the closed-form geometric tail bound is negligible, or 2,000,000 terms.
     """
     if not isinstance(bound, PhiGeometric):
         raise ValidationError("phi condition requires a geometric bound")
-    if terms is not None:
-        terms = count(terms, "terms", 1)
     sqrt_rho = math.sqrt(bound.rho)
 
     def tail_bound_after(k: int) -> float:
@@ -177,7 +174,7 @@ def check_phi_condition(bound: PhiGeometric, model: DistributionModel,
 
     partial = 0.0
     used = 0
-    cap = terms if terms is not None else 2_000_000
+    cap = 2_000_000
     block = 512
     while used < cap:
         size = min(block, cap - used)
@@ -185,7 +182,7 @@ def check_phi_condition(bound: PhiGeometric, model: DistributionModel,
         partial += float(np.sum(np.sqrt(np.asarray(bound(ks)) / ks)))
         used += size
         block = min(block * 2, 262_144)
-        if terms is None and tail_bound_after(used) <= 1e-9 * max(partial, 1e-300):
+        if tail_bound_after(used) <= 1e-9 * max(partial, 1e-300):
             break
     tail = tail_bound_after(used)
 
@@ -346,7 +343,7 @@ def check_linear_conditions(family: CoeffFamily, innovation: DistributionModel,
 
 def lag_cutoff(bound, tol: float = 1e-3) -> int:
     """Smallest K <= 10**7 with sum_{k>K} bound(k) < tol, read from ``bound.abs_tail``."""
-    if tol <= 0:
+    if not (tol > 0):
         raise ValidationError("tol must be positive")
     k = first_index_below(bound.abs_tail, tol, _MAX_LAG)
     if k is None:

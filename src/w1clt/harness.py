@@ -4,16 +4,18 @@ Replicate r of the n_values[i] run draws from stream (i << 32) | r of the
 configured base seed, so outputs are byte-identical for any process count.
 
 ``run_clt_experiment`` plans every (n, first stream, count) chunk up front:
-256 replicates for the per-row generators; for the intermittent map, whose
-lanes advance together in one numpy loop, as many lanes as fit in one
-process's share of _LANE_BUDGET bytes (one lane at least, ceil(R / p) at
-most).  ``threads`` is the number of processes p: the calling process
-computes every p-th chunk and p - 1 helper processes, forked from it once per
-call, compute the rest.  p is capped by the CPUs this process may run on and
-by the number of chunks, and is 1 off Linux, where fork is unsafe (macOS)
-or absent (Windows).  The chunks are joined in stream order.  Each chunk's
-T_n values come from one stacked ``w1_sample_vs_model`` call on its
-``(rows, n)`` array, which equals the rows' one-at-a-time calls bit for bit.
+as many rows as fit in one process's share of _CHUNK_BUDGET bytes (one row at
+least, ceil(R / p) at most).  The per-row generators also stop at
+_REPLICATE_CHUNK rows, since larger chunks of theirs ran slower and used more
+memory; the intermittent map's lanes advance together in one numpy loop, so
+its chunks take no such cap.  ``threads`` is the number of processes p: the
+calling process computes every p-th chunk and p - 1 helper processes, forked
+from it once per call, compute the rest.  p is capped by the CPUs this
+process may run on and by the number of chunks, and is 1 off Linux, where
+fork is unsafe (macOS) or absent (Windows).  The chunks are joined in stream
+order.  Each chunk's T_n values come from one stacked ``w1_sample_vs_model``
+call on its ``(rows, n)`` array, which equals the rows' one-at-a-time calls
+bit for bit.
 """
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ __all__ = [
 ]
 
 _REPLICATE_CHUNK = 256
-_LANE_BUDGET = 256 * 2**20  # bytes of one intermittent lane batch (lanes x n float64)
+_CHUNK_BUDGET = 256 * 2**20  # bytes of one chunk's (rows, n) float64 array
 SCHEMA_VERSION = 1
 _CONFIG_KEYS = {"schema_version", "process", "n_values", "replications", "base_seed",
                 "reference", "tail_tol"}
@@ -213,9 +215,9 @@ def _plan_chunks(cfg: ExperimentConfig, processes: int) -> list[tuple[int, int, 
     reps = cfg.replications
     chunks = []
     for i, n in enumerate(cfg.n_values):
-        size = _REPLICATE_CHUNK
-        if isinstance(cfg.process, IntermittentMap):  # lanes x n float64 per batch
-            size = max(1, min(_LANE_BUDGET // (8 * n * processes), -(-reps // processes)))
+        size = max(1, min(_CHUNK_BUDGET // (8 * n * processes), -(-reps // processes)))
+        if not isinstance(cfg.process, IntermittentMap):
+            size = min(size, _REPLICATE_CHUNK)
         chunks += [(n, (i << 32) + start, min(size, reps - start))
                    for start in range(0, reps, size)]
     return chunks

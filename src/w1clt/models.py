@@ -18,9 +18,9 @@ plus metadata used by the convergence checkers: ``support()``,
 ``tail_exponent()`` (the r such that tail(t) ~ t**-r, ``inf`` for bounded or
 exponential tails), ``density_bound`` and ``mean_abs()``.
 
-Each kind gives the |Y| functionals in closed form.  A signed support is
-folded into the law of |Y| once: ``Uniform`` goes through the equal linear
-``Tabulated`` table, and ``Tabulated._folded`` builds the |Y| table.
+Each kind gives the |Y| functionals in closed form.  ``Uniform`` reads all but
+``tail`` from the equal linear ``Tabulated`` table, for every support, and
+``Tabulated._folded`` builds the |Y| table of a signed support once.
 
 The six pointwise methods above and ``quantile_density(u)`` (the quantile's
 derivative, which ``Tabulated`` lacks) are defined once, on
@@ -142,15 +142,15 @@ class Uniform(DistributionModel):
     def _quantile(self, u):
         return self.lo + u * self.width
 
+    # a closed form on purpose: it is the integrand of transport.sqrt_tail_integral's
+    # quadrature, the route kept independent of the table's |Y| functionals
     def _tail(self, t):
         upper = np.clip((self.hi - t) / self.width, 0.0, 1.0)
         lower = np.clip((-t - self.lo) / self.width, 0.0, 1.0)
         return np.where(t < 0.0, 1.0, np.clip(upper + lower, 0.0, 1.0))
 
     def _tail_quantile(self, u):
-        if self.lo < 0.0:
-            return self._table._tail_quantile(u)
-        return np.where(u >= 1.0, 0.0, self.hi - u * self.width)
+        return self._table._tail_quantile(u)
 
     def _cdf_antiderivative(self, t):
         inside = np.clip(t, self.lo, self.hi) - self.lo
@@ -170,10 +170,7 @@ class Uniform(DistributionModel):
         return math.inf
 
     def sqrt_tail_integral_exact(self):
-        if self.lo < 0.0:
-            return self._table.sqrt_tail_integral_exact()
-        # int_0^lo 1 dt + int_lo^hi sqrt((hi-t)/w) dt
-        return self.lo + 2.0 * self.width / 3.0
+        return self._table.sqrt_tail_integral_exact()
 
     def quantile_tail_integral_exact(self, alpha):
         return self._table.quantile_tail_integral_exact(alpha)
@@ -517,32 +514,28 @@ class Tabulated(DistributionModel):
     def quantile_tail_integral_exact(self, alpha):
         if self.grid[0] < 0.0:
             return self._abs.quantile_tail_integral_exact(alpha)
-        # the tail quantile is piecewise linear in u (breakpoints 1 - v[i]),
-        # so each segment integrates to (A + B u)/sqrt(u) in closed form
+        # piece i covers u in [1 - v[i + 1], 1 - v[i]], where the tail quantile
+        # runs linearly from g[i + 1] down to g[i] (stays at g[i + 1] for a step
+        # table); the top piece, u in [1 - v[0], 1], has the constant quantile g[0]
         g, v = self.grid, self.cdf_values
-        u_lo = 1.0 - v[1:]
-        u_hi = 1.0 - v[:-1]
-        if self.interp == "step":
-            a_coef = g[1:].copy()
-            b_coef = np.zeros(len(g) - 1)
-        else:
-            dv = np.diff(v)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                slope = np.where(dv > 0, np.diff(g) / np.where(dv > 0, dv, 1.0), 0.0)
-            a_coef = g[:-1] + (1.0 - v[:-1]) * slope
-            b_coef = -slope
-        # top piece: u in [1 - v[0], 1] has constant quantile g[0]
-        u_lo = np.concatenate([u_lo, [1.0 - v[0]]])
-        u_hi = np.concatenate([u_hi, [1.0]])
-        a_coef = np.concatenate([a_coef, [g[0]]])
-        b_coef = np.concatenate([b_coef, [0.0]])
+        u_lo = np.concatenate([1.0 - v[1:], [1.0 - v[0]]])
+        u_hi = np.concatenate([1.0 - v[:-1], [1.0]])
+        q_lo = np.concatenate([g[1:], [g[0]]])
+        q_hi = np.concatenate([g[:-1] if self.interp == "linear" else g[1:], [g[0]]])
         lo = np.clip(u_lo, 0.0, alpha)
         hi = np.clip(u_hi, 0.0, alpha)
         keep = hi > lo
-        lo, hi = lo[keep], hi[keep]
-        root_lo, root_hi = np.sqrt(lo), np.sqrt(hi)
-        pieces = 2.0 * a_coef[keep] * (root_hi - root_lo)
-        pieces += (2.0 / 3.0) * b_coef[keep] * (root_hi**3 - root_lo**3)
+        u_lo, u_hi, q_lo, q_hi, lo, hi = (x[keep] for x in (u_lo, u_hi, q_lo, q_hi, lo, hi))
+        # Q at the clipped ends, then the integral of (linear Q)/sqrt(u) written as
+        # (s - r) [2 Q(hi) + (2/3) (Q(lo) - Q(hi)) (2s + r) / (s + r)] with
+        # s = sqrt(hi), r = sqrt(lo): no term exceeds the quantiles, so a nearly
+        # flat cdf piece (a huge slope of Q) cancels nothing
+        drop = (q_lo - q_hi) / (u_hi - u_lo)
+        at_lo = q_hi + drop * (u_hi - lo)
+        at_hi = q_hi + drop * (u_hi - hi)
+        s, r = np.sqrt(hi), np.sqrt(lo)
+        pieces = (hi - lo) / (s + r) * (2.0 * at_hi
+                                        + (2.0 / 3.0) * (at_lo - at_hi) * (2.0 * s + r) / (s + r))
         return float(np.sum(pieces))
 
 

@@ -100,7 +100,7 @@ class CoeffFamily(WireRecord):
 
 @dataclass(frozen=True)
 class GeometricCoeffs(CoeffFamily):
-    """a_j = rho**j; rho = 0 degenerates to the single coefficient a_0 = 1."""
+    """a_j = rho**j; rho = 0 degenerates to the single coefficient a_0 = 0**0 = 1."""
 
     rho: float
 
@@ -111,12 +111,9 @@ class GeometricCoeffs(CoeffFamily):
             raise ValidationError("geometric family needs rho in [0, 1)")
 
     def coeff(self, j):
-        j_arr = np.asarray(j, dtype=float)
-        return np.where(j_arr == 0, 1.0, self.rho ** j_arr)
+        return self.rho ** np.asarray(j, dtype=float)
 
     def abs_tail(self, j: int) -> float:
-        if self.rho == 0.0:
-            return 0.0
         return self.rho ** (j + 1) / (1.0 - self.rho)
 
     def decay_exponent(self) -> float:

@@ -56,7 +56,7 @@ class ExtendedReal:
     diagnostic: str | None = None
 
     def __post_init__(self):
-        if self.value < 0:
+        if not (self.value >= 0):
             raise ValidationError("ExtendedReal carries nonnegative quantities")
         if math.isinf(self.value) and self.diagnostic is None:
             raise ValidationError("infinite ExtendedReal requires a diagnostic")
@@ -78,7 +78,7 @@ def quad(fn, a, b, *, epsrel=1e-9):
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         res = integrate.quad(fn, a, b, epsabs=1e-13, epsrel=epsrel, limit=200, full_output=1)
     val, abserr = res[0], res[1]
-    if abserr > 1e-6 * max(1.0, abs(val)):
+    if not (math.isfinite(val) and abserr <= 1e-6 * max(1.0, abs(val))):
         raise NumericalError(
             f"quadrature on [{a}, {b}] did not converge (value {val}, abserr {abserr})"
         )
@@ -188,6 +188,8 @@ def sqrt_tail_integral(model: DistributionModel, lower: float = 0.0) -> Extended
     Kept independent of the quantile-substitution route so the two forms can
     be checked against each other.
     """
+    if not (lower > -math.inf):
+        raise ValidationError(f"lower must be a number above -inf, got {lower}")
     r = model.tail_exponent()
     if r <= 2.0:
         return ExtendedReal(math.inf, _divergence_diag(r, 0.5, "sqrt-tail"))

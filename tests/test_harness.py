@@ -116,10 +116,10 @@ def test_experiment_deterministic_across_thread_counts():
                      reference_model=ParetoTail(1.0, 3.0)),
 ], ids=["intermittent", "causal_linear", "iid_pareto"])
 def test_experiment_rows_equal_one_stream_recomputation(cfg):
-    # 300 replicates make two 256-row chunks of the per-row generators, so the
-    # per-n terms are shared across chunks; the intermittent case is one lane batch.
-    # At n = 100 a stacked W1 block holds 163 rows, so a 256-row chunk, and the
-    # 300-lane intermittent batch of one process, end in a ragged block
+    # 300 replicates make chunks of 256 and 44 rows at one process, and two of
+    # 150 rows at two (the intermittent case: one 300-lane batch, then two of
+    # 150). At n = 100 a stacked W1 block holds 163 rows, so the 256-row chunk
+    # and the 300-lane batch end in a ragged block
     assert transport._W1_BLOCK_VALUES // 100 == 163
     reference, _ = resolve_reference(cfg)
     assert isinstance(reference, Tabulated) == (cfg.reference_model is None)
@@ -135,15 +135,8 @@ def test_experiment_rows_equal_one_stream_recomputation(cfg):
             assert out[n].values.tolist() == expected
 
 
-def test_intermittent_lane_batches_split_by_budget(monkeypatch, tmp_path):
-    # 8 * 48 * 8 bytes: a process's share is 8 // p lanes at n = 48 and 24 // p at
-    # n = 16, so 61 replicates make at least 3 batches per n, the last one ragged,
-    # for every p up to 4
-    monkeypatch.setattr(harness, "_LANE_BUDGET", 8 * 48 * 8)
-    cfg = ExperimentConfig(IntermittentMap(0.25, 0.4, burn_in=50), [16, 48], 61, 5,
-                           calibration_length=2000)
-    reference, _ = resolve_reference(cfg)
-    log = tmp_path / "calls.txt"
+def _record_batches(monkeypatch, log):
+    """Log (pid, n, rows) of every generate_batch call to the file ``log``."""
     real = harness.generate_batch
 
     def recording(spec, n, n_paths, seed, first_stream=0):
@@ -153,15 +146,34 @@ def test_intermittent_lane_batches_split_by_budget(monkeypatch, tmp_path):
         return real(spec, n, n_paths, seed, first_stream=first_stream)
 
     monkeypatch.setattr(harness, "generate_batch", recording)
+
+
+def _read_batches(log):
+    return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(IntermittentMap(0.25, 0.4, burn_in=50), [16, 48], 61, 5,
+                     calibration_length=2000),
+    ExperimentConfig(IID(Uniform(0, 1)), [16, 48], 61, 5, reference_model=Uniform(0, 1)),
+], ids=["intermittent", "iid"])
+def test_chunks_split_by_budget(cfg, monkeypatch, tmp_path):
+    # 8 * 48 * 8 bytes: a process's share is 8 // p rows at n = 48 and 24 // p at
+    # n = 16, so 61 replicates make at least 3 chunks per n, the last one ragged,
+    # for every p up to 4
+    monkeypatch.setattr(harness, "_CHUNK_BUDGET", 8 * 48 * 8)
+    reference, _ = resolve_reference(cfg)
+    log = tmp_path / "calls.txt"
+    _record_batches(monkeypatch, log)
     for threads in (1, 4):
         log.write_text("")
         out = run_clt_experiment(cfg, threads=threads)
-        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        calls = _read_batches(log)
         p = harness._process_count(threads)
         pids = {pid for pid, _, _ in calls}
         assert len(pids) <= p and os.getpid() in pids
         for i, n in enumerate(cfg.n_values):
-            lanes = harness._LANE_BUDGET // (8 * n * p)
+            lanes = harness._CHUNK_BUDGET // (8 * n * p)
             sizes = [count for _, m, count in calls if m == n]
             assert len(sizes) >= 3 and sum(sizes) == cfg.replications
             # helpers finish in any order: every batch full but one ragged
@@ -173,6 +185,22 @@ def test_intermittent_lane_batches_split_by_budget(monkeypatch, tmp_path):
                 for r in range(cfg.replications)
             ]
             assert out[n].values.tolist() == expected
+
+
+@pytest.mark.skipif(harness._process_count(2) < 2, reason="needs 2 usable CPUs")
+def test_one_n_per_row_run_splits_across_processes(monkeypatch, tmp_path):
+    # 200 replicates at 2 processes make two 100-row chunks, the second a helper's
+    cfg = _uniform_config(n_values=[64], replications=200)
+    log = tmp_path / "calls.txt"
+    _record_batches(monkeypatch, log)
+    out = run_clt_experiment(cfg, threads=2)
+    calls = _read_batches(log)
+    assert sorted(rows for _, _, rows in calls) == [100, 100]
+    assert len({pid for pid, _, _ in calls}) == 2
+    expected = [8.0 * w1_sample_vs_model(generate(cfg.process, 64, cfg.base_seed, r).values,
+                                         cfg.reference_model)
+                for r in range(cfg.replications)]
+    assert out[64].values.tolist() == expected
 
 
 @pytest.mark.parametrize("error", [

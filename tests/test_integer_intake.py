@@ -16,11 +16,9 @@ import w1clt.limitlaw as limitlaw
 import w1clt.processes as processes
 from w1clt.conditions import (
     AlphaPolynomial,
-    PhiGeometric,
     alpha_forms_pair,
     check_alpha_condition,
     check_linear_conditions,
-    check_phi_condition,
 )
 from w1clt.errors import ValidationError, count
 from w1clt.harness import (
@@ -103,8 +101,6 @@ CASES = [
     ("brownian_bridge_oracle", "replications", 1, lambda v: brownian_bridge_oracle(U, v, 8, 1)),
     ("brownian_bridge_oracle", "mesh", 1, lambda v: brownian_bridge_oracle(U, 4, v, 1)),
     ("brownian_bridge_oracle", "seed", None, lambda v: brownian_bridge_oracle(U, 4, 8, v)),
-    ("check_phi_condition", "terms", 1,
-     lambda v: check_phi_condition(PhiGeometric(1.0, 0.5), U, terms=v)),
     ("check_alpha_condition", "terms", 10,
      lambda v: check_alpha_condition(AlphaPolynomial(1.0, 0.5), ParetoTail(1.0, 3.0), v)),
     ("check_linear_conditions", "terms", 1,
@@ -114,8 +110,8 @@ CASES = [
 ]
 
 
-# parameters for which None is a valid choice: no calibration, adaptive terms
-NONE_ALLOWED = {("ExperimentConfig", "calibration_length"), ("check_phi_condition", "terms")}
+# parameters for which None is a valid choice: no calibration
+NONE_ALLOWED = {("ExperimentConfig", "calibration_length")}
 
 
 def _no_work(*args, **kwargs):

@@ -104,6 +104,12 @@ def _bisect_tail_quantile(model, u, iters=64):
 @example(Tabulated([-2.0, -0.5, 0.3, 1.0], [0.1, 0.4, 0.7, 1.0]), 1.0)
 # a tail exponent just above 2, where the integral is about 4e5
 @example(ParetoTail(1.0, 2.00001), 1.0)
+# a linear table whose |Y| cdf rises by about 1e-16 over a knot interval, so the
+# tail quantile's slope there is about 1e16
+@example(Tabulated([-10.0, -7.647058823529411, -6.470588235294118, -4.117647058823529,
+                    0.5882352941176467, 5.294117647058824],
+                   [0.0, 0.0, 0.19999999999999996, 0.20000000000000015,
+                    0.20000000000000015, 1.0]), 1.0)
 def test_tail_quantile_and_its_integral_invert_tail(model, alpha):
     got = quantile_tail_integral(model, alpha)
     if model.tail_exponent() <= 2.0:
@@ -383,10 +389,17 @@ def test_pareto_closed_forms_where_t_over_scale_overflows(scale, exponent, t):
         assert excess == pytest.approx(power / (exponent - 1.0), rel=1e-12)
 
 
-def test_signed_uniform_folds_once(monkeypatch):
-    model = Uniform(-1.0, 1.0)
-    table = Tabulated([-1.0, 1.0], [0.0, 1.0])
-    u = np.linspace(0.0, 1.0, 41)
+# supports where every |Y| functional kept its bits when the nonnegative closed
+# forms were retired, then nonnegative ones where tail_quantile's last bits moved
+_SUPPORTS = [(0.0, 1.0), (-1.0, 1.0), (-1.0, 2.0), (-1.0, 3.0), (0.0, 2.0),
+             (0.0, 3.0), (0.5, 1.0), (2.0, 5.0), (0.0, 0.1), (1e-3, 7.3), (0.25, 0.75)]
+
+
+@pytest.mark.parametrize("lo, hi", _SUPPORTS)
+def test_uniform_abs_functionals_are_its_table(lo, hi, monkeypatch):
+    model = Uniform(lo, hi)
+    table = Tabulated([lo, hi], [0.0, 1.0])
+    u = np.linspace(0.0, 1.0, 2001)
 
     def functionals(m):
         return (m.tail_quantile(u), m.tail_quantile(0.3), m.sqrt_tail_integral_exact(),
@@ -399,6 +412,14 @@ def test_signed_uniform_folds_once(monkeypatch):
     assert built == []  # no table is built, so none is folded, per call
     assert np.array_equal(got[0], expected[0])
     assert got[1:] == expected[1:]  # bit for bit
+    # the closed-form tail, the quadrature route's integrand, agrees with the table's
+    t = np.linspace(-0.5, max(abs(lo), abs(hi)) + 0.5, 2001)
+    assert np.allclose(model.tail(t), table.tail(t), rtol=0.0, atol=1e-15)
+    if lo >= 0.0:
+        # within rounding of the retired closed form hi - u (hi - lo)
+        old = np.where(u >= 1.0, 0.0, hi - u * (hi - lo))
+        assert np.allclose(got[0], old, rtol=1e-12, atol=0.0)
+        assert got[2] == lo + 2.0 * (hi - lo) / 3.0
 
 
 def test_tabulated_clips_values_within_end_tolerance_above_one():

@@ -350,6 +350,25 @@ def test_degenerate_geometric_family_is_iid():
     assert iid.values.shape == path.values.shape
 
 
+def test_geometric_rho_zero_is_one_coefficient():
+    fam = GeometricCoeffs(0.0)
+    assert fam.coeff(np.arange(4)).tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert float(fam.coeff(0)) == 1.0
+    assert [fam.abs_tail(j) for j in range(4)] == [0.0] * 4
+    assert _default_truncation(fam) == 1
+
+
+@pytest.mark.parametrize("rho", [0.0, 1e-8, 0.5, 0.999])
+def test_geometric_formulas_equal_the_branched_forms(rho):
+    # yardsticks: the forms with an explicit a_0 = 1 and an explicit rho = 0 tail
+    fam = GeometricCoeffs(rho)
+    j = np.arange(5000, dtype=float)
+    branched = np.where(j == 0, 1.0, rho ** j)
+    assert np.array_equal(fam.coeff(j), branched)
+    for k in range(200):
+        assert fam.abs_tail(k) == (0.0 if rho == 0.0 else rho ** (k + 1) / (1.0 - rho))
+
+
 def test_linear_small_case_hand_convolution():
     fam = GeometricCoeffs(0.5)
     spec = CausalLinear(fam, Uniform(0, 1), truncation=2)

@@ -387,12 +387,22 @@ def test_sqrt_tail_integral_divergent_and_past_the_support():
     assert float(sqrt_tail_integral(Uniform(0, 1), lower=2.0)) == 0.0
 
 
+@pytest.mark.parametrize("lower", [math.nan, -math.inf])
+def test_sqrt_tail_integral_rejects_nan_or_minus_infinity_lower(lower):
+    with pytest.raises(ValidationError, match="lower"):
+        sqrt_tail_integral(Exponential(1.0), lower=lower)
+
+
 def test_quad_raises_where_it_does_not_converge():
     with pytest.raises(NumericalError, match="did not converge"):
         transport.quad(lambda t: math.sin(1.0 / t) / t, 1e-12, 1.0)
+    # a NaN value and error estimate fail the accuracy check too
+    with pytest.raises(NumericalError, match="did not converge"):
+        transport.quad(lambda t: math.nan, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("value, match", [(-1.0, "nonnegative"), (math.inf, "diagnostic")])
+@pytest.mark.parametrize("value, match", [(-1.0, "nonnegative"), (math.nan, "nonnegative"),
+                                          (math.inf, "diagnostic")])
 def test_extended_real_rejects_negative_or_unexplained_infinity(value, match):
     with pytest.raises(ValidationError, match=match):
         ExtendedReal(value)
