@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, JsonRecord, ValidationError, count
+from .errors import DivergenceError, JsonRecord, ValidationError, count, real
 from .models import DistributionModel
 from .processes import CoeffFamily, first_index_below, hurwitz_zeta
 from .transport import quad, quantile_tail_integral, sqrt_tail_integral, lambda21
@@ -53,6 +53,8 @@ class PhiGeometric:
     rho: float = 0.5
 
     def __post_init__(self):
+        for name in ("c1", "rho"):
+            object.__setattr__(self, name, real(getattr(self, name), name))
         if not (self.c1 > 0 and 0.0 < self.rho < 1.0):
             raise ValidationError("PhiGeometric needs c1 > 0 and rho in (0, 1)")
 
@@ -76,6 +78,8 @@ class AlphaPolynomial:
     gamma: float = 0.25
 
     def __post_init__(self):
+        for name in ("c_gamma", "gamma"):
+            object.__setattr__(self, name, real(getattr(self, name), name))
         if not (self.c_gamma > 0 and 0.0 < self.gamma < 1.0):
             raise ValidationError("AlphaPolynomial needs c_gamma > 0 and gamma in (0, 1)")
 
@@ -104,6 +108,7 @@ class ConstantBound:
     value: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "value", real(self.value, "value"))
         if not (0.0 < self.value <= 1.0):
             raise ValidationError("ConstantBound needs value in (0, 1]")
 

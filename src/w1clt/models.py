@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ValidationError, WireRecord, as_sorted_sample, from_wire, read_key,
-                     reject_unknown_keys)
+                     real, reject_unknown_keys)
 
 __all__ = [
     "DistributionModel",
@@ -123,6 +123,8 @@ class Uniform(DistributionModel):
     kind = "uniform"
 
     def __post_init__(self):
+        for name in ("lo", "hi"):
+            object.__setattr__(self, name, real(getattr(self, name), name))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.hi > self.lo):
             raise ValidationError("Uniform requires finite lo < hi")
         # the same law as a linear table, which folds a signed support exactly, once
@@ -183,6 +185,7 @@ class Exponential(DistributionModel):
     kind = "exponential"
 
     def __post_init__(self):
+        object.__setattr__(self, "rate", real(self.rate, "rate"))
         if not (self.rate > 0.0 and math.isfinite(self.rate)):
             raise ValidationError("Exponential requires rate > 0")
 
@@ -240,6 +243,8 @@ class ParetoTail(DistributionModel):
     kind = "pareto_tail"
 
     def __post_init__(self):
+        for name in ("scale", "exponent"):
+            object.__setattr__(self, name, real(getattr(self, name), name))
         if not (0.0 < self.scale < math.inf and 0.0 < self.exponent < math.inf):
             raise ValidationError("ParetoTail requires finite scale > 0 and finite exponent > 0")
 

@@ -3,7 +3,8 @@
 A non-integral value (2.5, a bool, a string, None) or one below the
 parameter's minimum raises ValidationError naming the parameter before any
 orbit, calibration, covariance or sampling work starts; an integral float or
-a numpy int gives the bytes of the plain int.
+a numpy int gives the bytes of the plain int.  Its twin ``errors.real`` takes
+every scalar real field of a model, coefficient family, process or bound.
 """
 import io
 import json
@@ -16,6 +17,8 @@ import w1clt.limitlaw as limitlaw
 import w1clt.processes as processes
 from w1clt.conditions import (
     AlphaPolynomial,
+    ConstantBound,
+    PhiGeometric,
     alpha_forms_pair,
     check_alpha_condition,
     check_linear_conditions,
@@ -35,13 +38,14 @@ from w1clt.limitlaw import (
     sample_limit_functional,
     variance_length_grid,
 )
-from w1clt.models import ParetoTail, Uniform
+from w1clt.models import Exponential, ParetoTail, Uniform
 from w1clt.processes import (
     IID,
     CausalLinear,
     DoublingMap,
     GeometricCoeffs,
     IntermittentMap,
+    PolynomialCoeffs,
     generate,
     generate_batch,
     spawn_rng,
@@ -133,6 +137,41 @@ def test_counts_seeds_and_streams_are_integers_checked_before_any_work(
     if least is not None:
         with pytest.raises(ValidationError, match=f"{name} must be >= {least}, got {least - 1}"):
             call(least - 1)
+
+
+# (record, field, call building it with the value under test, a valid value)
+REALS = [
+    ("Uniform", "lo", lambda v: Uniform(v, 2.0), 0.5),
+    ("Uniform", "hi", lambda v: Uniform(0.0, v), 0.5),
+    ("Exponential", "rate", lambda v: Exponential(v), 2.0),
+    ("ParetoTail", "scale", lambda v: ParetoTail(v, 3.0), 2.0),
+    ("ParetoTail", "exponent", lambda v: ParetoTail(1.0, v), 2.0),
+    ("GeometricCoeffs", "rho", lambda v: GeometricCoeffs(v), 0.5),
+    ("PolynomialCoeffs", "beta", lambda v: PolynomialCoeffs(v), 3.0),
+    ("PolynomialCoeffs", "offset", lambda v: PolynomialCoeffs(3.0, v), 2.0),
+    ("IntermittentMap", "gamma", lambda v: IntermittentMap(v, 0.4), 0.5),
+    ("IntermittentMap", "observable_exponent", lambda v: IntermittentMap(0.25, v), 2.0),
+    ("DoublingMap", "observable_exponent", lambda v: DoublingMap(v), 2.0),
+    ("PhiGeometric", "c1", lambda v: PhiGeometric(v, 0.5), 2.0),
+    ("PhiGeometric", "rho", lambda v: PhiGeometric(1.0, v), 0.5),
+    ("AlphaPolynomial", "c_gamma", lambda v: AlphaPolynomial(v, 0.25), 2.0),
+    ("AlphaPolynomial", "gamma", lambda v: AlphaPolynomial(1.0, v), 0.5),
+    ("ConstantBound", "value", lambda v: ConstantBound(v), 0.5),
+]
+
+
+@pytest.mark.parametrize("record, name, call, good", REALS,
+                         ids=[f"{c[0]}-{c[1]}" for c in REALS])
+def test_real_fields_are_numbers(record, name, call, good):
+    # True once built a ParetoTail of scale 1 and '2' raised a raw TypeError
+    for bad in (True, False, np.bool_(True), "2", None):
+        with pytest.raises(ValidationError, match=f"{name} must be a number"):
+            call(bad)
+    for same in (good, np.float64(good), np.float32(good)):
+        value = getattr(call(same), name)
+        assert type(value) is float and value == good
+    if good == 2.0:  # an int counts as the number it is
+        assert call(2) == call(2.0)
 
 
 def test_count_takes_integral_values_only():

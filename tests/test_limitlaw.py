@@ -26,7 +26,9 @@ from w1clt.processes import (
     DoublingMap,
     GeometricCoeffs,
     IntermittentMap,
+    PolynomialCoeffs,
     generate,
+    with_truncation,
 )
 from w1clt.harness import ks_two_sample
 
@@ -164,23 +166,23 @@ def test_ties_case_tells_bin_sides_apart():
     assert not np.array_equal(_right_side_counting_pass(y, grid, lag), reference)
 
 
-def _doubling_covariance_exact(grid, exponent, lag_cutoff):
-    """Truncated lag series for Y = X**-exponent along the doubling map, exactly.
+def _doubling_covariance_exact(u, lag_cutoff):
+    """Truncated lag series of the indicators {X <= u_i} along the doubling map, exactly.
 
-    {Y <= t} = {X >= u_t} with u_t = t**(-1/exponent), so
-    P(Y_0 <= s, Y_k <= t) = (1 - u_t) - G_k(u_s) with
-    G_k(z) = (floor(2^k z)(1 - u_t) + max(0, frac(2^k z) - u_t)) / 2^k.
+    X is uniform and T^k X = 2^k X mod 1 is uniform on each of the 2^k dyadic
+    pieces of [0, 1), so P(X <= u_s, T^k X <= u_t) = G_k(u_s, u_t) with
+    G_k(z, v) = (floor(2^k z) v + min(frac(2^k z), v)) / 2^k.  The complements
+    {X > u_i} have the same covariance.
     """
-    u = grid ** (-1.0 / exponent)  # grid points >= 1, so u_t <= 1
-    f = 1.0 - u
-    base = np.outer(f, f)
-    matrix = np.minimum.outer(f, f) - base
+    u = np.asarray(u, dtype=float)
+    base = np.outer(u, u)
+    matrix = np.minimum.outer(u, u) - base
     for k in range(1, lag_cutoff + 1):
         z = np.ldexp(u, k)
         whole = np.floor(z)
-        g = (whole[:, None] * f[None, :]
-             + np.maximum(0.0, (z - whole)[:, None] - u[None, :])) / 2.0**k
-        cov_k = f[None, :] - g - base
+        joint = (whole[:, None] * u[None, :]
+                 + np.minimum((z - whole)[:, None], u[None, :])) / 2.0**k
+        cov_k = joint - base
         matrix += cov_k + cov_k.T
     return matrix
 
@@ -196,7 +198,8 @@ def test_covariance_dependent_doubling_matches_closed_form(sim_length):
     grid = variance_length_grid(model, 64)
     lag = lag_cutoff(PhiGeometric(1.0, 0.5), tol=1e-3)
     assert lag == 10
-    exact = _doubling_covariance_exact(grid, 0.25, lag)
+    # Y = X**-0.25, so {Y <= t} = {X >= t**-4}
+    exact = _doubling_covariance_exact(grid ** -4.0, lag)
     bulk = np.asarray(model.tail(grid)) > 1e-3
     assert bulk.sum() == 37
     assert np.linalg.eigvalsh(exact).min() > 0.0
@@ -205,6 +208,36 @@ def test_covariance_dependent_doubling_matches_closed_form(sim_length):
     assert np.abs(lag_part[np.ix_(bulk, bulk)]).max() > 10.0 * tol
     cg = covariance_dependent(DoublingMap(0.25, burn_in=0), grid, lag, sim_length, seed=501)
     assert np.abs(cg.matrix - exact)[np.ix_(bulk, bulk)].max() < tol
+
+
+@pytest.mark.parametrize("sim_length", [2**18, 2**20])
+def test_covariance_dependent_linear_matches_the_reversed_doubling_map(sim_length):
+    # Y_k = sum_{j<=60} 2^-j eps_{k-j} with fair +-1 innovations is 4 x_k - 2
+    # for x_k = 0.b_k b_{k-1}... in binary (eps = 2b - 1), up to 2^-59: the
+    # doubling map x_{k-1} = 2 x_k mod 1 run backwards, with Y uniform on
+    # (-2, 2).  Time reversal transposes each lag term and the series sums
+    # cov_k + cov_k.T, so the limit covariance is the doubling map's at
+    # u = (t + 2) / 4.  The tolerance is the doubling test's c / sqrt(sim_length).
+    c = 12.0
+    step = Tabulated([-1.0, 1.0], [0.5, 1.0], interp="step")
+    spec = CausalLinear(GeometricCoeffs(0.5), step, truncation=60)
+    grid = quantile_grid(Uniform(-2, 2), 32)
+    exact = _doubling_covariance_exact((grid + 2.0) / 4.0, 40)
+    tol = c / math.sqrt(sim_length)
+    assert np.abs(exact - covariance_iid(Uniform(-2, 2), grid).matrix).max() > 10.0 * tol
+    cg = covariance_dependent(spec, grid, 40, sim_length, seed=501)
+    assert np.abs(cg.matrix - exact).max() < tol
+
+
+def test_covariance_dependent_takes_a_long_polynomial_path():
+    # the default J = 7070 of PolynomialCoeffs(3.0) once capped sim_length at
+    # 37,962 (n * (J + 1) <= 2**28); the transform length n + J <= 2**23 admits it
+    spec = CausalLinear(PolynomialCoeffs(3.0), Uniform(-1, 1))
+    assert with_truncation(spec).truncation == 7070
+    grid = quantile_grid(Uniform(-1, 1), 12)
+    cg = covariance_dependent(spec, grid, 12, 60_000, 8)
+    assert cg.matrix.shape == (12, 12) and np.isfinite(cg.matrix).all()
+    assert np.array_equal(cg.matrix, cg.matrix.T)
 
 
 def test_covariance_dependent_validates_lag():
