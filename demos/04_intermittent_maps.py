@@ -25,7 +25,7 @@ for a in (0.1, 0.2, 0.25, 0.3, 0.4):
 print("\n== the same verdicts from the alpha-mixing series ==")
 for a in (0.1, 0.2, 0.4):
     marginal = ParetoTail(1.0, (1.0 - GAMMA) / a)  # induced tail exponent (1-gamma)/a
-    rep = check_alpha_condition(AlphaPolynomial(1.0, GAMMA), marginal, terms=50)
+    rep = check_alpha_condition(AlphaPolynomial(1.0, GAMMA), marginal)
     print(f"  a = {a:<5}: {rep.verdict}")
 
 print("\n== a taste of the orbit ==")

@@ -32,8 +32,8 @@ _GRIDS = {"quantile": limitlaw.quantile_grid, "vartail": limitlaw.variance_lengt
 _CHECK_KEYS = {
     "threshold": ("schema_version", "gamma", "a"),
     "phi": ("schema_version", "c1", "rho", "model"),
-    "alpha": ("schema_version", "c_gamma", "gamma", "model", "terms"),
-    "linear": ("schema_version", "coefficients", "innovation", "mode", "r", "marginal", "terms"),
+    "alpha": ("schema_version", "c_gamma", "gamma", "model"),
+    "linear": ("schema_version", "coefficients", "innovation", "mode", "r", "marginal"),
 }
 _REPORT_KEYS = ("schema_version", "finite_n", "limit")
 
@@ -115,8 +115,7 @@ def _cmd_check(args) -> int:
         bound = conditions.AlphaPolynomial(read_key(cfg, "c_gamma", float, what, 1.0),
                                            read_key(cfg, "gamma", float, what))
         report = conditions.check_alpha_condition(
-            bound, model_from_dict(read_key(cfg, "model", dict, what)),
-            read_key(cfg, "terms", int, what, 200),
+            bound, model_from_dict(read_key(cfg, "model", dict, what))
         )
     else:
         marginal = read_key(cfg, "marginal", dict, what, None)
@@ -126,7 +125,6 @@ def _cmd_check(args) -> int:
             read_key(cfg, "mode", str, what),
             r=read_key(cfg, "r", float, what, None),
             marginal=None if marginal is None else model_from_dict(marginal),
-            terms=read_key(cfg, "terms", int, what, 200),
         )
     _emit(report, args, "check.json")
     return 0
@@ -193,8 +191,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_probe(args) -> int:
     report = harness.divergence_probe(
-        args.gamma, args.a, args.n_values, args.replications, args.seed,
-        growth_factor=args.growth_factor,
+        args.gamma, args.a, args.n_values, args.replications, args.seed
     )
     _emit(report, args, "probe.json")
     return 0
@@ -261,7 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
          ("--a", {"type": float, "required": True}),
          ("--n-values", {"type": _int_list, "required": True}),
          ("--replications", {"type": int, "default": 200}),
-         ("--growth-factor", {"type": float, "default": 1.5}),
          ("--seed", {"type": int, "default": 0}), out_dir),
         ("report", _cmd_report, "per-n comparison table against a limit sample",
          config, out_dir),

@@ -2,15 +2,15 @@
 
 Verdicts are constant-independent: each series is classified by comparing its
 symbolically derived decay exponent with the critical value -1, with a 1e-9
-band mapped to "undetermined".  Reported magnitudes combine a numeric partial
-sum with the integral-test tail bound int_K^inf term, started at the last
-summed lag K (``terms`` for the alpha check, ``terms - 1`` for the linear
-ones, which start at k = 0); it bounds sum_{k>K} term(k) when the terms do not
-increase past K.  They are nonincreasing by construction except in moment_313,
-whose terms rise from 0 at k = 0 before they fall, so that bound holds only
-for K past the peak: below k = 1 for convergent polynomial families, at
-k = 1/((r-2) log(1/rho)) for geometric ones (4.7 at rho = 0.9, r = 4).
-The unknown theory constants default to 1 and never affect a verdict.
+band mapped to "undetermined".  Reported magnitudes sum _LAGS = 200 lags
+(k = 1..200 for the alpha check, 0..199 for the linear ones) and add the
+integral-test tail bound int_K^inf term from the last summed lag K, which
+bounds sum_{k>K} term(k) when the terms do not increase past K.  Only
+moment_313's terms rise (from 0 at k = 0) before they fall, peaking below
+k = 1 for convergent polynomial families and near k = 1/((r-2) log(1/rho))
+for geometric ones; a peak past K voids that guarantee, though at r = 4 the
+bound held up to rho = 0.9999 (peak near k = 5000).  The unknown theory
+constants default to 1 and never affect a verdict.
 """
 from __future__ import annotations
 
@@ -39,6 +39,7 @@ __all__ = [
 
 _CRITICAL_BAND = 1e-9
 _MAX_LAG = 10**7
+_LAGS = 200  # lags summed by the alpha and linear checks
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +213,7 @@ def check_phi_condition(bound: PhiGeometric, model: DistributionModel) -> Condit
 # alpha-dependence condition: sum k^{-1/2} * int_0^{alpha(k)} Q(u)/sqrt(u) du
 # ---------------------------------------------------------------------------
 
-def check_alpha_condition(bound, model: DistributionModel, terms: int = 200) -> ConditionReport:
-    terms = count(terms, "terms", 10)
+def check_alpha_condition(bound, model: DistributionModel) -> ConditionReport:
     e_q = _qti_alpha_exponent(model)
     if e_q is None:
         r = model.tail_exponent()
@@ -234,7 +234,7 @@ def check_alpha_condition(bound, model: DistributionModel, terms: int = 200) -> 
         f"e_q={e_q:g}; integral-test tail bound valid (terms nonincreasing); "
         f"magnitudes use default constants (=1), verdict is constant-independent"
     )
-    return _series(term, np.arange(1, terms + 1, dtype=float), exponent, notes)
+    return _series(term, np.arange(1, _LAGS + 1, dtype=float), exponent, notes)
 
 
 def alpha_forms_pair(bound, model: DistributionModel, k: int) -> tuple[float, float]:
@@ -264,10 +264,11 @@ def alpha_forms_pair(bound, model: DistributionModel, k: int) -> tuple[float, fl
 
 def check_intermittent_threshold(gamma: float, a: float) -> ConditionReport:
     """Strict comparison of the observable exponent with 1/2 - gamma."""
+    gamma, a = real(gamma, "gamma"), real(a, "a")
     if not (0.0 < gamma < 1.0):
-        raise ValidationError("gamma must lie in (0, 1)")
-    if not (a > 0.0):
-        raise ValidationError("a must be positive")
+        raise ValidationError(f"gamma must lie in (0, 1), got {gamma}")
+    if not (0.0 < a < math.inf):
+        raise ValidationError(f"a must be finite and positive, got {a}")
     margin = 0.5 - gamma - a
     notes = (
         f"threshold margin (1/2 - gamma - a) = {margin:.6g}; strict inequality "
@@ -286,22 +287,21 @@ _LINEAR_MODES = ("exact_311", "rio_312", "moment_313", "tail_314")
 
 def check_linear_conditions(family: CoeffFamily, innovation: DistributionModel,
                             mode: str, r: float | None = None,
-                            marginal: DistributionModel | None = None,
-                            terms: int = 200) -> ConditionReport:
+                            marginal: DistributionModel | None = None) -> ConditionReport:
     """Summability checks for the MA-infinity coefficient conditions.
 
     Modes: ``exact_311`` sums the quantile-tail integrals of the marginal
     at a_k**2 (needs `marginal`); ``rio_312`` the same with the innovation
     quantile; ``moment_313`` sums k^{1/(r-1)} |a_k|^{(r-2)/(r-1)};
-    ``tail_314`` sums |a_k|^{1-2/r}.  Moment/tail modes need r > 2; a mode
-    given `r` or `marginal` that it does not read is rejected.
+    ``tail_314`` sums |a_k|^{1-2/r}.  Moment/tail modes need a finite r > 2;
+    a mode given `r` or `marginal` that it does not read is rejected.
     """
     if mode not in _LINEAR_MODES:
         raise ValidationError(f"mode must be one of {_LINEAR_MODES}")
-    terms = count(terms, "terms", 1)
+    r = None if r is None else real(r, "r")
     if mode in ("moment_313", "tail_314"):
-        if r is None or not (r > 2.0):
-            raise ValidationError("moment/tail modes require r > 2")
+        if r is None or not (2.0 < r < math.inf):
+            raise ValidationError(f"moment/tail modes require a finite r > 2, got {r}")
     elif r is not None:
         raise ValidationError(f"{mode} does not read 'r'")
     if (marginal is None) == (mode == "exact_311"):
@@ -339,7 +339,7 @@ def check_linear_conditions(family: CoeffFamily, innovation: DistributionModel,
         f"{'unknown' if k_density is None else format(k_density, 'g')} "
         f"(hypothesis of the Gaussian limit, recorded not enforced)"
     )
-    return _series(term, np.arange(0, terms, dtype=float), exponent, notes)
+    return _series(term, np.arange(0, _LAGS, dtype=float), exponent, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +348,7 @@ def check_linear_conditions(family: CoeffFamily, innovation: DistributionModel,
 
 def lag_cutoff(bound, tol: float = 1e-3) -> int:
     """Smallest K <= 10**7 with sum_{k>K} bound(k) < tol, read from ``bound.abs_tail``."""
+    tol = real(tol, "tol")
     if not (tol > 0):
         raise ValidationError("tol must be positive")
     k = first_index_below(bound.abs_tail, tol, _MAX_LAG)

@@ -3,13 +3,13 @@
 Output: every ``to_dict`` returns ``jsonable(self)``, and every JSON writer
 dumps ``jsonable`` data with ``allow_nan=False``.  Input: ``read_key`` and
 friends check one object, ``count`` checks every count, seed and stream the
-Python API takes, ``real`` each scalar real field of a model, coefficient
-family, process or mixing bound, ``as_sorted_sample`` checks one sample or a
-stack, and ``from_wire`` decodes a ``WireRecord``.  A wire record is a
-dataclass whose JSON form is its tag (``TAG`` holding the class's ``kind``)
-followed by its fields by name.  Each field's annotation picks its JSON type,
-a field with a default may be left out and then takes that default, and a
-nested record names its decoder in the field's ``metadata["decode"]``.
+Python API takes, ``real`` every scalar real field and argument it takes,
+``as_sorted_sample`` checks one sample or a stack, and ``from_wire`` decodes a
+``WireRecord``.  A wire record is a dataclass whose JSON form is its tag
+(``TAG`` holding the class's ``kind``) followed by its fields by name.  Each
+field's annotation picks its JSON type, a field with a default may be left out
+and then takes that default, and a nested record names its decoder in the
+field's ``metadata["decode"]``.
 """
 import math
 from dataclasses import MISSING, fields, is_dataclass

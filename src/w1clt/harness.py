@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import JsonRecord, ValidationError, count, read_key, reject_unknown_keys
+from .errors import JsonRecord, ValidationError, count, read_key, real, reject_unknown_keys
 from .limitlaw import StatisticSample
 from .models import DistributionModel, model_from_dict
 from .processes import (
@@ -62,6 +62,7 @@ _CONFIG_KEYS = {"schema_version", "process", "n_values", "replications", "base_s
 _REFERENCE_KEYS = ("analytic", "calibration_length", "calibration_grid_size")
 # an "auto" config and the divergence probe calibrate from this many times max(n) values
 _CALIBRATION_FACTOR = 10
+_GROWTH_FACTOR = 1.5  # least cumulative growth of medians the probe calls non-stabilizing
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +100,7 @@ class ExperimentConfig:
         if self.calibration_length is not None:
             self.calibration_length = count(self.calibration_length, "calibration_length", 1)
         self.calibration_grid_size = count(self.calibration_grid_size, "calibration_grid_size", 1)
+        self.tail_tol = real(self.tail_tol, "tail_tol")
         if not (self.tail_tol > 0):
             raise ValidationError("tail_tol must be positive")
 
@@ -317,23 +319,20 @@ def compare_against_limit(finite: dict[int, StatisticSample],
 # ---------------------------------------------------------------------------
 
 def divergence_probe(gamma: float, a: float, n_values: list[int], replications: int,
-                     seed: int, burn_in: int = 10_000, growth_factor: float = 1.5,
-                     threads: int = 1) -> ProbeReport:
+                     seed: int, burn_in: int = 10_000, threads: int = 1) -> ProbeReport:
     """Median T_n across n for the intermittent map, with a growth verdict.
 
     "non-stabilizing" needs strictly increasing medians with cumulative growth
-    >= growth_factor; "stabilizing" needs all consecutive ratios inside
-    [0.8, 1.25].  The replicates come from run_clt_experiment, against a
-    reference calibrated by the rule of an ``"auto"`` config: the CDF at 2048
-    quantiles of one orbit of _CALIBRATION_FACTOR (10) * max(n) values.
+    >= _GROWTH_FACTOR (1.5), the report's ``growth_factor``; otherwise
+    "stabilizing" needs all consecutive ratios inside [0.8, 1.25].  The
+    replicates come from run_clt_experiment, against a reference calibrated
+    by the rule of an ``"auto"`` config: the CDF at 2048 quantiles of one
+    orbit of _CALIBRATION_FACTOR (10) * max(n) values.
     ``threads`` is run_clt_experiment's process count.  Every argument is
     checked, also when a single n gives "insufficient data" without running
     anything.
     """
     threads = count(threads, "threads", 1)
-    # at or below 1 the growth test cannot fail once every ratio is above 1
-    if not (math.isfinite(growth_factor) and growth_factor > 1.0):
-        raise ValidationError(f"growth_factor must be a finite number > 1, got {growth_factor}")
     n_values = _sample_sizes(n_values)
     cfg = ExperimentConfig(
         process=IntermittentMap(gamma, a, burn_in),
@@ -344,17 +343,17 @@ def divergence_probe(gamma: float, a: float, n_values: list[int], replications: 
     )
     if len(n_values) < 2:
         return ProbeReport({n: math.nan for n in n_values}, [], "insufficient data",
-                           growth_factor)
+                           _GROWTH_FACTOR)
     samples = run_clt_experiment(cfg, threads)
     medians = {n: float(np.median(samples[n].values)) for n in n_values}
     med_list = list(medians.values())
     ratios = [m2 / m1 for m1, m2 in zip(med_list, med_list[1:])]
     cumulative = med_list[-1] / med_list[0]
-    if all(r > 1.0 for r in ratios) and cumulative >= growth_factor:
+    if all(r > 1.0 for r in ratios) and cumulative >= _GROWTH_FACTOR:
         verdict = "non-stabilizing"
     elif all(0.8 <= r <= 1.25 for r in ratios):
         verdict = "stabilizing"
     else:
         verdict = "indeterminate"
-    return ProbeReport(medians, ratios, verdict, growth_factor)
+    return ProbeReport(medians, ratios, verdict, _GROWTH_FACTOR)
 

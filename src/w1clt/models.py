@@ -553,6 +553,7 @@ def power_pushforward(exponent: float, base="lebesgue") -> DistributionModel:
     base knot becomes the tail cutoff of the transformed table.  A step base
     is rejected: its jumps do not map onto linear interpolation between knots.
     """
+    exponent = real(exponent, "exponent")
     if not (exponent > 0.0 and math.isfinite(exponent)):
         raise ValidationError("power pushforward requires exponent > 0")
     if base == "lebesgue":

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, NumericalError, ValidationError, as_sorted_sample
+from .errors import DivergenceError, NumericalError, ValidationError, as_sorted_sample, real
 from .models import DistributionModel
 
 __all__ = [
@@ -137,7 +137,7 @@ def w1_sample_vs_model(sample, model: DistributionModel,
     DivergenceError
         If the model has an infinite first moment (the integral is +inf).
     """
-    if not (tail_tol > 0):
+    if not (real(tail_tol, "tail_tol") > 0):
         raise ValidationError("tail_tol must be positive")
     if not model.has_finite_mean:
         r = model.tail_exponent()
@@ -188,6 +188,7 @@ def sqrt_tail_integral(model: DistributionModel, lower: float = 0.0) -> Extended
     Kept independent of the quantile-substitution route so the two forms can
     be checked against each other.
     """
+    lower = real(lower, "lower")
     if not (lower > -math.inf):
         raise ValidationError(f"lower must be a number above -inf, got {lower}")
     r = model.tail_exponent()
@@ -223,6 +224,7 @@ def quantile_tail_integral(model: DistributionModel, alpha: float) -> ExtendedRe
     (``quantile_tail_integral_exact``); a tail exponent r <= 2 makes it
     infinite.
     """
+    alpha = real(alpha, "alpha")
     if not (0.0 < alpha <= 1.0):
         raise ValidationError("alpha must lie in (0, 1]")
     r = model.tail_exponent()

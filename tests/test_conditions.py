@@ -1,10 +1,12 @@
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from w1clt import conditions
 from w1clt.conditions import (
     AlphaPolynomial,
     ConstantBound,
@@ -81,23 +83,29 @@ def test_phi_near_one_matches_brute_force():
 # alpha condition
 # ---------------------------------------------------------------------------
 
+def _at_lags(lags, check, *args, **kwargs):
+    """``check(*args, **kwargs)`` summing ``lags`` lags instead of the fixed count."""
+    with mock.patch.object(conditions, "_LAGS", lags):
+        return check(*args, **kwargs)
+
+
 def test_alpha_intermittent_convergent_side():
     # gamma = 0.25, observable exponent a = 0.2 < 1/2 - gamma
     gamma, a = 0.25, 0.2
     marginal = ParetoTail(1.0, (1.0 - gamma) / a)
-    rep = check_alpha_condition(AlphaPolynomial(1.0, gamma), marginal, terms=50)
+    rep = check_alpha_condition(AlphaPolynomial(1.0, gamma), marginal)
     assert rep.verdict == "converges"
     assert rep.tail_bound is not None
 
 
 def test_alpha_no_mixing_diverges():
-    rep = check_alpha_condition(ConstantBound(1.0), Uniform(0, 1), terms=50)
+    rep = check_alpha_condition(ConstantBound(1.0), Uniform(0, 1))
     assert rep.verdict == "diverges"
     assert "-0.5" in rep.notes or "exponent" in rep.notes
 
 
 def test_alpha_heavy_marginal_diverges_with_infinite_terms():
-    rep = check_alpha_condition(AlphaPolynomial(1.0, 0.25), ParetoTail(1.0, 1.5), terms=50)
+    rep = check_alpha_condition(AlphaPolynomial(1.0, 0.25), ParetoTail(1.0, 1.5))
     assert rep.verdict == "diverges"
     assert math.isinf(rep.partial_sum)
 
@@ -107,7 +115,7 @@ def test_alpha_partial_sum_matches_term_by_term_quadrature():
     bound = AlphaPolynomial(1.0, 0.25)
     m = Uniform(0, 1)
     terms = 1000
-    rep = check_alpha_condition(bound, m, terms=terms)
+    rep = _at_lags(terms, check_alpha_condition, bound, m)
     total = 0.0
     for k in range(1, terms + 1):
         alpha = float(bound(k))
@@ -120,24 +128,18 @@ def test_alpha_partial_sum_matches_term_by_term_quadrature():
 
 
 def test_alpha_geometric_bound_converges_quickly():
-    rep = check_alpha_condition(PhiGeometric(1.0, 0.5), Exponential(1.0), terms=30)
+    rep = check_alpha_condition(PhiGeometric(1.0, 0.5), Exponential(1.0))
     assert rep.verdict == "converges"
-
-
-def test_alpha_requires_enough_terms():
-    with pytest.raises(ValidationError):
-        check_alpha_condition(AlphaPolynomial(1.0, 0.25), Uniform(0, 1), terms=5)
 
 
 def test_partial_sums_monotone_and_verdicts_stable():
     bound = AlphaPolynomial(1.0, 0.25)
-    reports = [check_alpha_condition(bound, Uniform(0, 1), terms=t)
-               for t in (10, 40, 160)]
+    reports = [_at_lags(t, check_alpha_condition, bound, Uniform(0, 1)) for t in (10, 40, 160)]
     sums = [r.partial_sum for r in reports]
     assert sums[0] < sums[1] < sums[2]
     assert len({r.verdict for r in reports}) == 1
-    lin = [check_linear_conditions(PolynomialCoeffs(3.0), Uniform(0, 1),
-                                   "tail_314", r=4.0, terms=t)
+    lin = [_at_lags(t, check_linear_conditions, PolynomialCoeffs(3.0), Uniform(0, 1),
+                    "tail_314", r=4.0)
            for t in (20, 80, 320)]
     assert lin[0].partial_sum < lin[1].partial_sum < lin[2].partial_sum
     assert len({r.verdict for r in lin}) == 1
@@ -192,10 +194,11 @@ def test_threshold_truth_table():
 
 
 def test_threshold_validates_inputs():
-    with pytest.raises(ValidationError):
-        check_intermittent_threshold(1.5, 0.2)
-    with pytest.raises(ValidationError):
-        check_intermittent_threshold(0.5, -0.1)
+    for gamma, a, match in [(1.5, 0.2, "gamma must lie in"), (0.5, -0.1, "got -0.1"),
+                            (0.25, math.inf, "a must be finite and positive, got inf"),
+                            (0.25, math.nan, "got nan")]:
+        with pytest.raises(ValidationError, match=match):
+            check_intermittent_threshold(gamma, a)
 
 
 def test_alpha_condition_agrees_with_threshold_on_grid():
@@ -210,9 +213,8 @@ def test_alpha_condition_agrees_with_threshold_on_grid():
                 expected = "diverges"
             else:
                 expected = check_intermittent_threshold(gamma, a).verdict
-            rep = check_alpha_condition(
-                AlphaPolynomial(1.0, gamma), ParetoTail(1.0, marginal_exponent), terms=10
-            )
+            rep = check_alpha_condition(AlphaPolynomial(1.0, gamma),
+                                        ParetoTail(1.0, marginal_exponent))
             assert rep.verdict == expected, (gamma, a)
 
 
@@ -296,8 +298,9 @@ def test_linear_moment_mode_validates_r():
 def test_linear_check_rejects_arguments_it_does_not_read():
     fam, inn = GeometricCoeffs(0.5), Uniform(-1, 1)
     for kwargs, match in [
-        ({"mode": "tail_314", "r": 4.0, "terms": 0}, "terms must be >= 1"),
-        ({"mode": "rio_312", "terms": -3}, "terms must be >= 1"),
+        ({"mode": "moment_313", "r": math.inf}, "finite r > 2, got inf"),
+        ({"mode": "tail_314", "r": math.inf}, "finite r > 2, got inf"),
+        ({"mode": "tail_314", "r": math.nan}, "finite r > 2, got nan"),
         ({"mode": "rio_312", "r": 4.0}, "does not read 'r'"),
         ({"mode": "exact_311", "r": 4.0, "marginal": inn}, "does not read 'r'"),
         ({"mode": "rio_312", "marginal": inn}, "'marginal'"),
@@ -323,25 +326,32 @@ def _linear_terms(family, innovation, mode, r, marginal, ks):
                      for x in a])
 
 
-@pytest.mark.parametrize("rho", [0.5, 0.9])
-@pytest.mark.parametrize("mode", ["exact_311", "rio_312", "moment_313", "tail_314"])
-def test_linear_tail_bound_bounds_the_rest_of_the_series(mode, rho):
-    # partial_sum + tail_bound must be at least the series summed far past `terms`
+_SHORT = [(mode, rho, 20, 2020) for mode in ("exact_311", "rio_312", "moment_313", "tail_314")
+          for rho in (0.5, 0.9)]
+# moment_313's terms rise to a peak near k = 1/((r - 2) log(1/rho)): at r = 4
+# near 50, 500 and 5000 for these rho, the last two past the 200 summed lags
+_SLOW = [("moment_313", rho, 200, 2 * 10**5) for rho in (0.99, 0.999, 0.9999)]
+
+
+@pytest.mark.parametrize("mode, rho, lags, direct_lags", _SHORT + _SLOW,
+                         ids=[f"{c[0]}-{c[1]}" for c in _SHORT]
+                         + [f"{c[0]}-{c[1]}-200-lags" for c in _SLOW])
+def test_linear_tail_bound_bounds_the_rest_of_the_series(mode, rho, lags, direct_lags):
+    # partial_sum + tail_bound must be at least the series summed far past the lags
     family, innovation, marginal = GeometricCoeffs(rho), Uniform(-1, 1), Uniform(-2, 2)
     r = 4.0 if mode in ("moment_313", "tail_314") else None
-    terms = 20
-    rep = check_linear_conditions(family, innovation, mode, r=r, terms=terms,
-                                  marginal=marginal if mode == "exact_311" else None)
-    assert rep.verdict == "converges"
-    ks = np.arange(0, terms + 2000, dtype=float)
+    rep = _at_lags(lags, check_linear_conditions, family, innovation, mode, r=r,
+                   marginal=marginal if mode == "exact_311" else None)
+    assert rep.verdict == "converges" and rep.terms_used == lags
+    ks = np.arange(0, direct_lags, dtype=float)
     direct = float(np.sum(_linear_terms(family, innovation, mode, r, marginal, ks)))
     assert direct > rep.partial_sum
     assert rep.partial_sum + rep.tail_bound >= direct
 
 
 def test_alpha_tail_bound_bounds_the_rest_of_the_series():
-    bound, m, terms = AlphaPolynomial(1.0, 0.25), Uniform(0, 1), 10
-    rep = check_alpha_condition(bound, m, terms=terms)
+    bound, m = AlphaPolynomial(1.0, 0.25), Uniform(0, 1)
+    rep = _at_lags(10, check_alpha_condition, bound, m)
     ks = np.arange(1, 5001)
     direct = sum(float(quantile_tail_integral(m, float(bound(k)))) / math.sqrt(k) for k in ks)
     assert direct > rep.partial_sum
@@ -351,8 +361,8 @@ def test_alpha_tail_bound_bounds_the_rest_of_the_series():
 def test_linear_partial_sum_matches_direct_sum():
     fam = PolynomialCoeffs(4.0)
     r = 3.0
-    rep = check_linear_conditions(fam, Uniform(-1, 1), "moment_313", r=r, terms=100)
-    ks = np.arange(0, 100, dtype=float)
+    rep = check_linear_conditions(fam, Uniform(-1, 1), "moment_313", r=r)
+    ks = np.arange(0, 200, dtype=float)  # the fixed 200 lags
     direct = float(np.sum(ks ** (1.0 / (r - 1.0)) * (ks + 1.0) ** (-4.0 * (r - 2.0) / (r - 1.0))))
     assert rep.partial_sum == pytest.approx(direct, rel=1e-12)
 
@@ -360,10 +370,10 @@ def test_linear_partial_sum_matches_direct_sum():
 def test_linear_rio_partial_sum_matches_qti():
     fam = GeometricCoeffs(0.5)
     inn = Uniform(0, 1)
-    rep = check_linear_conditions(fam, inn, "rio_312", terms=20)
+    rep = check_linear_conditions(fam, inn, "rio_312")
     direct = sum(
         float(quantile_tail_integral(inn, min(max(0.5 ** (2 * k), 1e-300), 1.0)))
-        for k in range(20)
+        for k in range(200)
     )
     assert rep.partial_sum == pytest.approx(direct, rel=1e-9)
 

@@ -352,11 +352,7 @@ def _no_orbit(*args, **kwargs):
     ({"n_values": [0]}, "n_values"),
     ({"n_values": [0, 5]}, "n_values"),
     ({"replications": 1}, "replications"),
-    ({"growth_factor": math.nan}, "growth_factor"),
-    ({"growth_factor": math.inf}, "growth_factor"),
-    ({"growth_factor": 1.0}, "growth_factor"),
-], ids=["gamma", "a", "burn-in", "zero-n", "zero-n-of-two", "one-replication",
-        "nan-growth", "inf-growth", "unit-growth"])
+], ids=["gamma", "a", "burn-in", "zero-n", "zero-n-of-two", "one-replication"])
 def test_probe_checks_input_before_any_work(kwargs, named, monkeypatch):
     # a single n gives "insufficient data" only for otherwise valid input
     monkeypatch.setattr(harness, "generate", _no_orbit)
@@ -382,6 +378,24 @@ def test_probe_runs_small():
     assert set(rep.medians) == {128, 256}
     assert all(v > 0 for v in rep.medians.values())
     assert len(rep.ratios) == 1
+
+
+@pytest.mark.parametrize("medians, verdict", [
+    ([4.0, 5.0, 4.0], "stabilizing"),  # ratios exactly 1.25 and 0.8
+    ([2.0, 2.5, 3.0], "non-stabilizing"),  # strictly rising, growth exactly 1.5
+    ([2.0, 2.0], "stabilizing"),  # a ratio of exactly 1.0 ...
+    ([1.0, 1.0, 10.0], "indeterminate"),  # ... is never rising, whatever the growth
+    ([4.0, 2.0, 4.0], "indeterminate"),  # a fall, then a rise
+], ids=["band-edges", "least-growth", "flat", "flat-then-jump", "fall-then-rise"])
+def test_probe_verdict_rule_on_given_medians(medians, verdict, monkeypatch):
+    def medians_as_samples(cfg, threads):
+        return {n: _sample([m]) for n, m in zip(cfg.n_values, medians)}
+
+    monkeypatch.setattr(harness, "run_clt_experiment", medians_as_samples)
+    n_values = [64 << i for i in range(len(medians))]
+    rep = divergence_probe(0.25, 0.4, n_values, replications=8, seed=3)
+    assert list(rep.medians.values()) == medians
+    assert rep.verdict == verdict and rep.growth_factor == 1.5
 
 
 def test_probe_flags_growing_medians_as_non_stabilizing():
@@ -658,6 +672,7 @@ _EXPERIMENT = {
 _THRESHOLD = {"schema_version": 1, "kind": "threshold", "gamma": 0.25, "a": 0.2}
 _LINEAR = {"schema_version": 1, "kind": "linear", "mode": "rio_312", "innovation": _UNIFORM,
            "coefficients": {"family": "geometric", "rho": 0.5}}
+_ALPHA = {"schema_version": 1, "kind": "alpha", "gamma": 0.25, "model": _UNIFORM}
 _INTERMITTENT = {"variant": "intermittent", "gamma": 0.25, "observable_exponent": 0.4,
                  "burn_in": 0}
 _CFG = ["--config", "{cfg}"]
@@ -720,8 +735,11 @@ _PROBE = ["probe", "--gamma", "0.25", "--a", "0.4", "--out-dir", "{out}", "--n-v
         "variant": "causal_linear", "coefficients": {"family": "polynomial", "beta": 3,
                                                      "offset": 1e999},
         "innovation": _UNIFORM}}, "finite offset"),
-    (["check", *_CFG], {**_LINEAR, "terms": -3}, "terms must be >= 1"),
-    (["check", *_CFG], {**_LINEAR, "terms": 0}, "terms must be >= 1"),
+    (["check", *_CFG], {**_LINEAR, "terms": 200}, "unknown linear check config key(s) ['terms']"),
+    (["check", *_CFG], {**_ALPHA, "terms": 200}, "unknown alpha check config key(s) ['terms']"),
+    (["check", *_CFG], {**_LINEAR, "mode": "moment_313", "r": 1e999}, "finite r > 2, got inf"),
+    (["check", *_CFG], {**_LINEAR, "mode": "tail_314", "r": 1e999}, "finite r > 2, got inf"),
+    (["check", "--gamma", "0.25", "--a", "inf"], None, "a must be finite and positive, got inf"),
     (["check", *_CFG], {**_LINEAR, "r": 4}, "does not read 'r'"),
     (["check", *_CFG], {**_LINEAR, "mode": "exact_311", "r": 4, "marginal": _UNIFORM},
      "does not read 'r'"),
@@ -731,8 +749,7 @@ _PROBE = ["probe", "--gamma", "0.25", "--a", "0.4", "--out-dir", "{out}", "--n-v
     ([*_PROBE, "512", "--gamma", "-1"], None, "gamma"),
     ([*_PROBE, "0"], None, "n_values"),
     ([*_PROBE, "512", "--replications", "1"], None, "replications"),
-    ([*_PROBE, "512", "--growth-factor", "nan"], None, "growth_factor"),
-    ([*_PROBE, "512", "--growth-factor", "0.5"], None, "growth_factor"),
+    ([*_PROBE, "512", "--growth-factor", "2"], None, "unrecognized arguments: --growth-factor"),
     (["experiment", *_CFG], {**_EXPERIMENT, "n_values": [0, 5]}, "n_values"),
     (["experiment", *_CFG], {**_EXPERIMENT, "n_values": [0, 5], "process": _INTERMITTENT,
                              "reference": {"calibration_length": 50}}, "n_values"),
@@ -743,10 +760,10 @@ _PROBE = ["probe", "--gamma", "0.25", "--a", "0.4", "--out-dir", "{out}", "--n-v
         "scalar-list", "grid-scheme", "report-same-n", "zero-tail-tol",
         "step-pushforward-base", "zero-calibration-grid", "negative-calibration-grid",
         "nan-tabulated-cdf", "inf-tabulated-knot", "inf-pareto-scale", "inf-pareto-exponent",
-        "inf-polynomial-beta", "inf-polynomial-offset", "linear-negative-terms",
-        "linear-zero-terms", "rio-unread-r", "exact-unread-r", "rio-unread-marginal",
+        "inf-polynomial-beta", "inf-polynomial-offset", "linear-terms",
+        "alpha-terms", "moment-inf-r", "tail-inf-r", "threshold-inf-a", "rio-unread-r", "exact-unread-r", "rio-unread-marginal",
         "tail-unread-marginal", "probe-gamma", "probe-zero-n", "probe-one-replication",
-        "probe-nan-growth", "probe-small-growth", "iid-zero-n", "intermittent-zero-n",
+        "probe-growth-factor", "iid-zero-n", "intermittent-zero-n",
         "number-reference"])
 def test_cli_rejects_unread_input(argv, config, named, tmp_path, capsys):
     csv = tmp_path / "a.csv"

@@ -4,7 +4,8 @@ A non-integral value (2.5, a bool, a string, None) or one below the
 parameter's minimum raises ValidationError naming the parameter before any
 orbit, calibration, covariance or sampling work starts; an integral float or
 a numpy int gives the bytes of the plain int.  Its twin ``errors.real`` takes
-every scalar real field of a model, coefficient family, process or bound.
+every scalar real field of a model, coefficient family, process, bound or
+experiment config, and every real argument of a function.
 """
 import io
 import json
@@ -20,8 +21,9 @@ from w1clt.conditions import (
     ConstantBound,
     PhiGeometric,
     alpha_forms_pair,
-    check_alpha_condition,
+    check_intermittent_threshold,
     check_linear_conditions,
+    lag_cutoff,
 )
 from w1clt.errors import ValidationError, count
 from w1clt.harness import (
@@ -38,7 +40,7 @@ from w1clt.limitlaw import (
     sample_limit_functional,
     variance_length_grid,
 )
-from w1clt.models import Exponential, ParetoTail, Uniform
+from w1clt.models import Exponential, ParetoTail, Uniform, power_pushforward
 from w1clt.processes import (
     IID,
     CausalLinear,
@@ -50,6 +52,7 @@ from w1clt.processes import (
     generate_batch,
     spawn_rng,
 )
+from w1clt.transport import quantile_tail_integral, sqrt_tail_integral, w1_sample_vs_model
 
 U = Uniform(0, 1)
 INTERMITTENT = IntermittentMap(0.25, 0.4, burn_in=0)
@@ -105,10 +108,6 @@ CASES = [
     ("brownian_bridge_oracle", "replications", 1, lambda v: brownian_bridge_oracle(U, v, 8, 1)),
     ("brownian_bridge_oracle", "mesh", 1, lambda v: brownian_bridge_oracle(U, 4, v, 1)),
     ("brownian_bridge_oracle", "seed", None, lambda v: brownian_bridge_oracle(U, 4, 8, v)),
-    ("check_alpha_condition", "terms", 10,
-     lambda v: check_alpha_condition(AlphaPolynomial(1.0, 0.5), ParetoTail(1.0, 3.0), v)),
-    ("check_linear_conditions", "terms", 1,
-     lambda v: check_linear_conditions(GeometricCoeffs(0.5), U, "rio_312", terms=v)),
     ("alpha_forms_pair", "k", 1,
      lambda v: alpha_forms_pair(AlphaPolynomial(1.0, 0.5), ParetoTail(1.0, 3.0), v)),
 ]
@@ -157,6 +156,7 @@ REALS = [
     ("AlphaPolynomial", "c_gamma", lambda v: AlphaPolynomial(v, 0.25), 2.0),
     ("AlphaPolynomial", "gamma", lambda v: AlphaPolynomial(1.0, v), 0.5),
     ("ConstantBound", "value", lambda v: ConstantBound(v), 0.5),
+    ("ExperimentConfig", "tail_tol", lambda v: _config(tail_tol=v), 0.5),
 ]
 
 
@@ -172,6 +172,35 @@ def test_real_fields_are_numbers(record, name, call, good):
         assert type(value) is float and value == good
     if good == 2.0:  # an int counts as the number it is
         assert call(2) == call(2.0)
+
+
+# (function, argument, call taking the value under test, a valid value)
+ARGUMENT_REALS = [
+    ("check_intermittent_threshold", "gamma", lambda v: check_intermittent_threshold(v, 0.5),
+     0.25),
+    ("check_intermittent_threshold", "a", lambda v: check_intermittent_threshold(0.25, v), 0.5),
+    ("lag_cutoff", "tol", lambda v: lag_cutoff(PhiGeometric(1.0, 0.5), tol=v), 0.5),
+    ("quantile_tail_integral", "alpha", lambda v: quantile_tail_integral(U, v), 0.5),
+    ("sqrt_tail_integral", "lower", lambda v: sqrt_tail_integral(U, v), 0.5),
+    ("power_pushforward", "exponent", lambda v: power_pushforward(v), 0.5),
+    ("check_linear_conditions", "r",
+     lambda v: check_linear_conditions(GeometricCoeffs(0.5), U, "tail_314", r=v), 4.0),
+    ("w1_sample_vs_model", "tail_tol", lambda v: w1_sample_vs_model([0.2, 0.7], U, v), 0.5),
+]
+
+
+@pytest.mark.parametrize("function, name, call, good", ARGUMENT_REALS,
+                         ids=[f"{c[0]}-{c[1]}" for c in ARGUMENT_REALS])
+def test_real_arguments_are_numbers(function, name, call, good):
+    # True once gave a threshold verdict and '0.2' raised a raw TypeError
+    for bad in (True, False, np.bool_(True), "2", "x"):
+        with pytest.raises(ValidationError, match=f"{name} must be a number"):
+            call(bad)
+    if name != "r":  # r=None is a mode that reads no r: a ValidationError of its own
+        with pytest.raises(ValidationError, match=f"{name} must be a number"):
+            call(None)
+    for same in (np.float64(good), np.float32(good)):
+        assert call(same) == call(good)
 
 
 def test_count_takes_integral_values_only():
