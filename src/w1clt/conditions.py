@@ -2,15 +2,17 @@
 
 Verdicts are constant-independent: each series is classified by comparing its
 symbolically derived decay exponent with the critical value -1, with a 1e-9
-band mapped to "undetermined".  Reported magnitudes sum _LAGS = 200 lags
-(k = 1..200 for the alpha check, 0..199 for the linear ones) and add the
-integral-test tail bound int_K^inf term from the last summed lag K, which
-bounds sum_{k>K} term(k) when the terms do not increase past K.  Only
-moment_313's terms rise (from 0 at k = 0) before they fall, peaking below
-k = 1 for convergent polynomial families and near k = 1/((r-2) log(1/rho))
-for geometric ones; a peak past K voids that guarantee, though at r = 4 the
-bound held up to rho = 0.9999 (peak near k = 5000).  The unknown theory
-constants default to 1 and never affect a verdict.
+band mapped to "undetermined".  Every check sums _LAGS = 200 lags (k = 1..200
+for phi and alpha, 0..199 for the linear modes), so ``terms_used`` is 200, and
+a convergent report's ``tail_bound`` bounds the rest from above, up to
+quadrature error, by one rule per mode from the last summed lag K on.  Phi
+and the power modes tail_314 and moment_313 have closed forms: erfc for phi;
+a Hurwitz zeta majorant for polynomial coefficients; for geometric ones an
+upper incomplete gamma function, plus the largest term when moment_313's
+rising terms peak past K.  Alpha, rio_312 and exact_311, whose terms do not
+increase, take int_K^inf term on the level axis u = alpha(x) or |a_x|: the
+finite interval (0, u(K)].  The unknown theory constants default to 1 and
+never affect a verdict.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import DivergenceError, JsonRecord, ValidationError, count, real
 from .models import DistributionModel
-from .processes import CoeffFamily, first_index_below, hurwitz_zeta
+from .processes import CoeffFamily, PolynomialCoeffs, first_index_below, hurwitz_zeta
 from .transport import quad, quantile_tail_integral, sqrt_tail_integral, lambda21
 
 __all__ = [
@@ -39,7 +41,8 @@ __all__ = [
 
 _CRITICAL_BAND = 1e-9
 _MAX_LAG = 10**7
-_LAGS = 200  # lags summed by the alpha and linear checks
+_LAGS = 200  # lags summed by every series check
+_FLOOR = np.finfo(float).tiny  # the smallest level a quantile tail integral is taken at
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +69,10 @@ class PhiGeometric:
     def abs_tail(self, k: int) -> float:
         """sum_{j>k} c1 * rho**j: the tail of the unclipped bound."""
         return self.c1 * self.rho ** (k + 1) / (1.0 - self.rho)
+
+    def level_lag(self, u: float) -> tuple[float, float]:
+        """The lag x with c1 * rho**x = u, and dx/dlog(u)."""
+        return math.log(u / self.c1) / math.log(self.rho), 1.0 / math.log(self.rho)
 
     def decay_exponent(self) -> float:
         return math.inf
@@ -97,6 +104,11 @@ class AlphaPolynomial:
         if self.theta <= 1.0:
             return math.inf
         return self.c_gamma * hurwitz_zeta(self.theta, k + 2)
+
+    def level_lag(self, u: float) -> tuple[float, float]:
+        """The lag x with c_gamma / (x+1)**theta = u, and dx/dlog(u)."""
+        y = (self.c_gamma / u) ** (1.0 / self.theta)
+        return y - 1.0, -y / self.theta
 
     def decay_exponent(self) -> float:
         return self.theta
@@ -140,14 +152,33 @@ def _verdict_from_exponent(exponent: float, critical: float = -1.0) -> str:
     return "undetermined"
 
 
-def _series(term, ks: np.ndarray, exponent: float, notes: str) -> ConditionReport:
+def _series(term, ks: np.ndarray, exponent: float, notes: str, remainder) -> ConditionReport:
     """Sum of the vectorized ``term`` over the lags ks; for a convergent
-    series, tail bound int_{ks[-1]}^inf term."""
+    series, ``remainder()`` bounds the sum past ks[-1]."""
     verdict = _verdict_from_exponent(exponent)
-    tail = None
-    if verdict == "converges":
-        tail = quad(lambda x: float(term(np.array([x]))[0]), ks[-1], math.inf, epsrel=1e-6)
+    tail = remainder() if verdict == "converges" else None
     return ConditionReport(verdict, float(np.sum(term(ks))), len(ks), tail, notes)
+
+
+def _level_tail(fn, decay, level: float, gamma: float, floor: float) -> float:
+    """int_K^inf fn(u(x), x) dx, u(K) = level, on the level axis (0, level].  That
+    integrand falls like u**(gamma - 1) as u -> 0, so it is taken in v = u**gamma,
+    where it is flat up to slowly varying factors and is extended as a constant
+    below the level ``floor`` at which fn underflows."""
+    lowest = floor**gamma
+
+    def integrand(v):
+        v = max(v, lowest)
+        u = v ** (1.0 / gamma)
+        x, dx = decay.level_lag(u)
+        return -fn(u, x) * dx / (gamma * v)
+
+    return quad(integrand, 0.0, level**gamma) if level > 0 else 0.0
+
+
+def _qti(model: DistributionModel, level: float) -> float:
+    """quantile_tail_integral at min(level, 1); 0 at a level that underflowed to 0."""
+    return float(quantile_tail_integral(model, min(level, 1.0))) if level > 0 else 0.0
 
 
 def _qti_alpha_exponent(model: DistributionModel) -> float | None:
@@ -168,29 +199,20 @@ def check_phi_condition(bound: PhiGeometric, model: DistributionModel) -> Condit
     """Joint check: sum_k sqrt(phi(k)/k) < inf and the sqrt-tail integral < inf.
 
     For a geometric phi bound the series always converges; the verdict then
-    hinges on the tail-integral side.  The partial sum grows adaptively until
-    the closed-form geometric tail bound is negligible, or 2,000,000 terms.
+    hinges on the tail-integral side.  The partial sum takes lags 1..200, so
+    ``terms_used`` is 200, and ``tail_bound`` bounds the rest from above by
+    int_200^inf sqrt(phi(x) / x) dx: with lam = log(1/rho) / 2 that is
+    sqrt(c1 pi / lam) erfc(sqrt(200 lam)), plus, for c1 > 1, the stretch from
+    200 on to x(1) where phi is clipped at 1.
     """
     if not isinstance(bound, PhiGeometric):
         raise ValidationError("phi condition requires a geometric bound")
-    sqrt_rho = math.sqrt(bound.rho)
-
-    def tail_bound_after(k: int) -> float:
-        return math.sqrt(bound.c1 / (k + 1)) * sqrt_rho ** (k + 1) / (1.0 - sqrt_rho)
-
-    partial = 0.0
-    used = 0
-    cap = 2_000_000
-    block = 512
-    while used < cap:
-        size = min(block, cap - used)
-        ks = np.arange(used + 1, used + size + 1, dtype=float)
-        partial += float(np.sum(np.sqrt(np.asarray(bound(ks)) / ks)))
-        used += size
-        block = min(block * 2, 262_144)
-        if tail_bound_after(used) <= 1e-9 * max(partial, 1e-300):
-            break
-    tail = tail_bound_after(used)
+    ks = np.arange(1, _LAGS + 1, dtype=float)
+    partial = float(np.sum(np.sqrt(np.asarray(bound(ks)) / ks)))
+    rate = -math.log(bound.rho) / 2.0
+    start = max(bound.level_lag(1.0)[0], _LAGS)  # phi is clipped at 1 up to x(1)
+    tail = (2.0 * (math.sqrt(start) - math.sqrt(_LAGS))
+            + math.sqrt(bound.c1 * math.pi / rate) * math.erfc(math.sqrt(start * rate)))
 
     lam = lambda21(model)
     if lam.is_infinite:
@@ -206,7 +228,7 @@ def check_phi_condition(bound: PhiGeometric, model: DistributionModel) -> Condit
             f"sqrt-tail integral = {float(lam):.9g}; constants default to 1 and do "
             f"not affect the verdict"
         )
-    return ConditionReport(verdict, partial, used, tail, notes)
+    return ConditionReport(verdict, partial, _LAGS, tail, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +248,20 @@ def check_alpha_condition(bound, model: DistributionModel) -> ConditionReport:
     exponent = -0.5 - theta * e_q  # -inf for a geometric bound
 
     def term(ks):
-        return np.array([float(quantile_tail_integral(model, max(float(bound(k)), 1e-300)))
-                         / math.sqrt(k) for k in ks])
+        return np.array([_qti(model, float(bound(k))) / math.sqrt(k) for k in ks])
+
+    def remainder():
+        start = max(bound.level_lag(1.0)[0], _LAGS)  # alpha is clipped at 1 up to x(1)
+        flat = 2.0 * (math.sqrt(start) - math.sqrt(_LAGS)) * _qti(model, 1.0)
+        return flat + _level_tail(lambda u, x: _qti(model, u) / math.sqrt(x), bound,
+                                  float(bound(start)), e_q - 0.5 / theta, _FLOOR)
 
     notes = (
         f"term exponent -1/2 - theta*e_q = {exponent:.6g} with theta={theta:g}, "
         f"e_q={e_q:g}; integral-test tail bound valid (terms nonincreasing); "
         f"magnitudes use default constants (=1), verdict is constant-independent"
     )
-    return _series(term, np.arange(1, _LAGS + 1, dtype=float), exponent, notes)
+    return _series(term, np.arange(1, _LAGS + 1, dtype=float), exponent, notes, remainder)
 
 
 def alpha_forms_pair(bound, model: DistributionModel, k: int) -> tuple[float, float]:
@@ -318,18 +345,28 @@ def check_linear_conditions(family: CoeffFamily, innovation: DistributionModel,
                                    f"the {whose} diverges (tail exponent <= 2)")
         exponent = -2.0 * beta * e_q
     elif mode == "moment_313":
+        s, q = 1.0 / (r - 1.0), (r - 2.0) / (r - 1.0)
         exponent = (1.0 - beta * (r - 2.0)) / (r - 1.0)
     else:  # tail_314
-        exponent = -beta * (1.0 - 2.0 / r)
+        s, q = 0.0, 1.0 - 2.0 / r
+        exponent = -beta * q
 
     def term(ks):
         a = np.abs(family.coeff(ks))
-        if mode == "moment_313":
-            return ks ** (1.0 / (r - 1.0)) * a ** ((r - 2.0) / (r - 1.0))
-        if mode == "tail_314":
-            return a ** (1.0 - 2.0 / r)
-        return np.array([float(quantile_tail_integral(m, min(max(x * x, 1e-300), 1.0)))
-                         for x in a])
+        if mode in ("moment_313", "tail_314"):
+            return ks**s * a**q
+        return np.array([_qti(m, x * x) for x in a])
+
+    last = _LAGS - 1
+    level = abs(float(family.coeff(last)))
+
+    def remainder():
+        if level == 0.0:  # rho = 0: every coefficient past a_0 is 0
+            return 0.0
+        if mode in ("moment_313", "tail_314"):
+            return _power_tail(family, s, q, last)
+        return _level_tail(lambda u, x: _qti(m, u * u), family, level, 2.0 * e_q - 1.0 / beta,
+                           math.sqrt(_FLOOR))
 
     k_density = innovation.density_bound
     notes = (
@@ -339,7 +376,20 @@ def check_linear_conditions(family: CoeffFamily, innovation: DistributionModel,
         f"{'unknown' if k_density is None else format(k_density, 'g')} "
         f"(hypothesis of the Gaussian limit, recorded not enforced)"
     )
-    return _series(term, np.arange(0, _LAGS, dtype=float), exponent, notes)
+    return _series(term, np.arange(0, _LAGS, dtype=float), exponent, notes, remainder)
+
+
+def _power_tail(family: CoeffFamily, s: float, q: float, k: int) -> float:
+    """An upper bound on sum_{j>k} j**s |a_j|**q (s = 0 for tail_314)."""
+    if isinstance(family, PolynomialCoeffs):  # sum_{j>=k} (j + offset)**(s - beta q)
+        return hurwitz_zeta(family.beta * q - s, k + family.offset)
+    from scipy.special import gammaincc
+
+    # int_k^inf x**s exp(-lam x) dx, plus the largest term when the terms peak past k
+    lam = -q * math.log(family.rho)
+    peak = s / lam
+    top = peak**s * math.exp(-s) if peak > k else 0.0
+    return math.gamma(s + 1.0) * float(gammaincc(s + 1.0, lam * k)) / lam ** (s + 1.0) + top
 
 
 # ---------------------------------------------------------------------------

@@ -69,14 +69,14 @@ class ExtendedReal:
         return self.value
 
 
-def quad(fn, a, b, *, epsrel=1e-9):
-    """scipy.integrate.quad (epsabs 1e-13, 200 subintervals) with an accuracy
+def quad(fn, a, b):
+    """scipy.integrate.quad (epsabs 1e-13, epsrel 1e-9, 200 subintervals) with an accuracy
     check instead of warnings; scipy.integrate is imported on the first call."""
     from scipy import integrate
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        res = integrate.quad(fn, a, b, epsabs=1e-13, epsrel=epsrel, limit=200, full_output=1)
+        res = integrate.quad(fn, a, b, epsabs=1e-13, epsrel=1e-9, limit=200, full_output=1)
     val, abserr = res[0], res[1]
     if not (math.isfinite(val) and abserr <= 1e-6 * max(1.0, abs(val))):
         raise NumericalError(

@@ -1,10 +1,12 @@
 import math
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings, strategies as st
+from scipy import integrate, special
 
 from w1clt import conditions
 from w1clt.conditions import (
@@ -69,7 +71,7 @@ def test_phi_with_heavy_marginal_diverges():
 
 
 def test_phi_near_one_matches_brute_force():
-    # rho = 0.999: compare the adaptive value against a 1e6-term direct sum
+    # rho = 0.999: compare 200 lags plus the erfc tail against a 1e6-term direct sum
     bound = PhiGeometric(1.0, 0.999)
     rep = check_phi_condition(bound, Uniform(0, 1))
     ks = np.arange(1, 1_000_001, dtype=float)
@@ -356,6 +358,142 @@ def test_alpha_tail_bound_bounds_the_rest_of_the_series():
     direct = sum(float(quantile_tail_integral(m, float(bound(k)))) / math.sqrt(k) for k in ks)
     assert direct > rep.partial_sum
     assert rep.partial_sum + rep.tail_bound >= direct
+
+
+# ---------------------------------------------------------------------------
+# partial_sum + tail_bound against exact sums
+# ---------------------------------------------------------------------------
+
+def _assert_brackets(rep, exact_lo, exact_hi, largest):
+    """exact_lo (1 - 1e-6) <= partial_sum + tail_bound <= exact_hi (1 + 1e-6) + 2 largest,
+    where ``largest`` is the largest term at or after the last summed lag."""
+    assert rep.verdict == "converges" and rep.terms_used == 200
+    assert math.isfinite(rep.tail_bound) and rep.tail_bound >= 0.0
+    total = rep.partial_sum + rep.tail_bound
+    assert exact_lo * (1.0 - 1e-6) <= total, (total, exact_lo)
+    assert total <= exact_hi * (1.0 + 1e-6) + 2.0 * largest, (total, exact_hi, largest)
+
+
+_RHOS = (0.5, 0.9, 0.999, 0.99999, 0.999999)
+_POWER_CASES = [(mode, rho, r) for mode in ("tail_314", "moment_313") for rho in _RHOS
+                for r in (2.01, 4.0, 50.0)]
+
+
+def _geometric_power_exact(mode, rho, r):
+    """The geometric series sum_{k>=0} of the mode's term as (lower, upper, largest term
+    at k >= 199)."""
+    lam = -math.log(rho)
+    if mode == "tail_314":
+        p = 1.0 - 2.0 / r
+        exact = 1.0 / -math.expm1(p * math.log(rho))
+        return exact, exact, rho ** (199 * p)
+    # k**s exp(-q lam k) is unimodal with its peak at s / (q lam), so the sum is within
+    # the largest term of the integral over [0, inf)
+    s, q = 1.0 / (r - 1.0), (r - 2.0) / (r - 1.0)
+    integral = math.gamma(s + 1.0) / (q * lam) ** (s + 1.0)
+    peak = s / (q * lam)
+    term = lambda k: k ** s * math.exp(-q * lam * k)
+    top = max(term(math.floor(peak)), term(math.ceil(peak)))
+    after = max([term(199)] + [term(k) for k in (math.floor(peak), math.ceil(peak)) if k >= 199])
+    return integral - top, integral + top, after
+
+
+@pytest.mark.parametrize("mode, rho, r", _POWER_CASES, ids=[f"{m}-{rho}-{r}" for m, rho, r
+                                                          in _POWER_CASES])
+def test_geometric_power_modes_bracket_the_exact_sum(mode, rho, r):
+    rep = check_linear_conditions(GeometricCoeffs(rho), Uniform(-1, 1), mode, r=r)
+    _assert_brackets(rep, *_geometric_power_exact(mode, rho, r))
+
+
+_POLY_TAIL_CASES = [(beta, r) for beta in (1.5, 3.0) for r in (2.01, 4.0, 50.0)
+                    if beta * (1.0 - 2.0 / r) > 1.0]
+
+
+@pytest.mark.parametrize("beta, r", _POLY_TAIL_CASES, ids=[f"beta{b}-r{r}" for b, r
+                                                           in _POLY_TAIL_CASES])
+def test_polynomial_tail_mode_brackets_the_exact_sum(beta, r):
+    assert len(_POLY_TAIL_CASES) == 3
+    rep = check_linear_conditions(PolynomialCoeffs(beta), Uniform(-1, 1), "tail_314", r=r)
+    bp = beta * (1.0 - 2.0 / r)
+    exact = float(special.zeta(bp, 1.0))
+    _assert_brackets(rep, exact, exact, 200.0 ** -bp)
+
+
+@pytest.mark.parametrize("mode", ["rio_312", "exact_311"])
+@pytest.mark.parametrize("rho", _RHOS)
+def test_quantile_modes_bracket_the_exact_sum(mode, rho):
+    # |Y| ~ U(0, 1): Q(u) = 1 - u, so the term at a_k = rho**k is 2 rho**k - (2/3) rho**(3k);
+    # the marginal U(-2, 2) doubles it
+    scale = 2.0 if mode == "exact_311" else 1.0
+    rep = check_linear_conditions(GeometricCoeffs(rho), Uniform(-1, 1), mode,
+                                  marginal=Uniform(-2, 2) if mode == "exact_311" else None)
+    exact = scale * (2.0 / (1.0 - rho) - (2.0 / 3.0) / (1.0 - rho**3))
+    _assert_brackets(rep, exact, exact, scale * (2.0 * rho**199 - (2.0 / 3.0) * rho**597))
+
+
+def _phi_series(rho):
+    """sum_{k>=1} rho**(k/2) / sqrt(k) = Li_{1/2}(e**-mu), mu = log(1/rho) / 2, by its
+    expansion sqrt(pi / mu) + sum_j zeta(1/2 - j) (-mu)**j / j! (valid for mu < 2 pi)."""
+    mu = -math.log(rho) / 2.0
+    return math.sqrt(math.pi / mu) + sum(float(special.zeta(0.5 - j)) * (-mu) ** j
+                                         / math.factorial(j) for j in range(40))
+
+
+def test_phi_series_expansion_matches_a_direct_sum():
+    ks = np.arange(1, 200_001, dtype=float)
+    for rho in (0.5, 0.999):
+        direct = float(np.sum(rho ** (ks / 2.0) / np.sqrt(ks)))
+        assert _phi_series(rho) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.999, 0.999999])
+def test_phi_brackets_the_exact_sum(rho):
+    rep = check_phi_condition(PhiGeometric(1.0, rho), Uniform(0, 1))
+    exact = _phi_series(rho)
+    _assert_brackets(rep, exact, exact, math.sqrt(rho**200 / 200.0))
+
+
+def test_phi_tail_covers_a_bound_clipped_past_the_summed_lags():
+    # 5 * 0.999**k stays above 1, so phi(k) = 1, up to k = 1608 > 200
+    bound = PhiGeometric(5.0, 0.999)
+    rep = check_phi_condition(bound, Uniform(0, 1))
+    ks = np.arange(1, 2 * 10**6 + 1, dtype=float)
+    direct = float(np.sum(np.sqrt(np.asarray(bound(ks)) / ks)))  # the rest is below 1e-300
+    _assert_brackets(rep, direct, direct, 1.0 / math.sqrt(200.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.5, 0.999999), st.floats(2.01, 50.0))
+def test_geometric_tail_mode_brackets_the_exact_sum_everywhere(rho, r):
+    rep = check_linear_conditions(GeometricCoeffs(rho), Uniform(-1, 1), "tail_314", r=r)
+    _assert_brackets(rep, *_geometric_power_exact("tail_314", rho, r))
+
+
+def test_zero_rho_family_reports_zero_tails_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode, r, marginal in [("exact_311", None, Uniform(-2, 2)), ("rio_312", None, None),
+                                  ("moment_313", 4.0, None), ("tail_314", 4.0, None)]:
+            rep = check_linear_conditions(GeometricCoeffs(0.0), Uniform(-1, 1), mode, r=r,
+                                          marginal=marginal)
+            assert rep.verdict == "converges" and rep.tail_bound == 0.0, mode
+
+
+def test_alpha_tail_is_zero_past_an_underflowed_bound():
+    # 0.01**200 underflows to 0, so every unsummed term is 0
+    rep = check_alpha_condition(PhiGeometric(1.0, 0.01), Uniform(0, 1))
+    assert rep.verdict == "converges" and rep.tail_bound == 0.0
+
+
+def test_alpha_tail_bound_covers_a_bound_clipped_past_the_summed_lags():
+    # c_gamma / (k+1)**3 stays above 1, so alpha(k) = 1, up to k = 463 > 200
+    bound, m = AlphaPolynomial(1e8, 0.25), Uniform(0, 1)
+    rep = check_alpha_condition(bound, m)
+    ks = np.arange(1, 10**5 + 1, dtype=float)
+    alpha = np.asarray(bound(ks))
+    terms = (2.0 * np.sqrt(alpha) - (2.0 / 3.0) * alpha**1.5) / np.sqrt(ks)
+    # past 10**5 the terms are below 2 sqrt(c_gamma) k**-2, which sums to under 2e4 / 10**5
+    _assert_brackets(rep, float(np.sum(terms)), float(np.sum(terms)) + 0.2, float(terms[199]))
 
 
 def test_linear_partial_sum_matches_direct_sum():

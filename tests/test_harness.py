@@ -646,6 +646,17 @@ def test_cli_check_phi(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "converges"
 
 
+def test_cli_check_slow_geometric_tail_mode(tmp_path, capsys):
+    # the rest of sum rho**(k/2) at rho = 0.99999 spans millions of lags
+    f = tmp_path / "linear.json"
+    f.write_text(json.dumps({"schema_version": 1, "kind": "linear", "mode": "tail_314", "r": 4,
+                             "coefficients": {"family": "geometric", "rho": 0.99999},
+                             "innovation": {"kind": "uniform", "lo": -1, "hi": 1}}))
+    assert cli_main(["check", "--config", str(f), "--out-dir", str(tmp_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "converges" and math.isfinite(report["tail_bound"])
+
+
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     # an infinite-mean reference makes W1 diverge: exit 2, with the diagnostic
     pareto = {"kind": "pareto_tail", "scale": 1, "exponent": 0.8}

@@ -22,6 +22,8 @@ import json, os, sys
 sys.path.insert(0, sys.argv[1])
 import w1clt, w1clt.cli
 from w1clt import harness
+from w1clt.conditions import (AlphaPolynomial, PhiGeometric, check_alpha_condition,
+                              check_phi_condition, lag_cutoff)
 from w1clt.harness import ExperimentConfig, divergence_probe, run_clt_experiment
 from w1clt.models import ParetoTail, Uniform
 from w1clt.processes import CausalLinear, DoublingMap, PolynomialCoeffs, generate_batch
@@ -45,6 +47,9 @@ emit({"caller": os.getpid(), "after_import": loaded()})
 """
 
 NUMPY_ONLY = """
+lag_cutoff(PhiGeometric(1, 0.5))  # the checker calls of the doubling and probe workloads
+check_phi_condition(PhiGeometric(1, 0.5), ParetoTail(1, 4))
+check_alpha_condition(AlphaPolynomial(1, 0.25), ParetoTail(1, 1.875))
 divergence_probe(0.25, 0.4, [64, 128], 40, seed=3, burn_in=100, threads=2)
 run_clt_experiment(ExperimentConfig(DoublingMap(0.25, burn_in=0), [200], 512, 4,
                                     reference_model=ParetoTail(1.0, 4.0)), threads=2)
