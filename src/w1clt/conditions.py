@@ -9,7 +9,9 @@ quadrature error, by one rule per mode from the last summed lag K on.  Phi
 and the power modes tail_314 and moment_313 have closed forms: erfc for phi;
 a Hurwitz zeta majorant for polynomial coefficients; for geometric ones an
 upper incomplete gamma function, plus the largest term when moment_313's
-rising terms peak past K.  Alpha, rio_312 and exact_311, whose terms do not
+rising terms peak past K.  The power modes take |a_k|**q from log |a_k| where
+|a_k| lies below the normal float range, since for q near 0 the power need
+not be small there.  Alpha, rio_312 and exact_311, whose terms do not
 increase, take int_K^inf term on the level axis u = alpha(x) or |a_x|: the
 finite interval (0, u(K)].  The unknown theory constants default to 1 and
 never affect a verdict.
@@ -23,7 +25,8 @@ import numpy as np
 
 from .errors import DivergenceError, JsonRecord, ValidationError, count, real
 from .models import DistributionModel
-from .processes import CoeffFamily, PolynomialCoeffs, first_index_below, hurwitz_zeta
+from .processes import (CoeffFamily, GeometricCoeffs, PolynomialCoeffs, first_index_below,
+                        hurwitz_zeta)
 from .transport import quad, quantile_tail_integral, sqrt_tail_integral, lambda21
 
 __all__ = [
@@ -351,17 +354,27 @@ def check_linear_conditions(family: CoeffFamily, innovation: DistributionModel,
         s, q = 0.0, 1.0 - 2.0 / r
         exponent = -beta * q
 
+    # rho = 0: every coefficient past a_0 is 0; any other a_k is positive, if
+    # perhaps below the float range
+    vanishing = isinstance(family, GeometricCoeffs) and family.rho == 0.0
+
     def term(ks):
         a = np.abs(family.coeff(ks))
         if mode in ("moment_313", "tail_314"):
-            return ks**s * a**q
+            out = ks**s * a**q
+            # |a_k|**q need not be small for q near 0 where |a_k| has lost its
+            # digits below the normal range: take it from log |a_k| there
+            if not vanishing:
+                low = np.flatnonzero(a < _FLOOR)
+                out[low] = ks[low]**s * np.exp(q * family.log_coeff(ks[low]))
+            return out
         return np.array([_qti(m, x * x) for x in a])
 
     last = _LAGS - 1
     level = abs(float(family.coeff(last)))
 
     def remainder():
-        if level == 0.0:  # rho = 0: every coefficient past a_0 is 0
+        if vanishing:
             return 0.0
         if mode in ("moment_313", "tail_314"):
             return _power_tail(family, s, q, last)

@@ -281,7 +281,8 @@ class ParetoTail(DistributionModel):
         underflows for a tiny scale; from logarithms where s / c overflows."""
         c, r = self.scale, self.exponent
         ratio, far = self._ratio(s)
-        out = c * ratio ** (1.0 - r)
+        out = ratio ** (1.0 - r)
+        out *= c
         if far is not None:
             out[far] = np.exp(r * math.log(c) + (1.0 - r) * np.log(s[far]))
         return out
@@ -295,8 +296,15 @@ class ParetoTail(DistributionModel):
             if far is not None:
                 tail_part[far] = c * (np.log(safe[far]) - math.log(c))
         else:
-            tail_part = (self._scaled_power(safe) - c) / (1.0 - r)
-        return np.where(t < c, 0.0, (safe - c) - tail_part)
+            tail_part = self._scaled_power(safe)
+            tail_part -= c
+            tail_part /= 1.0 - r
+        # in place: W1 calls this on blocks of 2**14 values and more, where each
+        # fresh temporary costs as much as its arithmetic
+        safe -= c
+        safe -= tail_part
+        safe[t < c] = 0.0
+        return safe
 
     def _upper_mean_excess(self, t):
         c, r = self.scale, self.exponent

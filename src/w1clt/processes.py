@@ -10,7 +10,10 @@ with truncated coefficient families.
 The iid, doubling-map and linear generators fill a chunk of rows at a time,
 one preallocated ``(rows, n)`` array, and compute what every row shares once
 per chunk: the linear transform length and its resource check and the
-coefficients' spectrum, or the doubling map's bit offsets and shifts.
+coefficients' spectrum, or the doubling map's word offset and bit shifts.  A
+doubling row builds one table of every 64-bit window of its words; step k
+reads its high window and, only when that puts x below 2**-10, its low window
+64 entries later.
 ``generate`` is the one-row chunk; it alone computes the linear truncation
 error bound, which it returns on ``Path``.  The intermittent map has a scalar
 orbit for one path and a lane batch for many, kept as a cross-checking pair.
@@ -124,6 +127,10 @@ class GeometricCoeffs(CoeffFamily):
     def coeff(self, j):
         return self.rho ** np.asarray(j, dtype=float)
 
+    def log_coeff(self, j):
+        """log a_j = j log(rho), finite where a_j underflows; needs rho > 0."""
+        return np.asarray(j, dtype=float) * math.log(self.rho)
+
     def abs_tail(self, j: int) -> float:
         return self.rho ** (j + 1) / (1.0 - self.rho)
 
@@ -154,6 +161,10 @@ class PolynomialCoeffs(CoeffFamily):
 
     def coeff(self, j):
         return (np.asarray(j, dtype=float) + self.offset) ** (-self.beta)
+
+    def log_coeff(self, j):
+        """log a_j, finite where a_j underflows."""
+        return -self.beta * np.log(np.asarray(j, dtype=float) + self.offset)
 
     def abs_tail(self, j: int) -> float:
         return hurwitz_zeta(self.beta, j + 1 + self.offset)
@@ -391,27 +402,24 @@ def _doubling_rows(spec: DoublingMap, n: int, seed: int, streams) -> np.ndarray:
     # lazily realizes the uniform x0 with as many bits as the orbit needs.
     first, lead = divmod(spec.burn_in, 64)  # the word and bit of step 0
     n_words = (spec.burn_in + n - 1) // 64 + 4
-    s = (np.arange(lead, lead + n) % 64).astype(np.uint64)
-    rs = np.where(s == 0, np.uint64(63), np.uint64(64) - s)
-    aligned = np.flatnonzero(s == 0)  # a window on a word boundary takes no bits of the next
-
-    def window(w0, w1):
-        low = w1 >> rs
-        low[aligned] = 0
-        return (w0 << s) | low
-
+    shifts = np.arange(64, dtype=np.uint64)
     out = np.empty((len(streams), n))
     for r, stream in enumerate(streams):
         words = spawn_rng(seed, stream).integers(
             0, np.iinfo(np.uint64).max, size=n_words, dtype=np.uint64, endpoint=True
-        )
-        # element j of each slice is the word holding bit offset burn_in + j, or the next two
-        each = np.repeat(words[first:], 64)[lead:]
-        w0, w1, w2 = each[:n], each[64:64 + n], each[128:128 + n]
+        )[first:]
+        # entry 64 m + s is the 64-bit window at bit s of word m (numpy's >> 64
+        # gives 0), so step k's high window is entry lead + k and its low one
+        # lies 64 entries later
+        table = (words[:-1, None] << shifts | words[1:, None] >> (64 - shifts)).ravel()
         x = out[r]
-        x[:] = _unit_float(window(w0, w1), 2.0**-64)
-        x += _unit_float(window(w1, w2), 2.0**-128)
-        np.maximum(x, 2.0**-128, out=x)
+        x[:] = _unit_float(table[lead:lead + n], 2.0**-64)
+        # x = t1 + t2 rounded once, t2 = RN(low window * 2**-128) <= 2**-64, and
+        # at least 2**-128.  Where t1 >= 2**-10, ulp(t1) >= 2**-62 > 2 * 2**-64
+        # >= 2 * t2, so t1 + t2 rounds to t1 and the floor cannot bind: only the
+        # few steps below 2**-10 take the low word
+        low = np.flatnonzero(x < 2.0**-10)
+        x[low] = np.maximum(x[low] + _unit_float(table[lead + 64 + low], 2.0**-128), 2.0**-128)
         x **= -spec.observable_exponent
     return out
 

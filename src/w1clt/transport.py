@@ -2,12 +2,14 @@
 
 In one dimension ``d1(P, Q) = int |F_P - F_Q| dt``, which is computable
 exactly for step CDFs (finite sums over merged breakpoints) and for
-sample-vs-model comparisons (signed antiderivative differences split at the
-single crossing point inside each order-statistic interval).
+sample-vs-model comparisons (signed antiderivative differences on each
+order-statistic interval, split at Q(i/n) only where it lies inside).
 ``w1_sample_vs_model`` scores every sample as a stack of rows (a 1-D sample
 is a one-row stack): it computes the level terms i/n, Q(i/n) and A(Q(i/n))
-once per call and scores the rows in blocks, one vector call per model
-function and block, with one W1 per row.  The same distance equals the
+once per call and scores the rows in blocks of 2**14 to 2**15 values, one
+vector call per model function and block, with one W1 per row.  An interval
+with Q(i/n) outside it takes one signed difference; only the few holding
+Q(i/n) are split there.  The same distance equals the
 supremum of mean differences over 1-Lipschitz test functions; that dual
 form is recorded here as an identity only and never computed.
 
@@ -42,9 +44,10 @@ __all__ = [
     "sqrt_tail_integral",
 ]
 
-# values per block of rows that a stacked W1 call scores at once; on a 2-vCPU
-# x86-64 machine 2**13 to 2**15 were within a few percent of each other at
-# n = 128 to 8192, and 2**12 or 2**16 slower
+# values per block of rows that a stacked W1 call scores at once, rounded up to
+# whole rows (so a block holds 2**14 to 2**15 values, or one longer row); on a
+# 2-vCPU x86-64 machine 2**13 to 2**15 were within a few percent of each other
+# at n = 128 to 8192, and 2**12 or 2**16 slower
 _W1_BLOCK_VALUES = 2**14
 
 
@@ -116,8 +119,9 @@ def w1_sample_vs_model(sample, model: DistributionModel,
     """Exact ``int |F_n - F| dt`` for a sample against a reference model.
 
     Between consecutive order statistics F_n is the constant i/n, and |i/n - F|
-    changes sign at most once; each piece is an exact difference of CDF
-    antiderivatives split at quantile(i/n) clamped to the interval.  Tail
+    changes sign at most once, at quantile(i/n); each piece is an exact
+    difference of CDF antiderivatives, split there when quantile(i/n) lies in
+    the interval and otherwise of one sign, fixed by which side it lies on.  Tail
     pieces use the model's closed-form mean-excess integrals, exact for all
     built-in kinds.  ``tail_tol`` is the additive error allowed to a
     quadrature-backed model; no built-in model is one, so none reads it and
@@ -128,9 +132,9 @@ def w1_sample_vs_model(sample, model: DistributionModel,
     one-row stack whose W1 is returned as a float, so a 1-D call on a row
     equals that row of the stacked result bit for bit.  The levels i/n,
     Q(i/n) and A(Q(i/n)) are computed once per call and shared by every row.
-    The rows are scored in blocks of ``max(1, _W1_BLOCK_VALUES // n)`` rows:
-    one row-wise sort, one antiderivative call and one upper-tail call per
-    block.
+    The rows are scored in blocks of ``ceil(_W1_BLOCK_VALUES / n)`` rows, 2**14
+    to 2**15 values unless one row is longer: one row-wise sort, one
+    antiderivative call and one upper-tail call per block.
 
     Raises
     ------
@@ -156,7 +160,7 @@ def w1_sample_vs_model(sample, model: DistributionModel,
     levels = np.arange(1, n) / n
     q = model.quantile(levels)
     terms = (levels, q, model.cdf_antiderivative(q))
-    step = max(1, _W1_BLOCK_VALUES // n)
+    step = -(-_W1_BLOCK_VALUES // n)
     out = np.concatenate([_w1_sorted(as_sorted_sample(stack[i:i + step], rows=True), model, terms)
                           for i in range(0, len(stack), step)])
     return out if x.ndim == 2 else float(out[0])
@@ -168,14 +172,24 @@ def _w1_sorted(s, model: DistributionModel, terms):
     a_s = model.cdf_antiderivative(s)
     lo, hi = s[:, :-1], s[:, 1:]
     a_lo, a_hi = a_s[:, :-1], a_s[:, 1:]
-    t_star = np.clip(q, lo, hi)
-    # the antiderivative at t_star, taken from the values already known at q and s
-    a_t = np.where(q < lo, a_lo, np.where(q > hi, a_hi, a_q))
-    below = levels * (t_star - lo) - (a_t - a_lo)
-    above = (a_hi - a_t) - levels * (hi - t_star)
+    # On an interval [lo, hi] with q = Q(i/n) outside it, i/n - F keeps one sign
+    # and the piece is +-d: +d where q < lo (F above i/n), -d where q > hi.  The
+    # negation is exact and + 0.0 turns -0.0 into 0.0, as the sum of the two
+    # clipped halves of the crossing formula below does.
+    piece = (a_hi - a_lo) - levels * (hi - lo)
+    over = q > hi
+    np.negative(piece, out=piece, where=over)
+    np.maximum(piece, 0.0, out=piece)
+    piece += 0.0
+    # the few intervals holding q split there; A(q) is known.  (The row and
+    # column of each come from its flat index: 2-D nonzero is ten times slower.)
+    r, c = np.divmod(np.flatnonzero(~over & (q >= lo)), piece.shape[1])
+    qc, ac, lv = q[c], a_q[c], levels[c]
+    below = lv * (qc - lo[r, c]) - (ac - a_lo[r, c])
+    above = (a_hi[r, c] - ac) - lv * (hi[r, c] - qc)
+    piece[r, c] = np.maximum(below, 0.0) + np.maximum(above, 0.0)
     # int_{-inf}^{s_(1)} F dt, the n - 1 inner pieces, then the upper tail
-    inner = np.sum(np.maximum(below, 0.0) + np.maximum(above, 0.0), axis=1)
-    return (a_s[:, 0] + inner) + model.upper_mean_excess(s[:, -1])
+    return (a_s[:, 0] + np.sum(piece, axis=1)) + model.upper_mean_excess(s[:, -1])
 
 
 def _divergence_diag(r: float, power: float, context: str) -> str:

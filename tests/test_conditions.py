@@ -469,6 +469,34 @@ def test_geometric_tail_mode_brackets_the_exact_sum_everywhere(rho, r):
     _assert_brackets(rep, *_geometric_power_exact("tail_314", rho, r))
 
 
+_UNDERFLOW_CASES = [(mode, rho, r) for mode in ("tail_314", "moment_313") for rho in (0.01, 1e-5)
+                    for r in (2.001, 2.01, 4.0)]
+
+
+@pytest.mark.parametrize("mode, rho, r", _UNDERFLOW_CASES, ids=[f"{m}-{rho}-{r}" for m, rho, r
+                                                              in _UNDERFLOW_CASES])
+def test_power_modes_bracket_the_exact_sum_past_underflowing_coefficients(mode, rho, r):
+    # rho**k leaves the float range within the 200 summed lags, but |a_k|**q with q
+    # near 0 does not: 0.01**(k q) at r = 2.001 falls by only 0.23% a lag.  The exact
+    # sum is taken term by term from logarithms; past 10**6 lags the terms are below
+    # e**-2000
+    rep = check_linear_conditions(GeometricCoeffs(rho), Uniform(-1, 1), mode, r=r)
+    s, q = (0.0, 1.0 - 2.0 / r) if mode == "tail_314" else (1.0 / (r - 1.0), (r - 2.0) / (r - 1.0))
+    ks = np.arange(1, 10**6, dtype=float)
+    terms = np.exp(s * np.log(ks) + q * math.log(rho) * ks)
+    exact = float(np.sum(terms)) + (1.0 if mode == "tail_314" else 0.0)  # plus the k = 0 term
+    _assert_brackets(rep, exact, exact, float(terms[198:].max()))
+
+
+def test_polynomial_tail_mode_brackets_the_exact_sum_past_underflowing_coefficients():
+    # (k + 1)**-1000 underflows from k = 2 on, while its power q = 1 - 2/r leaves
+    # (k + 1)**-1.4978
+    rep = check_linear_conditions(PolynomialCoeffs(1000.0), Uniform(-1, 1), "tail_314", r=2.003)
+    bp = 1000.0 * (1.0 - 2.0 / 2.003)
+    exact = float(special.zeta(bp, 1.0))
+    _assert_brackets(rep, exact, exact, 200.0 ** -bp)
+
+
 def test_zero_rho_family_reports_zero_tails_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

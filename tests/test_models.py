@@ -389,6 +389,27 @@ def test_pareto_closed_forms_where_t_over_scale_overflows(scale, exponent, t):
         assert excess == pytest.approx(power / (exponent - 1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("scale, exponent", [(1.0, 4.0), (2.0, 1.5), (1e-10, 3.0), (0.5, 1.0)])
+def test_pareto_antiderivative_in_place_keeps_the_expression_bits(scale, exponent):
+    # the kernel works in place; the whole-expression form it replaced, with the
+    # ratio's overflow patched from logarithms, is the bit-for-bit reference
+    model = ParetoTail(scale, exponent)
+    t = np.concatenate([[-1.0, 0.0, scale], scale * np.geomspace(1.0, 1e6, 997), [1e300]])
+    safe = np.maximum(t, scale)
+    with np.errstate(over="ignore"):
+        ratio = safe / scale
+    far = np.isinf(ratio)
+    if exponent == 1.0:
+        tail_part = scale * np.log(ratio)
+        tail_part[far] = scale * (np.log(safe[far]) - math.log(scale))
+    else:
+        power = scale * ratio ** (1.0 - exponent)
+        power[far] = np.exp(exponent * math.log(scale) + (1.0 - exponent) * np.log(safe[far]))
+        tail_part = (power - scale) / (1.0 - exponent)
+    expected = np.where(t < scale, 0.0, (safe - scale) - tail_part)
+    assert model.cdf_antiderivative(t).tobytes() == expected.tobytes()
+
+
 # supports where every |Y| functional kept its bits when the nonnegative closed
 # forms were retired, then nonnegative ones where tail_quantile's last bits moved
 _SUPPORTS = [(0.0, 1.0), (-1.0, 1.0), (-1.0, 2.0), (-1.0, 3.0), (0.0, 2.0),

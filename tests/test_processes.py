@@ -1,5 +1,7 @@
+import functools
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -191,9 +193,9 @@ def _fft_rounding_bound(spec, n, seed, stream):
     return np.finfo(float).eps * levels * np.abs(coeffs).sum() * np.abs(eps).max()
 
 
-def _reference_doubling_row(spec, n, seed, stream):
+def _reference_doubling_row(spec, n, seed, stream, rng=spawn_rng):
     offsets = spec.burn_in + np.arange(n, dtype=np.int64)
-    words = spawn_rng(seed, stream).integers(
+    words = rng(seed, stream).integers(
         0, np.iinfo(np.uint64).max, size=int(offsets[-1] // 64) + 4, dtype=np.uint64,
         endpoint=True,
     )
@@ -270,6 +272,30 @@ def test_linear_rows_equal_the_full_convolution(spec, n, seed, stream):
 def test_doubling_rows_equal_the_bit_window(a, burn_in, n, seed, stream):
     _assert_rows_equal_reference(DoublingMap(a, burn_in=burn_in), n, seed, stream,
                                  _reference_doubling_row)
+
+
+class _SparseWords:
+    """``spawn_rng``'s generator with its words made 0 three times in four and of
+    any bit length otherwise, so that steps below 2**-10, which add the low word,
+    and all-zero windows, which take the 2**-128 floor, are common."""
+
+    def __init__(self, seed, stream, purpose=processes.PURPOSE_PATH):
+        self._rng = spawn_rng(seed, stream, purpose)
+
+    def integers(self, *args, **kwargs):
+        w = self._rng.integers(*args, **kwargs)
+        return np.where(w % 4 == 0, w >> (w % 64), np.uint64(0))
+
+
+@pytest.mark.parametrize("burn_in", [0, 1, 63, 64, 65])
+def test_doubling_rows_equal_the_bit_window_on_sparse_words(burn_in):
+    reference = functools.partial(_reference_doubling_row, rng=_SparseWords)
+    with mock.patch.object(processes, "spawn_rng", _SparseWords):
+        values = _assert_rows_equal_reference(DoublingMap(0.25, burn_in=burn_in), 300, 7, 2,
+                                              reference).values
+    # x**-0.25 is 2**32 at the floor and above 2**2.5 for x below 2**-10
+    assert (values == 2.0**32).any()
+    assert ((values > 2.0**2.5) & (values < 2.0**32)).any()
 
 
 # the largest word, the top bit alone, the first integer a float cannot hold, and

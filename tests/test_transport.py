@@ -319,6 +319,27 @@ def test_w1_stacked_rows_equal_one_row_calls(case):
     assert out.tobytes() == single.tobytes()
 
 
+@pytest.mark.parametrize("model", [Uniform(0, 1), Exponential(1.0), ParetoTail(1.0, 3.0),
+                                   Tabulated([0.0, 0.5, 1.0, 2.0], [0.0, 0.3, 0.8, 1.0],
+                                             interp="linear")], ids=repr)
+def test_w1_matches_clip_formula_with_quantiles_on_order_statistics(model):
+    # samples drawn from the quantiles Q(i/n) and their float neighbours, with ties,
+    # so that Q(i/n) falls exactly on an interval's lower or upper end, or inside
+    rng = np.random.default_rng(31)
+    on_lo = on_hi = 0
+    for n in (2, 3, 8, 33):
+        q = model.quantile(np.arange(1, n) / n)
+        pool = np.concatenate([q, np.nextafter(q, -np.inf), np.nextafter(q, np.inf)])
+        stack = rng.choice(pool, size=(6, n))
+        out = w1_sample_vs_model(stack, model)
+        for row, got in zip(stack, out):
+            assert got == clip_then_antiderivative_w1(row, model)
+            s = np.sort(row)
+            on_lo += np.count_nonzero(q == s[:-1])
+            on_hi += np.count_nonzero((q == s[1:]) & (s[:-1] < s[1:]))
+    assert on_lo and on_hi
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("block", [4, 2**14])
 def test_w1_stack_with_one_bad_value_raises(bad, block):
@@ -530,3 +551,16 @@ def test_sorted_sample_contract():
     assert as_sorted_sample(stack, rows=True).tolist() == [[1.0, 3.0], [-1.0, 0.0]]
     with pytest.raises(ValidationError, match="non-finite"):
         as_sorted_sample([[0.0, 1.0], [np.nan, 2.0]], rows=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 4), n=st.integers(1, 9), data=st.data(),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_sorted_sample_rejects_a_non_finite_value_anywhere(rows, n, data, bad):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    stack = np.array(data.draw(st.lists(finite, min_size=rows * n, max_size=rows * n)))
+    stack = stack.reshape(rows, n)
+    stack[data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, n - 1))] = bad
+    for sample, kwargs in ((stack.ravel(), {}), (stack, {"rows": True}), (stack, {})):
+        with pytest.raises(ValidationError, match="non-finite"):
+            as_sorted_sample(sample, **kwargs)
