@@ -11,10 +11,11 @@ a Hurwitz zeta majorant for polynomial coefficients; for geometric ones an
 upper incomplete gamma function, plus the largest term when moment_313's
 rising terms peak past K.  The power modes take |a_k|**q from log |a_k| where
 |a_k| lies below the normal float range, since for q near 0 the power need
-not be small there.  Alpha, rio_312 and exact_311, whose terms do not
-increase, take int_K^inf term on the level axis u = alpha(x) or |a_x|: the
-finite interval (0, u(K)].  The unknown theory constants default to 1 and
-never affect a verdict.
+not be small there; rio_312 and exact_311 take their terms, and the upper end
+of their remainder's level axis, from log |a_k| where a_k**2 does.  Alpha,
+rio_312 and exact_311, whose terms do not increase, take int_K^inf term on
+the level axis u = alpha(x) or |a_x|: the finite interval (0, u(K)].  The
+unknown theory constants default to 1 and never affect a verdict.
 """
 from __future__ import annotations
 
@@ -163,11 +164,11 @@ def _series(term, ks: np.ndarray, exponent: float, notes: str, remainder) -> Con
     return ConditionReport(verdict, float(np.sum(term(ks))), len(ks), tail, notes)
 
 
-def _level_tail(fn, decay, level: float, gamma: float, floor: float) -> float:
-    """int_K^inf fn(u(x), x) dx, u(K) = level, on the level axis (0, level].  That
-    integrand falls like u**(gamma - 1) as u -> 0, so it is taken in v = u**gamma,
-    where it is flat up to slowly varying factors and is extended as a constant
-    below the level ``floor`` at which fn underflows."""
+def _level_tail(fn, decay, top: float, gamma: float, floor: float) -> float:
+    """int_K^inf fn(u(x), x) dx on the level axis (0, u(K)], given top = u(K)**gamma.
+    That integrand falls like u**(gamma - 1) as u -> 0, so it is taken in
+    v = u**gamma, where it is flat up to slowly varying factors and is extended
+    as a constant below the level ``floor`` at which fn underflows."""
     lowest = floor**gamma
 
     def integrand(v):
@@ -176,7 +177,7 @@ def _level_tail(fn, decay, level: float, gamma: float, floor: float) -> float:
         x, dx = decay.level_lag(u)
         return -fn(u, x) * dx / (gamma * v)
 
-    return quad(integrand, 0.0, level**gamma) if level > 0 else 0.0
+    return quad(integrand, 0.0, top) if top > 0 else 0.0
 
 
 def _qti(model: DistributionModel, level: float) -> float:
@@ -256,8 +257,9 @@ def check_alpha_condition(bound, model: DistributionModel) -> ConditionReport:
     def remainder():
         start = max(bound.level_lag(1.0)[0], _LAGS)  # alpha is clipped at 1 up to x(1)
         flat = 2.0 * (math.sqrt(start) - math.sqrt(_LAGS)) * _qti(model, 1.0)
+        gamma = e_q - 0.5 / theta
         return flat + _level_tail(lambda u, x: _qti(model, u) / math.sqrt(x), bound,
-                                  float(bound(start)), e_q - 0.5 / theta, _FLOOR)
+                                  float(bound(start))**gamma, gamma, _FLOOR)
 
     notes = (
         f"term exponent -1/2 - theta*e_q = {exponent:.6g} with theta={theta:g}, "
@@ -325,6 +327,11 @@ def check_linear_conditions(family: CoeffFamily, innovation: DistributionModel,
     quantile; ``moment_313`` sums k^{1/(r-1)} |a_k|^{(r-2)/(r-1)};
     ``tail_314`` sums |a_k|^{1-2/r}.  Moment/tail modes need a finite r > 2;
     a mode given `r` or `marginal` that it does not read is rejected.
+
+    Where a_k**2 is below the normal range, the quantile modes take the term
+    qti(2.2e-308) (a_k**2 / 2.2e-308)**e_q from log |a_k|: exact for
+    ``ParetoTail``, an estimate for e_q = 1/2 (bounded or exponential tails),
+    where every such term is below qti(2.2e-308), i.e. 3e-154 max |Y| or 2.1e-151 / rate.
     """
     if mode not in _LINEAR_MODES:
         raise ValidationError(f"mode must be one of {_LINEAR_MODES}")
@@ -368,18 +375,28 @@ def check_linear_conditions(family: CoeffFamily, innovation: DistributionModel,
                 low = np.flatnonzero(a < _FLOOR)
                 out[low] = ks[low]**s * np.exp(q * family.log_coeff(ks[low]))
             return out
-        return np.array([_qti(m, x * x) for x in a])
+        out = np.array([_qti(m, x * x) for x in a])
+        # likewise where a_k**2 lies below the normal range: from log |a_k|, on
+        # the power law level**e_q through the term at the smallest normal level
+        if not vanishing:
+            low = np.flatnonzero(a * a < _FLOOR)
+            out[low] = _qti(m, _FLOOR) * np.exp(
+                e_q * (2.0 * family.log_coeff(ks[low]) - math.log(_FLOOR)))
+        return out
 
     last = _LAGS - 1
-    level = abs(float(family.coeff(last)))
 
     def remainder():
         if vanishing:
             return 0.0
         if mode in ("moment_313", "tail_314"):
             return _power_tail(family, s, q, last)
-        return _level_tail(lambda u, x: _qti(m, u * u), family, level, 2.0 * e_q - 1.0 / beta,
-                           math.sqrt(_FLOOR))
+        gamma = 2.0 * e_q - 1.0 / beta
+        level = abs(float(family.coeff(last)))
+        # u(K)**gamma, from log |a_K| where a_K**2 is below the normal range (or 0)
+        top = (level**gamma if level * level >= _FLOOR
+               else math.exp(gamma * float(family.log_coeff(last))))
+        return _level_tail(lambda u, x: _qti(m, u * u), family, top, gamma, math.sqrt(_FLOOR))
 
     k_density = innovation.density_bound
     notes = (

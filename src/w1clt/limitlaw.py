@@ -133,10 +133,8 @@ def quantile_grid(model: DistributionModel, size: int) -> np.ndarray:
     """Quantile-spaced grid F^{-1}((i - 1/2) / size)."""
     size = count(size, "size", 1)
     u = (np.arange(size) + 0.5) / size
-    g = model.quantile(u)
-    if not np.all(np.diff(g) > 0):
-        g = np.unique(g)
-    return g
+    return np.unique(model.quantile(u))  # the same floats where already strictly increasing
+
 
 def variance_length_grid(model: DistributionModel, size: int) -> np.ndarray:
     """Grid equalizing each segment's share of int sqrt(F(1-F)) dt.

@@ -11,8 +11,6 @@ Every model exposes the same surface:
 * ``upper_mean_excess(t)``   integral of 1 - F over [t, inf)
 * ``quantile_tail_integral_exact(alpha)``
                              integral of tail_quantile(u)/sqrt(u) over (0, alpha]
-* ``sqrt_tail_integral_exact()``
-                             integral of sqrt(tail(t)) over [0, inf)
 
 plus metadata used by the convergence checkers: ``support()``,
 ``tail_exponent()`` (the r such that tail(t) ~ t**-r, ``inf`` for bounded or
@@ -20,7 +18,10 @@ exponential tails), ``density_bound`` and ``mean_abs()``.
 
 Each kind gives the |Y| functionals in closed form.  ``Uniform`` reads all but
 ``tail`` from the equal linear ``Tabulated`` table, for every support, and
-``Tabulated._folded`` builds the |Y| table of a signed support once.
+``Tabulated._folded`` builds the |Y| table of a signed support once.  The
+square-root tail integral int_0^inf sqrt(tail(t)) dt has no method of its
+own: it is half the quantile tail integral at alpha = 1, which is how
+``transport.lambda21`` takes it.
 
 The six pointwise methods above and ``quantile_density(u)`` (the quantile's
 derivative, which ``Tabulated`` lacks) are defined once, on
@@ -171,9 +172,6 @@ class Uniform(DistributionModel):
     def tail_exponent(self):
         return math.inf
 
-    def sqrt_tail_integral_exact(self):
-        return self._table.sqrt_tail_integral_exact()
-
     def quantile_tail_integral_exact(self, alpha):
         return self._table.quantile_tail_integral_exact(alpha)
 
@@ -224,9 +222,6 @@ class Exponential(DistributionModel):
 
     def tail_exponent(self):
         return math.inf
-
-    def sqrt_tail_integral_exact(self):
-        return 2.0 / self.rate
 
     def quantile_tail_integral_exact(self, alpha):
         # Q(u) = -ln(u) / rate
@@ -322,11 +317,6 @@ class ParetoTail(DistributionModel):
 
     def tail_exponent(self):
         return self.exponent
-
-    def sqrt_tail_integral_exact(self):
-        if self.exponent <= 2.0:
-            return math.inf
-        return self.scale * self.exponent / (self.exponent - 2.0)
 
     def quantile_tail_integral_exact(self, alpha):
         # Q(u)/sqrt(u) = scale * u**(e - 1)
@@ -505,24 +495,6 @@ class Tabulated(DistributionModel):
 
     def tail_exponent(self):
         return math.inf
-
-    def sqrt_tail_integral_exact(self):
-        if self.grid[0] < 0.0:
-            return self._abs.sqrt_tail_integral_exact()
-        # the tail is 1 below grid[0]; on a knot interval it is 1 - v[i] for a
-        # step table, and for a linear one it runs linearly from a = 1 - v[i]
-        # to b = 1 - v[i + 1], where the integral of its root is
-        # gap * (2/3) (a + sqrt(ab) + b) / (sqrt(a) + sqrt(b))
-        gaps = np.diff(self.grid)
-        a = np.maximum(1.0 - self.cdf_values, 0.0)
-        root = np.sqrt(a)
-        if self.interp == "step":
-            pieces = gaps * root[:-1]
-        else:
-            den = root[:-1] + root[1:]
-            num = (2.0 / 3.0) * gaps * (a[:-1] + root[:-1] * root[1:] + a[1:])
-            pieces = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-        return float(self.grid[0] + np.sum(pieces))
 
     def quantile_tail_integral_exact(self, alpha):
         if self.grid[0] < 0.0:

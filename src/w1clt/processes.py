@@ -554,7 +554,7 @@ def tabulate_cdf(values, grid) -> Tabulated:
     if grid.ndim != 1 or len(grid) < 2 or not np.all(np.diff(grid) > 0):
         raise ValidationError("grid must be strictly increasing with >= 2 points")
     v = as_sorted_sample(values)
+    # counts over a strictly increasing grid, so nondecreasing and within [0, 1]
     cdf = np.searchsorted(v, grid, side="right") / v.size
-    cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
     cdf[-1] = 1.0
     return Tabulated(grid, cdf, interp="linear")

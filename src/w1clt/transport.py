@@ -13,6 +13,10 @@ Q(i/n) are split there.  The same distance equals the
 supremum of mean differences over 1-Lipschitz test functions; that dual
 form is recorded here as an identity only and never computed.
 
+Of the tail integrals, ``lambda21`` is half ``quantile_tail_integral`` at
+alpha = 1 (a Fubini identity); the quadrature in t of ``sqrt_tail_integral``
+is kept only as its independent cross-check.
+
 ``as_sorted_sample`` (defined in ``errors``, below ``models``) is the only
 sample intake: every distance here, ``processes.tabulate_cdf`` and
 ``Tabulated.from_sample`` sort through it, so NaN, inf or empty input fails
@@ -199,8 +203,8 @@ def _divergence_diag(r: float, power: float, context: str) -> str:
 def sqrt_tail_integral(model: DistributionModel, lower: float = 0.0) -> ExtendedReal:
     """``int_lower^inf sqrt(P(|Y|>t)) dt`` by direct quadrature in t.
 
-    Kept independent of the quantile-substitution route so the two forms can
-    be checked against each other.
+    Kept independent of the quantile-substitution route that ``lambda21``
+    takes, so the two forms can be checked against each other.
     """
     lower = real(lower, "lower")
     if not (lower > -math.inf):
@@ -223,12 +227,14 @@ def lambda21(model: DistributionModel) -> ExtendedReal:
 
     Finite exactly when the tail exponent exceeds 2; the finiteness of this
     functional is what separates samples whose W1 statistic admits a Gaussian
-    limit from those that do not.
+    limit from those that do not.  Q(u) > t exactly when u < P(|Y| > t), so by
+    Fubini it is ``1/2 int_0^1 Q(u)/sqrt(u) du``, half the quantile tail integral
+    at 1: the min-form identity of ``conditions.alpha_forms_pair`` at alpha = 1.
     """
     r = model.tail_exponent()
     if r <= 2.0:
         return ExtendedReal(math.inf, _divergence_diag(r, 0.5, "sqrt-tail"))
-    return ExtendedReal(float(model.sqrt_tail_integral_exact()))
+    return ExtendedReal(0.5 * model.quantile_tail_integral_exact(1.0))
 
 
 def quantile_tail_integral(model: DistributionModel, alpha: float) -> ExtendedReal:

@@ -497,6 +497,29 @@ def test_polynomial_tail_mode_brackets_the_exact_sum_past_underflowing_coefficie
     _assert_brackets(rep, exact, exact, 200.0 ** -bp)
 
 
+_QUANTILE_UNDERFLOW_CASES = [(mode, rho, r) for mode in ("rio_312", "exact_311")
+                             for rho in (0.01, 1e-5) for r in (2.001, 2.01, 4.0)]
+
+
+@pytest.mark.parametrize("mode, rho, r", _QUANTILE_UNDERFLOW_CASES,
+                         ids=[f"{m}-{rho}-{r}" for m, rho, r in _QUANTILE_UNDERFLOW_CASES])
+def test_quantile_modes_sum_and_bound_the_rest_past_underflowing_coefficients(mode, rho, r):
+    # a_k**2 = rho**(2k) underflows within the 200 summed lags, but the Pareto term
+    # (a_k**2)**e / e, e = 1/2 - 1/r, need not be small: at rho = 0.01, r = 2.001 it
+    # falls by 0.23% a lag, lags 0-199 sum to 642,219.917 and the rest to 1,098,697.39
+    pareto = ParetoTail(1.0, r)
+    rep = check_linear_conditions(GeometricCoeffs(rho), Uniform(-1, 1) if mode == "exact_311"
+                                  else pareto, mode,
+                                  marginal=pareto if mode == "exact_311" else None)
+    e = 0.5 - 1.0 / r
+    step = 2.0 * e * math.log(rho)  # log of the ratio of consecutive terms
+    partial = -math.expm1(200 * step) / -math.expm1(step) / e
+    rest = math.exp(200 * step) / -math.expm1(step) / e
+    assert rep.verdict == "converges" and rep.partial_sum == pytest.approx(partial, rel=1e-9)
+    # the tail bound alone covers the rest, within two of its largest terms
+    assert rest * (1.0 - 1e-9) <= rep.tail_bound <= rest + 2.0 * math.exp(199 * step) / e
+
+
 def test_zero_rho_family_reports_zero_tails_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

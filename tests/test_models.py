@@ -17,7 +17,7 @@ from w1clt.models import (
     model_from_dict,
     power_pushforward,
 )
-from w1clt.transport import quantile_tail_integral, w1_sample_vs_model
+from w1clt.transport import lambda21, quantile_tail_integral, w1_sample_vs_model
 
 MODELS = [
     Uniform(0.0, 1.0),
@@ -362,7 +362,7 @@ def test_pareto_closed_forms_where_powers_of_the_scale_overflow(scale, exponent)
     assert model.cdf_antiderivative(2 * scale) == pytest.approx(
         _scaled_quad(model.cdf, scale, 1.0, 2.0), rel=1e-10)
     # the |Y| tail integrals are finite exactly when r > 2
-    tails = (model.sqrt_tail_integral_exact(), model.quantile_tail_integral_exact(0.3))
+    tails = (float(lambda21(model)), model.quantile_tail_integral_exact(0.3))
     assert all(math.isfinite(v) == (exponent > 2) for v in tails)
 
 
@@ -423,8 +423,8 @@ def test_uniform_abs_functionals_are_its_table(lo, hi, monkeypatch):
     u = np.linspace(0.0, 1.0, 2001)
 
     def functionals(m):
-        return (m.tail_quantile(u), m.tail_quantile(0.3), m.sqrt_tail_integral_exact(),
-                m.quantile_tail_integral_exact(0.3), m.quantile_tail_integral_exact(1.0))
+        return (m.tail_quantile(u), m.tail_quantile(0.3), m.quantile_tail_integral_exact(0.3),
+                m.quantile_tail_integral_exact(1.0))
 
     expected = functionals(table)
     built = []
@@ -440,7 +440,7 @@ def test_uniform_abs_functionals_are_its_table(lo, hi, monkeypatch):
         # within rounding of the retired closed form hi - u (hi - lo)
         old = np.where(u >= 1.0, 0.0, hi - u * (hi - lo))
         assert np.allclose(got[0], old, rtol=1e-12, atol=0.0)
-        assert got[2] == lo + 2.0 * (hi - lo) / 3.0
+        assert float(lambda21(model)) == lo + 2.0 * (hi - lo) / 3.0
 
 
 def test_tabulated_clips_values_within_end_tolerance_above_one():
