@@ -11,11 +11,11 @@ a Hurwitz zeta majorant for polynomial coefficients; for geometric ones an
 upper incomplete gamma function, plus the largest term when moment_313's
 rising terms peak past K.  The power modes take |a_k|**q from log |a_k| where
 |a_k| lies below the normal float range, since for q near 0 the power need
-not be small there; rio_312 and exact_311 take their terms, and the upper end
-of their remainder's level axis, from log |a_k| where a_k**2 does.  Alpha,
-rio_312 and exact_311, whose terms do not increase, take int_K^inf term on
-the level axis u = alpha(x) or |a_x|: the finite interval (0, u(K)].  The
-unknown theory constants default to 1 and never affect a verdict.
+not be small there.  Alpha, rio_312 and exact_311, whose terms do not
+increase, take int_K^inf term on the level axis u = alpha(x) or |a_x|: the
+finite interval (0, u(K)]; their terms and that axis go by log u, from
+log alpha(k) or log |a_k| where alpha(k) or a_k**2 is below the normal range.
+The unknown theory constants default to 1 and never affect a verdict.
 """
 from __future__ import annotations
 
@@ -70,13 +70,17 @@ class PhiGeometric:
         k_arr = np.asarray(k, dtype=float)
         return np.clip(self.c1 * self.rho**k_arr, 0.0, 1.0)
 
+    def log_coeff(self, k):
+        """log of the bound at k, finite where the bound underflows."""
+        return np.minimum(math.log(self.c1) + np.asarray(k, dtype=float) * math.log(self.rho), 0)
+
     def abs_tail(self, k: int) -> float:
         """sum_{j>k} c1 * rho**j: the tail of the unclipped bound."""
         return self.c1 * self.rho ** (k + 1) / (1.0 - self.rho)
 
-    def level_lag(self, u: float) -> tuple[float, float]:
-        """The lag x with c1 * rho**x = u, and dx/dlog(u)."""
-        return math.log(u / self.c1) / math.log(self.rho), 1.0 / math.log(self.rho)
+    def level_lag(self, log_u: float) -> tuple[float, float]:
+        """The lag x with c1 * rho**x = u, given log u, and dx/dlog(u)."""
+        return (log_u - math.log(self.c1)) / math.log(self.rho), 1.0 / math.log(self.rho)
 
     def decay_exponent(self) -> float:
         return math.inf
@@ -101,7 +105,12 @@ class AlphaPolynomial:
 
     def __call__(self, k):
         k_arr = np.asarray(k, dtype=float)
-        return np.clip(self.c_gamma / (k_arr + 1.0) ** self.theta, 0.0, 1.0)
+        with np.errstate(over="ignore"):  # (k+1)**theta = inf is the bound's underflow to 0
+            return np.clip(self.c_gamma / (k_arr + 1.0) ** self.theta, 0.0, 1.0)
+
+    def log_coeff(self, k):
+        """log of the bound at k, finite where the bound underflows."""
+        return np.minimum(math.log(self.c_gamma) - self.theta * np.log(np.asarray(k) + 1.0), 0)
 
     def abs_tail(self, k: int) -> float:
         """sum_{j>k} c_gamma / (j+1)**theta: the tail of the unclipped bound."""
@@ -109,9 +118,9 @@ class AlphaPolynomial:
             return math.inf
         return self.c_gamma * hurwitz_zeta(self.theta, k + 2)
 
-    def level_lag(self, u: float) -> tuple[float, float]:
-        """The lag x with c_gamma / (x+1)**theta = u, and dx/dlog(u)."""
-        y = (self.c_gamma / u) ** (1.0 / self.theta)
+    def level_lag(self, log_u: float) -> tuple[float, float]:
+        """The lag x with c_gamma / (x+1)**theta = u, given log u, and dx/dlog(u)."""
+        y = math.exp((math.log(self.c_gamma) - log_u) / self.theta)
         return y - 1.0, -y / self.theta
 
     def decay_exponent(self) -> float:
@@ -164,25 +173,36 @@ def _series(term, ks: np.ndarray, exponent: float, notes: str, remainder) -> Con
     return ConditionReport(verdict, float(np.sum(term(ks))), len(ks), tail, notes)
 
 
-def _level_tail(fn, decay, top: float, gamma: float, floor: float) -> float:
-    """int_K^inf fn(u(x), x) dx on the level axis (0, u(K)], given top = u(K)**gamma.
+def _level_tail(fn, decay, log_top: float, gamma: float) -> float:
+    """int_K^inf fn(log u(x), x) dx on the level axis (0, u(K)], given log u(K).
     That integrand falls like u**(gamma - 1) as u -> 0, so it is taken in
-    v = u**gamma, where it is flat up to slowly varying factors and is extended
-    as a constant below the level ``floor`` at which fn underflows."""
-    lowest = floor**gamma
+    v = u**gamma, where it is flat up to slowly varying factors, with u and the
+    lag from log u = log(v) / gamma; it is extended as a constant past the lag
+    1e300, where a polynomial decay's lag would overflow."""
+    lowest = float(decay.log_coeff(1e300))
 
     def integrand(v):
-        v = max(v, lowest)
-        u = v ** (1.0 / gamma)
-        x, dx = decay.level_lag(u)
-        return -fn(u, x) * dx / (gamma * v)
+        log_u = math.log(v) / gamma
+        if log_u < lowest:
+            log_u, v = lowest, math.exp(gamma * lowest)
+        x, dx = decay.level_lag(log_u)
+        return -fn(log_u, x) * dx / (gamma * v)
 
+    top = math.exp(gamma * log_top)
     return quad(integrand, 0.0, top) if top > 0 else 0.0
 
 
 def _qti(model: DistributionModel, level: float) -> float:
     """quantile_tail_integral at min(level, 1); 0 at a level that underflowed to 0."""
     return float(quantile_tail_integral(model, min(level, 1.0))) if level > 0 else 0.0
+
+
+def _qti_at_log(model: DistributionModel, e_q: float, log_level: float) -> float:
+    """qti at the level exp(log_level) <= 1; below the normal range, on the power law
+    level**e_q through qti(_FLOOR) (see ``check_linear_conditions``)."""
+    if log_level < math.log(_FLOOR):
+        return _qti(model, _FLOOR) * math.exp(e_q * (log_level - math.log(_FLOOR)))
+    return _qti(model, math.exp(log_level))
 
 
 def _qti_alpha_exponent(model: DistributionModel) -> float | None:
@@ -214,7 +234,7 @@ def check_phi_condition(bound: PhiGeometric, model: DistributionModel) -> Condit
     ks = np.arange(1, _LAGS + 1, dtype=float)
     partial = float(np.sum(np.sqrt(np.asarray(bound(ks)) / ks)))
     rate = -math.log(bound.rho) / 2.0
-    start = max(bound.level_lag(1.0)[0], _LAGS)  # phi is clipped at 1 up to x(1)
+    start = max(bound.level_lag(0.0)[0], _LAGS)  # phi is clipped at 1 up to x(1)
     tail = (2.0 * (math.sqrt(start) - math.sqrt(_LAGS))
             + math.sqrt(bound.c1 * math.pi / rate) * math.erfc(math.sqrt(start * rate)))
 
@@ -251,15 +271,17 @@ def check_alpha_condition(bound, model: DistributionModel) -> ConditionReport:
     theta = bound.decay_exponent()
     exponent = -0.5 - theta * e_q  # -inf for a geometric bound
 
-    def term(ks):
-        return np.array([_qti(model, float(bound(k))) / math.sqrt(k) for k in ks])
+    def term(ks):  # from log alpha(k) where alpha(k) is below the normal range
+        return np.array([_qti_at_log(model, e_q, float(bound.log_coeff(k)))
+                         if (a := float(bound(k))) < _FLOOR else _qti(model, a) for k in ks]
+                        ) / np.sqrt(ks)
 
     def remainder():
-        start = max(bound.level_lag(1.0)[0], _LAGS)  # alpha is clipped at 1 up to x(1)
+        start = max(bound.level_lag(0.0)[0], _LAGS)  # alpha is clipped at 1 up to x(1)
         flat = 2.0 * (math.sqrt(start) - math.sqrt(_LAGS)) * _qti(model, 1.0)
         gamma = e_q - 0.5 / theta
-        return flat + _level_tail(lambda u, x: _qti(model, u) / math.sqrt(x), bound,
-                                  float(bound(start))**gamma, gamma, _FLOOR)
+        return flat + _level_tail(lambda log_u, x: _qti_at_log(model, e_q, log_u) / math.sqrt(x),
+                                  bound, float(bound.log_coeff(start)), gamma)
 
     notes = (
         f"term exponent -1/2 - theta*e_q = {exponent:.6g} with theta={theta:g}, "
@@ -376,12 +398,10 @@ def check_linear_conditions(family: CoeffFamily, innovation: DistributionModel,
                 out[low] = ks[low]**s * np.exp(q * family.log_coeff(ks[low]))
             return out
         out = np.array([_qti(m, x * x) for x in a])
-        # likewise where a_k**2 lies below the normal range: from log |a_k|, on
-        # the power law level**e_q through the term at the smallest normal level
+        # likewise where a_k**2 lies below the normal range: from log |a_k|
         if not vanishing:
             low = np.flatnonzero(a * a < _FLOOR)
-            out[low] = _qti(m, _FLOOR) * np.exp(
-                e_q * (2.0 * family.log_coeff(ks[low]) - math.log(_FLOOR)))
+            out[low] = [_qti_at_log(m, e_q, 2.0 * x) for x in family.log_coeff(ks[low])]
         return out
 
     last = _LAGS - 1
@@ -391,12 +411,8 @@ def check_linear_conditions(family: CoeffFamily, innovation: DistributionModel,
             return 0.0
         if mode in ("moment_313", "tail_314"):
             return _power_tail(family, s, q, last)
-        gamma = 2.0 * e_q - 1.0 / beta
-        level = abs(float(family.coeff(last)))
-        # u(K)**gamma, from log |a_K| where a_K**2 is below the normal range (or 0)
-        top = (level**gamma if level * level >= _FLOOR
-               else math.exp(gamma * float(family.log_coeff(last))))
-        return _level_tail(lambda u, x: _qti(m, u * u), family, top, gamma, math.sqrt(_FLOOR))
+        return _level_tail(lambda log_u, x: _qti_at_log(m, e_q, 2.0 * log_u), family,
+                           float(family.log_coeff(last)), 2.0 * e_q - 1.0 / beta)
 
     k_density = innovation.density_bound
     notes = (

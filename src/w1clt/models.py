@@ -53,12 +53,11 @@ __all__ = [
     "model_from_dict",
 ]
 
-# Tabulated bins a sorted row by merging the grid into it only when the row is
-# longer than this: the merge costs a few microseconds of Python per row, and on
-# a 2-vCPU x86-64 machine a search of up to about 2,048 values against a 2- to
-# 512-knot grid was as fast or faster (row-by-row merge over search in blocks of
-# 2**14 values: 1.6 to 2.1 at 512 values, 0.6 to 1.1 at 2,048, 0.4 to 0.7 at 4,096)
-_MERGE_MIN_ROW = 2048
+# buckets per knot of Tabulated's knot lookup (it gets half to all of this many):
+# on the calibrated 2,050-knot tables of two benchmark workloads, 4 and 8 left at
+# most 3 and 2 knots a bucket, so 2 bisection rounds, and timed alike; 1 and 2
+# took 4 and 3 rounds.  At 4 the int32 starts take at most 16 bytes a knot
+_BUCKETS_PER_KNOT = 4
 
 
 def _pointwise(kernel, x):
@@ -344,6 +343,7 @@ class Tabulated(DistributionModel):
     interp: str = "linear"
 
     kind = "tabulated"
+    _tails = None  # P(|Y| > knot) where it is not 1 - cdf_values: set by _folded
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -370,6 +370,7 @@ class Tabulated(DistributionModel):
         self.cdf_values = np.minimum(self.cdf_values, 1.0)
         self.cdf_values[-1] = 1.0
         self._build_antiderivative(gaps)
+        self._build_lookup()
         if self.grid[0] < 0.0:
             try:
                 self._abs = self._folded()
@@ -408,6 +409,41 @@ class Tabulated(DistributionModel):
             piece = 0.5 * (v[:-1] + v[1:]) * gaps
         self._a_knots = np.concatenate([[0.0], np.cumsum(piece)])
 
+    def _build_lookup(self):
+        """``_knot_count``'s bucket starts and steps, built once: forked helpers inherit them."""
+        g = self.grid
+        with np.errstate(over="ignore"):
+            self._key_bounds = [int(b) for b in (np.array([g[1], g[-1]]) - g[0]).view(np.int64)]
+        k1, top = self._key_bounds
+        self._shift = ((top - k1) // (_BUCKETS_PER_KNOT * len(g))).bit_length()
+        # starts[j]: the knots in buckets below j (the knots' buckets are nondecreasing)
+        buckets = np.arange(((top - k1) >> self._shift) + 1)
+        self._starts = np.searchsorted(self._bucket(g), buckets).astype(np.int32)
+        fullest = int(np.max(np.diff(self._starts, append=len(g))))
+        self._steps = [1 << i for i in reversed(range(fullest.bit_length()))]
+
+    def _bucket(self, t):
+        """(bits(t - g0) clipped to [k1, top] - k1) >> shift, where k1 and top are the
+        int64 bits of g1 - g0 and g[-1] - g0; a negative t - g0 clips to k1, so
+        subtracting k1 cannot wrap."""
+        with np.errstate(over="ignore"):
+            key = (t - self.grid[0]).view(np.int64)
+        np.clip(key, *self._key_bounds, out=key)
+        key -= self._key_bounds[0]
+        key >>= self._shift
+        return key
+
+    def _knot_count(self, t):
+        """``searchsorted(grid, t, side="right")`` for every t but NaN, by bisection from
+        the start of t's bucket in bit_length(fullest bucket) rounds.  A read past the
+        last knot clips to it, <= t only where the count is len(grid): hence the minimum."""
+        count = self._starts[self._bucket(t)].astype(np.intp)
+        for step in self._steps:
+            # grid[step - 1:][count] is grid[count + step - 1], clipped to the last knot
+            hit = np.take(self.grid[step - 1:], count, mode="clip") <= t
+            count += hit * step if step > 1 else hit
+        return np.minimum(count, len(self.grid), out=count)
+
     def _cdf(self, t, side="right"):
         """F(t) for side "right", the left limit F(t-) for side "left"."""
         g, v = self.grid, self.cdf_values
@@ -442,7 +478,10 @@ class Tabulated(DistributionModel):
         g = self.grid
         t = np.unique(np.concatenate([[0.0, np.nextafter(-g[0], 0.0)], np.abs(g)]))
         f_abs = np.maximum.accumulate(self._cdf(t) - self._cdf(-t, "left"))
-        return Tabulated(t, f_abs, interp=self.interp)
+        table = Tabulated(t, f_abs, interp=self.interp)
+        # P(|Y| > t) itself, as 1 - f_abs rounds away a tail mass below an ulp of 1
+        table._tails = np.minimum.accumulate(self._tail(t))
+        return table
 
     def _tail_quantile(self, u):
         if self.grid[0] < 0.0:
@@ -452,22 +491,16 @@ class Tabulated(DistributionModel):
     def _cdf_antiderivative(self, t):
         """Integral of F over (-inf, t], knot interval by knot interval.
 
-        A t whose rows (along its last axis) are sorted and longer than both
-        twice the grid and ``_MERGE_MIN_ROW``, a 1-D t or a stack alike, finds
-        each row's intervals by one merge of the grid into the row; any other
-        t by ``searchsorted(grid, t)``.  Both give the same indices, so the
-        same floats.
+        Every t finds its interval from ``_knot_count(t)``, which equals
+        ``searchsorted(grid, t, side="right")`` exactly: t's bucket does not
+        decrease as t grows, since t - g0 rounds monotonically and the int64
+        bits of nonnegative floats order like their values, so the knots in
+        lower buckets are <= t, those in higher ones > t, and only t's own
+        bucket needs a search.
         """
         g, v = self.grid, self.cdf_values
-        size = t.shape[-1]
-        if size > max(2 * len(g), _MERGE_MIN_ROW) and np.all(t[..., 1:] >= t[..., :-1]):
-            # idx counts, row by row, the interior knots g[1:-1] at or below each t
-            idx = np.empty(t.shape, dtype=np.intp)
-            for row, counts in zip(t.reshape(-1, size), idx.reshape(-1, size)):
-                first_at = np.searchsorted(row, g[1:-1], side="left")
-                np.cumsum(np.bincount(first_at, minlength=size + 1)[:size], out=counts)
-        else:
-            idx = np.clip(np.searchsorted(g, t, side="right") - 1, 0, len(g) - 2)
+        idx = self._knot_count(t)
+        np.clip(np.subtract(idx, 1, out=idx), 0, len(g) - 2, out=idx)
         # in place: the same operations as
         # a[idx] + (v[idx] dt + slope[idx] / 2 * dt**2), products and sums commuted
         dt = np.clip(t, g[0], g[-1])
@@ -499,12 +532,13 @@ class Tabulated(DistributionModel):
     def quantile_tail_integral_exact(self, alpha):
         if self.grid[0] < 0.0:
             return self._abs.quantile_tail_integral_exact(alpha)
-        # piece i covers u in [1 - v[i + 1], 1 - v[i]], where the tail quantile
-        # runs linearly from g[i + 1] down to g[i] (stays at g[i + 1] for a step
-        # table); the top piece, u in [1 - v[0], 1], has the constant quantile g[0]
-        g, v = self.grid, self.cdf_values
-        u_lo = np.concatenate([1.0 - v[1:], [1.0 - v[0]]])
-        u_hi = np.concatenate([1.0 - v[:-1], [1.0]])
+        # with tail u = 1 - v, piece i covers [u[i + 1], u[i]], where the tail
+        # quantile runs linearly from g[i + 1] down to g[i] (stays at g[i + 1] for a
+        # step table); the top piece, [u[0], 1], has the constant quantile g[0]
+        g = self.grid
+        u = 1.0 - self.cdf_values if self._tails is None else self._tails
+        u_lo = np.concatenate([u[1:], [u[0]]])
+        u_hi = np.concatenate([u[:-1], [1.0]])
         q_lo = np.concatenate([g[1:], [g[0]]])
         q_hi = np.concatenate([g[:-1] if self.interp == "linear" else g[1:], [g[0]]])
         lo = np.clip(u_lo, 0.0, alpha)

@@ -134,9 +134,9 @@ class GeometricCoeffs(CoeffFamily):
     def abs_tail(self, j: int) -> float:
         return self.rho ** (j + 1) / (1.0 - self.rho)
 
-    def level_lag(self, u: float) -> tuple[float, float]:
-        """The lag x with a_x = u in (0, 1], and dx/dlog(u)."""
-        return math.log(u) / math.log(self.rho), 1.0 / math.log(self.rho)
+    def level_lag(self, log_u: float) -> tuple[float, float]:
+        """The lag x with a_x = u in (0, 1], given log u, and dx/dlog(u)."""
+        return log_u / math.log(self.rho), 1.0 / math.log(self.rho)
 
     def decay_exponent(self) -> float:
         return math.inf
@@ -169,9 +169,9 @@ class PolynomialCoeffs(CoeffFamily):
     def abs_tail(self, j: int) -> float:
         return hurwitz_zeta(self.beta, j + 1 + self.offset)
 
-    def level_lag(self, u: float) -> tuple[float, float]:
-        """The lag x with a_x = u > 0, and dx/dlog(u)."""
-        y = u ** (-1.0 / self.beta)
+    def level_lag(self, log_u: float) -> tuple[float, float]:
+        """The lag x with a_x = u > 0, given log u, and dx/dlog(u)."""
+        y = math.exp(-log_u / self.beta)
         return y - self.offset, -y / self.beta
 
     def decay_exponent(self) -> float:

@@ -204,7 +204,11 @@ def sqrt_tail_integral(model: DistributionModel, lower: float = 0.0) -> Extended
     """``int_lower^inf sqrt(P(|Y|>t)) dt`` by direct quadrature in t.
 
     Kept independent of the quantile-substitution route that ``lambda21``
-    takes, so the two forms can be checked against each other.
+    takes, so the two forms can be checked against each other.  Below the
+    lower end a of the support of |Y| the tail is 1, and that part is exact;
+    ``quad`` runs from max(lower, a) on, in units of that point (of 1 at 0),
+    so a kink at a or a tail far from the scale 1 is not missed.  A quadrature
+    that fails or returns a negative value raises ``NumericalError``.
     """
     lower = real(lower, "lower")
     if not (lower > -math.inf):
@@ -214,12 +218,15 @@ def sqrt_tail_integral(model: DistributionModel, lower: float = 0.0) -> Extended
         return ExtendedReal(math.inf, _divergence_diag(r, 0.5, "sqrt-tail"))
     lo, hi = model.support()
     upper = max(abs(lo), abs(hi))
-    fn = lambda t: math.sqrt(model.tail(t))
-    if math.isfinite(upper):
-        if lower >= upper:
-            return ExtendedReal(0.0)
-        return ExtendedReal(quad(fn, lower, upper))
-    return ExtendedReal(quad(fn, lower, math.inf))
+    if lower >= upper:
+        return ExtendedReal(0.0)
+    start = max(lower, lo, -hi, 0.0)
+    unit = start if start > 0.0 else 1.0
+    curved = unit * quad(lambda s: math.sqrt(model.tail(start + unit * s)), 0.0,
+                         (upper - start) / unit)
+    if not curved >= 0.0:
+        raise NumericalError(f"sqrt-tail quadrature from {start} returned {curved}")
+    return ExtendedReal(max(start - lower, 0.0) + curved)
 
 
 def lambda21(model: DistributionModel) -> ExtendedReal:

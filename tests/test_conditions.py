@@ -530,10 +530,48 @@ def test_zero_rho_family_reports_zero_tails_without_warnings():
             assert rep.verdict == "converges" and rep.tail_bound == 0.0, mode
 
 
-def test_alpha_tail_is_zero_past_an_underflowed_bound():
-    # 0.01**200 underflows to 0, so every unsummed term is 0
-    rep = check_alpha_condition(PhiGeometric(1.0, 0.01), Uniform(0, 1))
-    assert rep.verdict == "converges" and rep.tail_bound == 0.0
+def _pareto_qti_at_log(r):
+    """log level -> quantile_tail_integral of ParetoTail(1, r), level**e / e."""
+    e = 0.5 - 1.0 / r
+    return lambda log_a: np.exp(e * log_a) / e
+
+
+def _uniform_qti_at_log(log_a):
+    """log level -> quantile_tail_integral of Uniform(0, 1), 2 sqrt(a) - (2/3) a**1.5."""
+    return 2.0 * np.exp(0.5 * log_a) - (2.0 / 3.0) * np.exp(1.5 * log_a)
+
+
+_ALPHA_UNDERFLOW_CASES = [
+    # (bound, model, exact term at log alpha(k)); log alpha(k) is written out below
+    (PhiGeometric(1.0, 0.01), ParetoTail(1.0, 2.001), _pareto_qti_at_log(2.001)),
+    (PhiGeometric(1.0, 0.01), ParetoTail(1.0, 4.0), _pareto_qti_at_log(4.0)),
+    (PhiGeometric(2.0, 1e-5), ParetoTail(1.0, 2.01), _pareto_qti_at_log(2.01)),
+    (PhiGeometric(1.0, 0.01), Uniform(0, 1), _uniform_qti_at_log),
+    # alpha(200) = 0.3**200 is normal, but the level axis of the rest reaches below it
+    (PhiGeometric(1.0, 0.3), ParetoTail(1.0, 2.001), _pareto_qti_at_log(2.001)),
+    (AlphaPolynomial(1.0, 0.005), ParetoTail(1.0, 3.0), _pareto_qti_at_log(3.0)),
+]
+
+
+@pytest.mark.parametrize("bound, model, qti_at_log", _ALPHA_UNDERFLOW_CASES,
+                         ids=[f"{b!r}-{m!r}" for b, m, _ in _ALPHA_UNDERFLOW_CASES])
+def test_alpha_sums_and_bounds_the_rest_past_an_underflowing_bound(bound, model, qti_at_log):
+    # alpha(k) underflows within the 200 summed lags (0.01**k from k = 162 on,
+    # 201**-199 at k = 200) or past them, but a Pareto term alpha(k)**e / e need not
+    # be small: at rho = 0.01, r = 2.001 it falls by 0.12% a lag, lags 1-200 sum to
+    # 99,347.12 and the rest to 103,916.09
+    rep = check_alpha_condition(bound, model)
+    ks = np.arange(1, 10**6 + 1, dtype=float)
+    if isinstance(bound, PhiGeometric):
+        log_alpha = np.minimum(math.log(bound.c1) + ks * math.log(bound.rho), 0.0)
+    else:
+        log_alpha = math.log(bound.c_gamma) - bound.theta * np.log(ks + 1.0)
+    terms = qti_at_log(log_alpha) / np.sqrt(ks)
+    partial, rest = math.fsum(terms[:200]), math.fsum(terms[200:])
+    assert terms[-1] < 1e-20 * rest  # past 10**6 the rest is negligible
+    assert rep.verdict == "converges" and rep.partial_sum == pytest.approx(partial, rel=1e-9)
+    # the tail bound alone covers the rest, within two of its largest terms
+    assert rest * (1.0 - 1e-9) <= rep.tail_bound <= rest + 2.0 * terms[199]
 
 
 def test_alpha_tail_bound_covers_a_bound_clipped_past_the_summed_lags():
@@ -545,6 +583,21 @@ def test_alpha_tail_bound_covers_a_bound_clipped_past_the_summed_lags():
     terms = (2.0 * np.sqrt(alpha) - (2.0 / 3.0) * alpha**1.5) / np.sqrt(ks)
     # past 10**5 the terms are below 2 sqrt(c_gamma) k**-2, which sums to under 2e4 / 10**5
     _assert_brackets(rep, float(np.sum(terms)), float(np.sum(terms)) + 0.2, float(terms[199]))
+
+
+def test_alpha_tail_bound_brackets_a_near_critical_polynomial_bound():
+    # theta = 1.01: the Uniform term falls like k**-1.005, and the level axis reaches
+    # levels whose lag passes 1e300, past which its integrand is held constant
+    bound, m = AlphaPolynomial(1.0, 1.0 / 2.01), Uniform(0, 1)
+    rep = check_alpha_condition(bound, m)
+    ks = np.arange(1, 10**6 + 1, dtype=float)
+    alpha = np.asarray(bound(ks))
+    terms = (2.0 * np.sqrt(alpha) - (2.0 / 3.0) * alpha**1.5) / np.sqrt(ks)
+    # past 10**6 a term lies between 2 (1 - 1e-6) (k+1)**-p and 2 k**-p, p = (theta + 1) / 2
+    p, n = (bound.theta + 1.0) / 2.0, 10**6
+    body = math.fsum(terms)
+    _assert_brackets(rep, body + 2.0 * (1.0 - 1e-6) * float(special.zeta(p, n + 2)),
+                     body + 2.0 * float(special.zeta(p, n + 1)), float(terms[199]))
 
 
 def test_linear_partial_sum_matches_direct_sum():

@@ -3,13 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate
 from test_dict_properties import MODELS as ANY_MODEL, _tabulated
 
 from w1clt.errors import ValidationError
 from w1clt.models import (
-    _MERGE_MIN_ROW,
     Exponential,
     ParetoTail,
     Tabulated,
@@ -197,25 +196,60 @@ def test_antiderivative_per_knot_slopes_bit_identical(interp, data):
     ])
     assert model.cdf_antiderivative(t).tobytes() == _antiderivative_per_point_slopes(
         model, t).tobytes()
-    # sorted t longer than twice the grid and _MERGE_MIN_ROW takes the merge
-    # binning: ties on the knots, points below and above the grid; then one
-    # sorted t of more than 2m points but too short to merge, and one unsorted
-    # t, which keep searchsorted.  A stack of long sorted rows merges row by
-    # row; one unsorted row sends the whole stack to searchsorted
+    # every t takes the one bucketed knot lookup: long and short sorted t with
+    # ties on the knots and points below and above the grid, an unsorted t, a
+    # stack of sorted rows and a stack with one unsorted row
     m = len(g)
     extra = data.draw(st.lists(st.floats(g[0] - 5.0, g[-1] + 5.0), min_size=1,
                                max_size=3 * m), label="extra")
-    fill = np.linspace(g[0] - 5.0, g[-1] + 5.0, _MERGE_MIN_ROW)
+    fill = np.linspace(g[0] - 5.0, g[-1] + 5.0, 2048)
     long_sorted = np.sort(np.concatenate([t, g, extra, fill]))
-    assert len(long_sorted) > max(2 * m, _MERGE_MIN_ROW)
     short_sorted = np.sort(np.concatenate([t, g, extra]))
-    assert 2 * m < len(short_sorted) <= _MERGE_MIN_ROW
     unsorted = long_sorted[::-1].copy()
     sorted_stack = np.stack([long_sorted, long_sorted + offsets[1], long_sorted - offsets[0]])
     mixed_stack = np.stack([long_sorted, unsorted])
     for u in (long_sorted, short_sorted, unsorted, sorted_stack, mixed_stack):
         assert model.cdf_antiderivative(u).tobytes() == _antiderivative_per_point_slopes(
             model, u).tobytes()
+
+
+@st.composite
+def _wide_grids(draw):
+    """A strictly increasing grid of finite knots, signed or not, whose gaps run
+    from a few ulps to 1e300."""
+    x = draw(st.floats(-1e300, 1e300))
+    grid = [x]
+    for ulps, power in draw(st.lists(st.tuples(st.integers(1, 4), st.floats(-300.0, 300.0)),
+                                     min_size=1, max_size=40)):
+        if draw(st.booleans()):
+            for _ in range(ulps):
+                x = np.nextafter(x, math.inf)
+        else:
+            x = max(x + 10.0**power, np.nextafter(x, math.inf))
+        assume(math.isfinite(x))
+        grid.append(float(x))
+    return np.array(grid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_grids(), st.lists(st.floats(allow_nan=False), max_size=20))
+def test_knot_count_is_searchsorted(grid, extra):
+    # step tables, since a linear one's slope overflows across a gap of a few ulps
+    model = Tabulated(grid, np.linspace(0.0, 1.0, len(grid)), interp="step")
+    t = np.sort(np.concatenate([
+        grid, np.nextafter(grid, -math.inf), np.nextafter(grid, math.inf),
+        [0.0, -0.0, math.inf, -math.inf, grid[0] - 1.0, grid[-1] + 1.0], extra,
+    ]))
+    assert np.array_equal(model._knot_count(t), np.searchsorted(grid, t, side="right"))
+    stack = np.stack([t, t[::-1]])
+    assert np.array_equal(model._knot_count(stack), np.searchsorted(grid, stack, side="right"))
+    # the invariant the lookup rests on: the bucket does not decrease as t grows
+    assert np.all(np.diff(model._bucket(t)) >= 0)
+    fullest = int(np.max(np.bincount(model._bucket(grid))))
+    assert len(model._steps) <= fullest.bit_length()
+    # the lookup's one array stays within the table's own knot arrays
+    knot_bytes = grid.nbytes + model.cdf_values.nbytes + model._a_knots.nbytes
+    assert model._starts.nbytes <= knot_bytes
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: repr(m))

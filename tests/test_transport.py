@@ -3,12 +3,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 from scipy.stats import wasserstein_distance
 
 from test_dict_properties import MODELS, _tabulated, _uniform
-from w1clt import models, transport
+from w1clt import transport
 from w1clt.errors import DivergenceError, NumericalError, ValidationError
 from w1clt.models import Exponential, ParetoTail, Tabulated, Uniform
 from w1clt.processes import tabulate_cdf
@@ -307,13 +307,10 @@ def model_and_stack(draw):
 @given(model_and_stack())
 def test_w1_stacked_rows_equal_one_row_calls(case):
     # a 1-D call is a one-row stack; blocks of one row up to every row must
-    # give the same bits.  The stack is scored with no row-length floor on a
-    # table's merge binning, so its sorted rows longer than twice the grid
-    # merge, while the one-row calls search
+    # give the same bits
     model, stack, block = case
     single = np.array([w1_sample_vs_model(row, model) for row in stack])
-    with (mock.patch.object(transport, "_W1_BLOCK_VALUES", block),
-          mock.patch.object(models, "_MERGE_MIN_ROW", 0)):
+    with mock.patch.object(transport, "_W1_BLOCK_VALUES", block):
         out = w1_sample_vs_model(stack, model)
     assert type(out) is np.ndarray and out.shape == (len(stack),)
     assert out.tobytes() == single.tobytes()
@@ -464,18 +461,33 @@ _LAMBDA21_MODELS = st.one_of(_uniform, st.builds(Exponential, st.floats(0.01, 10
 
 @settings(max_examples=200, deadline=None)
 @given(_LAMBDA21_MODELS)
+# a tail mass below an ulp of 1, which 1 - F_|Y| at the folded knots rounded away
+@example(Tabulated([-10.0, 0.0], [2.96059473e-16, 1.0], interp="step"))
 def test_lambda21_matches_a_t_space_route_for_every_kind(model):
     # lambda21 is half the quantile tail integral at 1; both references integrate
     # sqrt(tail) in t.  Tabulated and Uniform tails have kinks at |knots|, which the
-    # midpoint rule takes piece by piece.  The other tails are 1 below the support and
-    # smooth above its lower end lo, where quad starts: across that kink it can be off
-    # by 1.2e-6 relative (ParetoTail(1.6640625, 4)) and still report convergence
+    # midpoint rule takes piece by piece; the other tails are smooth past the one
+    # kink sqrt_tail_integral starts its quadrature at
     if isinstance(model, (Tabulated, Uniform)):
         reference = _midpoint_sqrt_tail(model, per_piece=20_000)
     else:
-        lo = model.support()[0]
-        reference = lo + float(sqrt_tail_integral(model, lower=lo))
+        reference = float(sqrt_tail_integral(model))
     assert float(lambda21(model)) == pytest.approx(reference, rel=1e-6)
+
+
+@pytest.mark.parametrize("model", [Uniform(-10.0, -9.99), ParetoTail(1e-3, 200.0),
+                                   ParetoTail(1e6, 5.0), ParetoTail(1.6640625, 4.0)], ids=repr)
+def test_sqrt_tail_integral_meets_lambda21_across_a_kink_far_from_scale_one(model):
+    # one quad across the kink at the support's lower end read 10.0 (9.996667),
+    # 5.1e-36 (1.0101e-3), raised, and 3.3281291 (3.328125), in this order
+    assert float(sqrt_tail_integral(model)) == pytest.approx(float(lambda21(model)), rel=1e-9)
+
+
+def test_sqrt_tail_integral_rejects_a_negative_quadrature():
+    # the integrand is nonnegative, so a negative result is a failed quadrature
+    with mock.patch.object(transport, "quad", return_value=-1e-3):
+        with pytest.raises(NumericalError, match="returned"):
+            sqrt_tail_integral(ParetoTail(1e6, 5.0))
 
 
 def test_qti_uniform_quarter():
