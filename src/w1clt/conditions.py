@@ -15,7 +15,8 @@ not be small there.  Alpha, rio_312 and exact_311, whose terms do not
 increase, take int_K^inf term on the level axis u = alpha(x) or |a_x|: the
 finite interval (0, u(K)]; their terms and that axis go by log u, from
 log alpha(k) or log |a_k| where alpha(k) or a_k**2 is below the normal range.
-The unknown theory constants default to 1 and never affect a verdict.
+The unknown theory constants default to 1 and never affect a verdict.  The
+bounds' and families' logs, tails and lags come from the decay laws of ``processes``.
 """
 from __future__ import annotations
 
@@ -26,8 +27,7 @@ import numpy as np
 
 from .errors import DivergenceError, JsonRecord, ValidationError, count, real
 from .models import DistributionModel
-from .processes import (CoeffFamily, GeometricCoeffs, PolynomialCoeffs, first_index_below,
-                        hurwitz_zeta)
+from .processes import CoeffFamily, GeometricLaw, PolynomialLaw, first_index_below
 from .transport import quad, quantile_tail_integral, sqrt_tail_integral, lambda21
 
 __all__ = [
@@ -53,85 +53,60 @@ _FLOOR = np.finfo(float).tiny  # the smallest level a quantile tail integral is 
 # mixing-coefficient decay bounds
 # ---------------------------------------------------------------------------
 
+# The bounds are min(law, 1), with their laws from ``processes``.  A bound's
+# log_coeff is its unclipped law's log: the checkers read it only below level 1.
+
 @dataclass(frozen=True)
-class PhiGeometric:
+class PhiGeometric(GeometricLaw):
     """phi-coefficient bound c1 * rho**k (BV-contracting maps)."""
 
     c1: float = 1.0
     rho: float = 0.5
 
+    scale = property(lambda self: self.c1)
+
     def __post_init__(self):
         for name in ("c1", "rho"):
             object.__setattr__(self, name, real(getattr(self, name), name))
-        if not (self.c1 > 0 and 0.0 < self.rho < 1.0):
-            raise ValidationError("PhiGeometric needs c1 > 0 and rho in (0, 1)")
+        if not (0.0 < self.c1 < math.inf and 0.0 < self.rho < 1.0):
+            raise ValidationError("PhiGeometric needs finite c1 > 0 and rho in (0, 1)")
 
     def __call__(self, k):
         k_arr = np.asarray(k, dtype=float)
         return np.clip(self.c1 * self.rho**k_arr, 0.0, 1.0)
 
-    def log_coeff(self, k):
-        """log of the bound at k, finite where the bound underflows."""
-        return np.minimum(math.log(self.c1) + np.asarray(k, dtype=float) * math.log(self.rho), 0)
-
-    def abs_tail(self, k: int) -> float:
-        """sum_{j>k} c1 * rho**j: the tail of the unclipped bound."""
-        return self.c1 * self.rho ** (k + 1) / (1.0 - self.rho)
-
-    def level_lag(self, log_u: float) -> tuple[float, float]:
-        """The lag x with c1 * rho**x = u, given log u, and dx/dlog(u)."""
-        return (log_u - math.log(self.c1)) / math.log(self.rho), 1.0 / math.log(self.rho)
-
-    def decay_exponent(self) -> float:
-        return math.inf
-
 
 @dataclass(frozen=True)
-class AlphaPolynomial:
+class AlphaPolynomial(PolynomialLaw):
     """alpha-coefficient bound c_gamma / (k+1)**((1-gamma)/gamma)."""
 
     c_gamma: float = 1.0
     gamma: float = 0.25
 
+    scale = property(lambda self: self.c_gamma)
+    theta = property(lambda self: (1.0 - self.gamma) / self.gamma)
+
     def __post_init__(self):
         for name in ("c_gamma", "gamma"):
             object.__setattr__(self, name, real(getattr(self, name), name))
-        if not (self.c_gamma > 0 and 0.0 < self.gamma < 1.0):
-            raise ValidationError("AlphaPolynomial needs c_gamma > 0 and gamma in (0, 1)")
-
-    @property
-    def theta(self) -> float:
-        return (1.0 - self.gamma) / self.gamma
+        if not (0.0 < self.c_gamma < math.inf and 0.0 < self.gamma < 1.0):
+            raise ValidationError("AlphaPolynomial needs finite c_gamma > 0 and gamma in (0, 1)")
 
     def __call__(self, k):
         k_arr = np.asarray(k, dtype=float)
         with np.errstate(over="ignore"):  # (k+1)**theta = inf is the bound's underflow to 0
             return np.clip(self.c_gamma / (k_arr + 1.0) ** self.theta, 0.0, 1.0)
 
-    def log_coeff(self, k):
-        """log of the bound at k, finite where the bound underflows."""
-        return np.minimum(math.log(self.c_gamma) - self.theta * np.log(np.asarray(k) + 1.0), 0)
-
-    def abs_tail(self, k: int) -> float:
-        """sum_{j>k} c_gamma / (j+1)**theta: the tail of the unclipped bound."""
-        if self.theta <= 1.0:
-            return math.inf
-        return self.c_gamma * hurwitz_zeta(self.theta, k + 2)
-
-    def level_lag(self, log_u: float) -> tuple[float, float]:
-        """The lag x with c_gamma / (x+1)**theta = u, given log u, and dx/dlog(u)."""
-        y = math.exp((math.log(self.c_gamma) - log_u) / self.theta)
-        return y - 1.0, -y / self.theta
-
-    def decay_exponent(self) -> float:
-        return self.theta
-
 
 @dataclass(frozen=True)
-class ConstantBound:
-    """A non-decaying bound (no mixing); useful as a divergent reference."""
+class ConstantBound(PolynomialLaw):
+    """A non-decaying bound (no mixing), the polynomial law at theta = 0; useful as a
+    divergent reference."""
 
     value: float = 1.0
+
+    scale = property(lambda self: self.value)
+    theta = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "value", real(self.value, "value"))
@@ -140,12 +115,6 @@ class ConstantBound:
 
     def __call__(self, k):
         return np.full_like(np.asarray(k, dtype=float), self.value)
-
-    def abs_tail(self, k: int) -> float:
-        return math.inf
-
-    def decay_exponent(self) -> float:
-        return 0.0
 
 
 @dataclass
@@ -383,34 +352,26 @@ def check_linear_conditions(family: CoeffFamily, innovation: DistributionModel,
         s, q = 0.0, 1.0 - 2.0 / r
         exponent = -beta * q
 
-    # rho = 0: every coefficient past a_0 is 0; any other a_k is positive, if
-    # perhaps below the float range
-    vanishing = isinstance(family, GeometricCoeffs) and family.rho == 0.0
-
     def term(ks):
         a = np.abs(family.coeff(ks))
         if mode in ("moment_313", "tail_314"):
             out = ks**s * a**q
             # |a_k|**q need not be small for q near 0 where |a_k| has lost its
             # digits below the normal range: take it from log |a_k| there
-            if not vanishing:
-                low = np.flatnonzero(a < _FLOOR)
-                out[low] = ks[low]**s * np.exp(q * family.log_coeff(ks[low]))
+            low = np.flatnonzero(a < _FLOOR)
+            out[low] = ks[low]**s * np.exp(q * family.log_coeff(ks[low]))
             return out
         out = np.array([_qti(m, x * x) for x in a])
         # likewise where a_k**2 lies below the normal range: from log |a_k|
-        if not vanishing:
-            low = np.flatnonzero(a * a < _FLOOR)
-            out[low] = [_qti_at_log(m, e_q, 2.0 * x) for x in family.log_coeff(ks[low])]
+        low = np.flatnonzero(a * a < _FLOOR)
+        out[low] = [_qti_at_log(m, e_q, 2.0 * x) for x in family.log_coeff(ks[low])]
         return out
 
     last = _LAGS - 1
 
     def remainder():
-        if vanishing:
-            return 0.0
         if mode in ("moment_313", "tail_314"):
-            return _power_tail(family, s, q, last)
+            return family.power_tail(s, q, last)
         return _level_tail(lambda log_u, x: _qti_at_log(m, e_q, 2.0 * log_u), family,
                            float(family.log_coeff(last)), 2.0 * e_q - 1.0 / beta)
 
@@ -423,19 +384,6 @@ def check_linear_conditions(family: CoeffFamily, innovation: DistributionModel,
         f"(hypothesis of the Gaussian limit, recorded not enforced)"
     )
     return _series(term, np.arange(0, _LAGS, dtype=float), exponent, notes, remainder)
-
-
-def _power_tail(family: CoeffFamily, s: float, q: float, k: int) -> float:
-    """An upper bound on sum_{j>k} j**s |a_j|**q (s = 0 for tail_314)."""
-    if isinstance(family, PolynomialCoeffs):  # sum_{j>=k} (j + offset)**(s - beta q)
-        return hurwitz_zeta(family.beta * q - s, k + family.offset)
-    from scipy.special import gammaincc
-
-    # int_k^inf x**s exp(-lam x) dx, plus the largest term when the terms peak past k
-    lam = -q * math.log(family.rho)
-    peak = s / lam
-    top = peak**s * math.exp(-s) if peak > k else 0.0
-    return math.gamma(s + 1.0) * float(gammaincc(s + 1.0, lam * k)) / lam ** (s + 1.0) + top
 
 
 # ---------------------------------------------------------------------------

@@ -343,7 +343,6 @@ class Tabulated(DistributionModel):
     interp: str = "linear"
 
     kind = "tabulated"
-    _tails = None  # P(|Y| > knot) where it is not 1 - cdf_values: set by _folded
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -369,6 +368,7 @@ class Tabulated(DistributionModel):
         # values within the 1e-9 end tolerance above 1 are clipped, so F stays in [0, 1]
         self.cdf_values = np.minimum(self.cdf_values, 1.0)
         self.cdf_values[-1] = 1.0
+        self._tails = 1.0 - self.cdf_values  # P(Y > knot); _folded sets P(|Y| > knot)
         self._build_antiderivative(gaps)
         self._build_lookup()
         if self.grid[0] < 0.0:
@@ -452,8 +452,9 @@ class Tabulated(DistributionModel):
         below = t < g[0] if side == "right" else t <= g[0]
         return np.where(below, 0.0, np.interp(t, g, v))
 
-    def _quantile(self, u):
-        g, v = self.grid, self.cdf_values
+    def _quantile(self, u, v=None):
+        """Q(u), or the same inverse of the knots' values v if another array is given."""
+        g, v = self.grid, self.cdf_values if v is None else v
         idx = np.searchsorted(v, u, side="left")
         idx = np.clip(idx, 0, len(g) - 1)
         if self.interp == "step":
@@ -486,7 +487,8 @@ class Tabulated(DistributionModel):
     def _tail_quantile(self, u):
         if self.grid[0] < 0.0:
             return self._abs._tail_quantile(u)
-        return np.where(u >= 1.0, 0.0, self._quantile(1.0 - u))
+        # inverts the tails themselves, as 1 - u would round away a tail mass below an ulp of 1
+        return np.where(u >= 1.0, 0.0, self._quantile(-u, -self._tails))
 
     def _cdf_antiderivative(self, t):
         """Integral of F over (-inf, t], knot interval by knot interval.
@@ -536,7 +538,7 @@ class Tabulated(DistributionModel):
         # quantile runs linearly from g[i + 1] down to g[i] (stays at g[i + 1] for a
         # step table); the top piece, [u[0], 1], has the constant quantile g[0]
         g = self.grid
-        u = 1.0 - self.cdf_values if self._tails is None else self._tails
+        u = self._tails
         u_lo = np.concatenate([u[1:], [u[0]]])
         u_hi = np.concatenate([u[:-1], [1.0]])
         q_lo = np.concatenate([g[1:], [g[0]]])

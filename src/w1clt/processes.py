@@ -5,7 +5,9 @@ forward orbits of the intermittent interval map with the neutral fixed point
 at 0 (observable x**-a), forward orbits of the doubling map 2x mod 1
 (realized on a 128-bit sliding bit window so chaoticity survives far past the
 53 iterations native floats allow), and causal linear (MA-infinity) processes
-with truncated coefficient families.
+with truncated coefficient families.  The geometric and polynomial families
+share their decay laws, c * rho**k and c * (k + offset)**-theta, with the
+dependence bounds of ``conditions``.
 
 The iid, doubling-map and linear generators fill a chunk of rows at a time,
 one preallocated ``(rows, n)`` array, and compute what every row shares once
@@ -25,9 +27,10 @@ within eps * (log2(L) + 2) * sum_j |a_j| * max |eps_k| in the tests.  One
 row's transform takes 32 bytes a point of L, and L is capped at 256 MiB / 32
 = 2**23.
 
-Only polynomial coefficient tails load scipy (``hurwitz_zeta``, imported on
-first use): the linear default truncation rule and the truncation error bound
-of a polynomial family.  Every other generator runs on numpy alone.
+Only the decay laws' tails load scipy (``zeta``, and ``gammaincc`` for a
+geometric power tail, imported on first use); of the generators, the linear
+default truncation rule and the truncation error bound of a polynomial
+family.  Every other generator runs on numpy alone.
 
 Randomness is counter-split: stream `s` of a run with base seed `k` draws
 from ``Philox(key=k, counter=[0, 0, purpose, s])``.  Streams are disjoint for
@@ -83,13 +86,6 @@ _TRUNCATION_CAP = 2**22
 _TRUNCATION_TOL = 1e-8  # the default truncation J leaves a coefficient tail below this
 
 
-def hurwitz_zeta(s: float, q: float) -> float:
-    """sum_{k>=0} (k + q)**-s by scipy.special.zeta, imported on the first call."""
-    from scipy.special import zeta
-
-    return float(zeta(s, q))
-
-
 def spawn_rng(seed: int, stream: int = 0, purpose: int = PURPOSE_PATH) -> np.random.Generator:
     """Independent generator for (seed, stream, purpose) via Philox counters."""
     stream = count(stream, "stream", 0)
@@ -102,8 +98,74 @@ def spawn_rng(seed: int, stream: int = 0, purpose: int = PURPOSE_PATH) -> np.ran
 
 
 # ---------------------------------------------------------------------------
-# coefficient families for the linear process
+# decay laws, and the coefficient families of the linear process
 # ---------------------------------------------------------------------------
+
+class GeometricLaw:
+    """c * rho**k, rho in [0, 1), c a read-only scale; log rho = -inf at rho = 0,
+    where every log-space value past k = 0, and every tail, is then exactly 0."""
+
+    scale = 1.0
+    _log_rho = property(lambda self: math.log(self.rho) if self.rho > 0.0 else -math.inf)
+
+    def log_coeff(self, k):
+        """log(c * rho**k), finite where the law underflows."""
+        return math.log(self.scale) + np.asarray(k, dtype=float) * self._log_rho
+
+    def abs_tail(self, k: int) -> float:
+        """sum_{j>k} c * rho**j."""
+        return self.scale * self.rho ** (k + 1) / (1.0 - self.rho)
+
+    def level_lag(self, log_u: float) -> tuple[float, float]:
+        """The lag x with c * rho**x = u, given log u, and dx/dlog(u)."""
+        return (log_u - math.log(self.scale)) / self._log_rho, 1.0 / self._log_rho
+
+    def decay_exponent(self) -> float:
+        return math.inf
+
+    def power_tail(self, s: float, q: float, k: int) -> float:
+        """An upper bound on sum_{j>k} j**s (c * rho**j)**q, s >= 0, q > 0: with lam =
+        -q log rho, int_k^inf x**s exp(-lam x) dx, plus the largest term when the
+        terms peak past k."""
+        from scipy.special import gammaincc
+
+        lam = -q * self._log_rho
+        peak = s / lam
+        top = peak**s * math.exp(-s) if peak > k else 0.0
+        return self.scale**q * (math.gamma(s + 1.0) * float(gammaincc(s + 1.0, lam * k))
+                                / lam ** (s + 1.0) + top)
+
+
+class PolynomialLaw:
+    """c * (k + offset)**-theta, theta >= 0, with c, offset and theta read-only."""
+
+    scale = offset = 1.0
+
+    def log_coeff(self, k):
+        """log(c * (k + offset)**-theta), finite where the law underflows."""
+        return math.log(self.scale) - self.theta * np.log(np.asarray(k, dtype=float) + self.offset)
+
+    def abs_tail(self, k: int) -> float:
+        """sum_{j>k} c * (j + offset)**-theta; inf for theta <= 1."""
+        return self.power_tail(0.0, 1.0, k + 1)
+
+    def level_lag(self, log_u: float) -> tuple[float, float]:
+        """The lag x with c * (x + offset)**-theta = u, given log u, and dx/dlog(u)."""
+        y = math.exp((math.log(self.scale) - log_u) / self.theta)
+        return y - self.offset, -y / self.theta
+
+    def decay_exponent(self) -> float:
+        return self.theta
+
+    def power_tail(self, s: float, q: float, k: int) -> float:
+        """sum_{j>=k} (j + offset)**(s - theta q) c**q, s >= 0, q > 0, which bounds
+        sum_{j>k} j**s (c * (j + offset)**-theta)**q; inf where it diverges."""
+        if self.theta * q - s <= 1.0:
+            return math.inf
+        from scipy.special import zeta
+
+        return self.scale**q * float(zeta(self.theta * q - s, k + self.offset))
+
 
 class CoeffFamily(WireRecord):
     """A coefficient family a_j of the linear process; its wire tag is "family"."""
@@ -112,7 +174,7 @@ class CoeffFamily(WireRecord):
 
 
 @dataclass(frozen=True)
-class GeometricCoeffs(CoeffFamily):
+class GeometricCoeffs(CoeffFamily, GeometricLaw):
     """a_j = rho**j; rho = 0 degenerates to the single coefficient a_0 = 0**0 = 1."""
 
     rho: float
@@ -127,29 +189,16 @@ class GeometricCoeffs(CoeffFamily):
     def coeff(self, j):
         return self.rho ** np.asarray(j, dtype=float)
 
-    def log_coeff(self, j):
-        """log a_j = j log(rho), finite where a_j underflows; needs rho > 0."""
-        return np.asarray(j, dtype=float) * math.log(self.rho)
-
-    def abs_tail(self, j: int) -> float:
-        return self.rho ** (j + 1) / (1.0 - self.rho)
-
-    def level_lag(self, log_u: float) -> tuple[float, float]:
-        """The lag x with a_x = u in (0, 1], given log u, and dx/dlog(u)."""
-        return log_u / math.log(self.rho), 1.0 / math.log(self.rho)
-
-    def decay_exponent(self) -> float:
-        return math.inf
-
 
 @dataclass(frozen=True)
-class PolynomialCoeffs(CoeffFamily):
+class PolynomialCoeffs(CoeffFamily, PolynomialLaw):
     """a_j = (j + offset)**-beta with finite beta > 1 (absolute summability)."""
 
     beta: float
     offset: float = 1.0
 
     kind = "polynomial"
+    theta = property(lambda self: self.beta)
 
     def __post_init__(self):
         for name in ("beta", "offset"):
@@ -161,21 +210,6 @@ class PolynomialCoeffs(CoeffFamily):
 
     def coeff(self, j):
         return (np.asarray(j, dtype=float) + self.offset) ** (-self.beta)
-
-    def log_coeff(self, j):
-        """log a_j, finite where a_j underflows."""
-        return -self.beta * np.log(np.asarray(j, dtype=float) + self.offset)
-
-    def abs_tail(self, j: int) -> float:
-        return hurwitz_zeta(self.beta, j + 1 + self.offset)
-
-    def level_lag(self, log_u: float) -> tuple[float, float]:
-        """The lag x with a_x = u > 0, given log u, and dx/dlog(u)."""
-        y = math.exp(-log_u / self.beta)
-        return y - self.offset, -y / self.beta
-
-    def decay_exponent(self) -> float:
-        return self.beta
 
 
 def coeffs_from_dict(d: dict) -> CoeffFamily:

@@ -21,7 +21,7 @@ from w1clt.conditions import (
     lag_cutoff,
 )
 from w1clt.errors import DivergenceError, ValidationError
-from w1clt.models import Exponential, ParetoTail, Uniform
+from w1clt.models import Exponential, ParetoTail, Tabulated, Uniform
 from w1clt.processes import GeometricCoeffs, PolynomialCoeffs
 from w1clt.transport import quantile_tail_integral
 
@@ -47,7 +47,9 @@ def test_bounds_are_clamped_and_nonincreasing():
     (PhiGeometric, (0.0, 0.5)), (PhiGeometric, (1.0, 1.0)),
     (AlphaPolynomial, (0.0, 0.25)), (AlphaPolynomial, (1.0, 1.0)),
     (ConstantBound, (0.0,)), (ConstantBound, (1.5,)),
-], ids=["phi-c1", "phi-rho", "alpha-c", "alpha-gamma", "constant-0", "constant-above-1"])
+    (PhiGeometric, (math.inf, 0.5)), (AlphaPolynomial, (math.inf, 0.1)),
+], ids=["phi-c1", "phi-rho", "alpha-c", "alpha-gamma", "constant-0", "constant-above-1",
+        "phi-c1-inf", "alpha-c-inf"])
 def test_bounds_reject_out_of_range_parameters(cls, args):
     with pytest.raises(ValidationError, match=f"{cls.__name__} needs"):
         cls(*args)
@@ -104,6 +106,17 @@ def test_alpha_no_mixing_diverges():
     rep = check_alpha_condition(ConstantBound(1.0), Uniform(0, 1))
     assert rep.verdict == "diverges"
     assert "-0.5" in rep.notes or "exponent" in rep.notes
+
+
+def test_alpha_constant_bound_below_the_normal_range_diverges_with_a_finite_sum():
+    # raised AttributeError: the bound had no log_coeff for its terms below 2.2e-308.
+    # Each term is qti(1e-310) / sqrt(k), with qti(a) = 2 sqrt(a) - (2/3) a**1.5
+    bound = ConstantBound(1e-310)
+    rep = check_alpha_condition(bound, Uniform(0, 1))
+    assert rep.verdict == "diverges" and rep.tail_bound is None
+    expected = 2.0 * math.sqrt(1e-310) * sum(k**-0.5 for k in range(1, 201))
+    assert rep.partial_sum == pytest.approx(expected, rel=1e-9)
+    assert bound.abs_tail(0) == math.inf and bound.decay_exponent() == 0.0
 
 
 def test_alpha_heavy_marginal_diverges_with_infinite_terms():
@@ -178,6 +191,17 @@ def test_alpha_forms_pair_many_models():
         bound = AlphaPolynomial(float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.1, 0.9)))
         left, right = alpha_forms_pair(bound, m, k)
         assert abs(left - right) <= 1e-6 * (1.0 + abs(right))
+
+
+def test_alpha_forms_pair_on_a_tail_mass_below_an_ulp_of_one():
+    # P(|Y| > t) = 2.96e-16 for t < 10, so Q(u) = 10 for u below it and both forms
+    # are 10 sqrt(alpha).  Inverting 1 - u against F_|Y| lost that mass: the tail
+    # quantile read 0 and the left form 1.7206e-7 against 1.7029e-7
+    table = Tabulated([-10.0, 0.0], [2.96059473e-16, 1.0], interp="step")
+    assert table.tail_quantile(2.9e-16) == 10.0
+    left, right = alpha_forms_pair(ConstantBound(2.9e-16), table, 1)
+    assert left == pytest.approx(10.0 * math.sqrt(2.9e-16), rel=1e-12)
+    assert right == pytest.approx(10.0 * math.sqrt(2.9e-16), rel=1e-12)
 
 
 def test_alpha_forms_pair_divergent_flag():
@@ -598,6 +622,58 @@ def test_alpha_tail_bound_brackets_a_near_critical_polynomial_bound():
     body = math.fsum(terms)
     _assert_brackets(rep, body + 2.0 * (1.0 - 1e-6) * float(special.zeta(p, n + 2)),
                      body + 2.0 * float(special.zeta(p, n + 1)), float(terms[199]))
+
+
+# ---------------------------------------------------------------------------
+# the decay laws the families and the bounds share
+# ---------------------------------------------------------------------------
+
+_LAWS = st.one_of(
+    st.builds(GeometricCoeffs, st.floats(0.0, 0.999)),
+    st.builds(PhiGeometric, st.floats(1e-3, 1e3), st.floats(1e-3, 0.999)),
+    st.builds(PolynomialCoeffs, st.floats(1.01, 50.0), st.floats(0.1, 10.0)),
+    st.builds(AlphaPolynomial, st.floats(1e-3, 1e3), st.floats(0.05, 0.95)),
+    st.builds(ConstantBound, st.floats(1e-300, 1.0)),
+)
+
+
+def _law_log(law, x):
+    """log of the unclipped law at the lags x > 0, written out from its fields."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(law, ConstantBound):
+        return np.full_like(x, math.log(law.value))
+    if isinstance(law, (GeometricCoeffs, PhiGeometric)):
+        with np.errstate(divide="ignore"):  # log 0 = -inf: rho = 0 is 0 past k = 0
+            return math.log(getattr(law, "c1", 1.0)) + x * np.log(law.rho)
+    if isinstance(law, AlphaPolynomial):
+        return math.log(law.c_gamma) - (1.0 - law.gamma) / law.gamma * np.log(x + 1.0)
+    return -law.beta * np.log(x + law.offset)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LAWS, st.floats(1e-3, 1e4))
+def test_level_lag_inverts_log_coeff(law, x):
+    log_u = float(law.log_coeff(x))
+    assert log_u == pytest.approx(float(_law_log(law, x)), rel=1e-12, abs=1e-12)
+    if law.decay_exponent() == 0.0 or getattr(law, "rho", 1.0) == 0.0:
+        return  # constant, or 0 past k = 0: no lag has a level of its own
+    lag, slope = law.level_lag(log_u)
+    assert lag == pytest.approx(x, rel=1e-9, abs=1e-9)
+    h = 1e-6 * max(1.0, abs(log_u))
+    diff = (law.level_lag(log_u + h)[0] - law.level_lag(log_u - h)[0]) / (2.0 * h)
+    assert slope == pytest.approx(diff, rel=1e-6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_LAWS, st.integers(1, 300), st.floats(0.0, 2.0), st.floats(0.05, 1.0))
+def test_abs_tail_and_power_tail_bound_brute_force_sums(law, k, s, q):
+    # sum_{j>k} law(j) and sum_{j>k} j**s law(j)**q over 10**5 lags, from logarithms,
+    # up to 1e-300: a tail below the normal range keeps few digits, or none
+    j = np.arange(k + 1, k + 100_001, dtype=float)
+    log_law = _law_log(law, j)
+    assert law.abs_tail(k) >= float(np.sum(np.exp(log_law))) * (1.0 - 1e-12) - 1e-300
+    power = float(np.sum(np.exp(s * np.log(j) + q * log_law)))
+    assert law.power_tail(s, q, k) >= power * (1.0 - 1e-9) - 1e-300
 
 
 def test_linear_partial_sum_matches_direct_sum():

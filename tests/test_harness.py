@@ -598,6 +598,19 @@ def test_cli_validation_exit_code(tmp_path):
     assert cli_main(["check", "--config", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize("kind, key, rest", [("phi", "c1", '"rho": 0.5'),
+                                             ("alpha", "c_gamma", '"gamma": 0.1')])
+def test_cli_check_rejects_an_infinite_bound_constant(tmp_path, kind, key, rest, capsys):
+    # JSON reads 1e999 as inf: the phi check reported "converges" with a NaN tail
+    # bound, written as null, and exited 0; the alpha check raised a numpy warning
+    cfg = tmp_path / "bound.json"
+    cfg.write_text(f'{{"schema_version": {harness.SCHEMA_VERSION}, "kind": "{kind}", '
+                   f'"{key}": 1e999, {rest}, "model": {{"kind": "uniform", "lo": 0, "hi": 1}}}}')
+    assert cli_main(["check", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+    assert f"finite {key} > 0" in capsys.readouterr().err
+    assert not (tmp_path / "check.json").exists()
+
+
 def test_cli_limit_iid(tmp_path, capsys):
     cfg = {
         "schema_version": 1,
