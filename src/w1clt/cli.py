@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: generate, w1, check, limit, experiment, compare, probe, report.
-Each takes only the flags it reads, and every config key is either read or
-rejected.  Configs are JSON with schema_version 1 (documented in the README).
+Each input has one source: a subcommand takes only the flags it reads, one
+with a config takes no flag but --config, --out-dir and (experiment) --threads,
+and every config key is either read or rejected.  Outputs have fixed names
+under --out-dir.  Configs are JSON with schema_version 1 (see the README).
 Exit codes: 0 on success, 1 on validation errors, 2 on numerical failures.
 JSON output is strict: a non-finite number is written as null.
 """
@@ -25,8 +27,8 @@ from .transport import w1_two_samples
 
 __all__ = ["cli_main", "main"]
 
-_GENERATE_KEYS = ("schema_version", "process", "n", "seed", "stream", "out")
-_LIMIT_KEYS = ("schema_version", "model", "grid", "replications", "seed", "out")
+_GENERATE_KEYS = ("schema_version", "process", "n", "seed", "stream")
+_LIMIT_KEYS = ("schema_version", "model", "grid", "replications", "seed")
 _DEPENDENT_LIMIT_KEYS = ("process", "lag_cutoff", "sim_length")
 _GRIDS = {"quantile": limitlaw.quantile_grid, "vartail": limitlaw.variance_length_grid}
 _CHECK_KEYS = {
@@ -52,8 +54,6 @@ def _read_values(path: str) -> np.ndarray:
 
 
 def _out_path(args, name: str) -> str:
-    if os.path.basename(name) != name:  # a path would bypass --out-dir
-        raise ValidationError(f"'out' must be a file name inside --out-dir, got {name!r}")
     os.makedirs(args.out_dir, exist_ok=True)
     return os.path.join(args.out_dir, name)
 
@@ -65,18 +65,12 @@ def _emit(obj, args, name: str) -> None:
         fh.write(text + "\n")
 
 
-def _seed(args, cfg: dict, what: str) -> int:
-    """--seed when given, else the config's seed (default 0)."""
-    seed = read_key(cfg, "seed", int, what, 0)
-    return seed if args.seed is None else args.seed
-
-
 def _cmd_generate(args) -> int:
     what = "generate config"
     cfg = reject_unknown_keys(_load_config(args.config), _GENERATE_KEYS, what)
     spec = spec_from_dict(read_key(cfg, "process", dict, what))
-    out = _out_path(args, read_key(cfg, "out", str, what, "path.csv"))
-    path = generate(spec, read_key(cfg, "n", int, what), _seed(args, cfg, what),
+    out = _out_path(args, "path.csv")
+    path = generate(spec, read_key(cfg, "n", int, what), read_key(cfg, "seed", int, what, 0),
                     stream=read_key(cfg, "stream", int, what, 0))
     with open(out, "w", encoding="utf-8") as fh:
         path.to_csv(fh)
@@ -92,13 +86,7 @@ def _cmd_w1(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.config is not None and args.gamma is None and args.a is None:
-        cfg = _load_config(args.config)
-    elif args.config is None and args.gamma is not None and args.a is not None:
-        cfg = {"schema_version": harness.SCHEMA_VERSION, "kind": "threshold",
-               "gamma": args.gamma, "a": args.a}
-    else:
-        raise ValidationError("check needs either --gamma and --a, or --config")
+    cfg = _load_config(args.config)
     kind = read_tag(cfg, "kind", _CHECK_KEYS, "check config")
     what = f"{kind} check config"
     if kind == "threshold":
@@ -141,9 +129,9 @@ def _cmd_limit(args) -> int:
         raise ValidationError(f"limit grid scheme must be one of {sorted(_GRIDS)}, got {scheme!r}")
     size = read_key(grid_cfg, "size", int, "limit grid", 256)
     model = model_from_dict(read_key(cfg, "model", dict, what))
-    seed = _seed(args, cfg, what)
+    seed = read_key(cfg, "seed", int, what, 0)
     replications = read_key(cfg, "replications", int, what, 10_000)
-    out = _out_path(args, read_key(cfg, "out", str, what, "limit.csv"))
+    out = _out_path(args, "limit.csv")
     grid = _GRIDS[scheme](model, size)
     if dependent:
         cg = limitlaw.covariance_dependent(
@@ -236,19 +224,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     config = ("--config", {"required": True})
-    config_seed = ("--seed", {"type": int, "default": None, "help": "overrides the config's seed"})
     threads = ("--threads", {"type": int, "default": 1, "help": (
         "processes computing T_n (>= 1): this one and forked helpers, at most one per "
         "usable CPU; 1 off Linux; outputs do not depend on it")})
     out_dir = ("--out-dir", {"default": "out"})
     commands = [
-        ("generate", _cmd_generate, "simulate a trajectory to CSV", config, config_seed, out_dir),
+        ("generate", _cmd_generate, "simulate a trajectory to CSV", config, out_dir),
         ("w1", _cmd_w1, "exact W1 between two sample CSVs",
          ("--x", {"required": True}), ("--y", {"required": True})),
-        ("check", _cmd_check, "evaluate a convergence condition",
-         ("--gamma", {"type": float}), ("--a", {"type": float}), ("--config", {}), out_dir),
-        ("limit", _cmd_limit, "covariance grid + limit functional sample",
-         config, config_seed, out_dir),
+        ("check", _cmd_check, "evaluate a convergence condition", config, out_dir),
+        ("limit", _cmd_limit, "covariance grid + limit functional sample", config, out_dir),
         ("experiment", _cmd_experiment, "finite-n Monte Carlo experiment",
          config, threads, out_dir),
         ("compare", _cmd_compare, "KS/W1/mean comparison of two statistic CSVs",

@@ -361,6 +361,7 @@ def check_linear_conditions(family: CoeffFamily, innovation: DistributionModel,
             low = np.flatnonzero(a < _FLOOR)
             out[low] = ks[low]**s * np.exp(q * family.log_coeff(ks[low]))
             return out
+        a = np.minimum(a, 1.0)  # _qti caps the level at 1; a_k**2 could overflow
         out = np.array([_qti(m, x * x) for x in a])
         # likewise where a_k**2 lies below the normal range: from log |a_k|
         low = np.flatnonzero(a * a < _FLOOR)

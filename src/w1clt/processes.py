@@ -125,8 +125,12 @@ class GeometricLaw:
 
     def power_tail(self, s: float, q: float, k: int) -> float:
         """An upper bound on sum_{j>k} j**s (c * rho**j)**q, s >= 0, q > 0: with lam =
-        -q log rho, int_k^inf x**s exp(-lam x) dx, plus the largest term when the
-        terms peak past k."""
+        -q log rho, int_k^inf f, f(x) = x**s exp(-lam x), plus the largest term when
+        the terms peak past k (s / lam > k).  For s < 1, as in every checker (0 for
+        tail_314, 1/(r-1) for moment_313), and k >= 1 that term is slack: by
+        Euler-Maclaurin the sum is int_k^inf f - f(k)/2 + int_k^inf ({x} - 1/2) f',
+        whose last term is at most the total variation of f' on [k, inf) over 8,
+        f'(k) + 2 max|f'| <= (s/k) f(k) + 2 lam f(s/lam) <= 3 (s/k) f(k)."""
         from scipy.special import gammaincc
 
         lam = -q * self._log_rho

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, special
+from scipy import special
 
 from w1clt import conditions
 from w1clt.conditions import (
@@ -126,19 +126,13 @@ def test_alpha_heavy_marginal_diverges_with_infinite_terms():
 
 
 def test_alpha_partial_sum_matches_term_by_term_quadrature():
-    # independent oracle: direct quadrature of Q(u)/sqrt(u) per term, k <= 1000
-    bound = AlphaPolynomial(1.0, 0.25)
-    m = Uniform(0, 1)
+    # independent oracle, k <= 1000: alpha(k) = (k + 1)**-3 at gamma = 1/4, and for
+    # U(0, 1) the quadrature int_0^alpha (1 - u) / sqrt(u) du = 2 sqrt(alpha) - (2/3) alpha**1.5
     terms = 1000
-    rep = _at_lags(terms, check_alpha_condition, bound, m)
-    total = 0.0
-    for k in range(1, terms + 1):
-        alpha = float(bound(k))
-        piece, _ = integrate.quad(
-            lambda u: float(m.tail_quantile(u)) / math.sqrt(u), 0.0, alpha,
-            epsabs=1e-13, limit=200,
-        )
-        total += piece / math.sqrt(k)
+    rep = _at_lags(terms, check_alpha_condition, AlphaPolynomial(1.0, 0.25), Uniform(0, 1))
+    alpha = [(k + 1.0) ** -3.0 for k in range(1, terms + 1)]
+    total = math.fsum((2.0 * math.sqrt(a) - (2.0 / 3.0) * a**1.5) / math.sqrt(k)
+                      for k, a in enumerate(alpha, start=1))
     assert rep.partial_sum == pytest.approx(total, rel=1e-6)
 
 
@@ -401,6 +395,8 @@ def _assert_brackets(rep, exact_lo, exact_hi, largest):
 _RHOS = (0.5, 0.9, 0.999, 0.99999, 0.999999)
 _POWER_CASES = [(mode, rho, r) for mode in ("tail_314", "moment_313") for rho in _RHOS
                 for r in (2.01, 4.0, 50.0)]
+# moment_313 terms peaking far past the last summed lag, at 1 / ((r - 2) log(1 / rho))
+_POWER_CASES += [("moment_313", rho, r) for rho in (0.99, 0.9999) for r in (2.0001, 2.001)]
 
 
 def _geometric_power_exact(mode, rho, r):
@@ -519,6 +515,16 @@ def test_polynomial_tail_mode_brackets_the_exact_sum_past_underflowing_coefficie
     bp = 1000.0 * (1.0 - 2.0 / 2.003)
     exact = float(special.zeta(bp, 1.0))
     _assert_brackets(rep, exact, exact, 200.0 ** -bp)
+
+
+@pytest.mark.parametrize("mode", ["rio_312", "exact_311"])
+def test_quantile_modes_take_a_coefficient_whose_square_overflows(mode):
+    # a_0 = 0.5**-1000 = 1.07e301: its square overflowed (a numpy warning, an error
+    # here), but the level clips to 1 and a_k**2 <= 1.5**-2000 vanishes for k >= 1,
+    # so the sum is qti(1) = 2 - 2/3 for U(-1, 1)
+    rep = check_linear_conditions(PolynomialCoeffs(1000.0, 0.5), Uniform(-1, 1), mode,
+                                  marginal=Uniform(-1, 1) if mode == "exact_311" else None)
+    assert rep.verdict == "converges" and rep.partial_sum == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
 _QUANTILE_UNDERFLOW_CASES = [(mode, rho, r) for mode in ("rio_312", "exact_311")

@@ -415,22 +415,37 @@ def test_cli_unknown_subcommand():
     assert cli_main(["--help"]) == 0
 
 
+def _parser_flags():
+    """{subcommand: the long flags it takes}, read from the parser."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in p._actions for o in a.option_strings
+                   if o.startswith("--") and o != "--help"}
+            for name, p in sub.choices.items()}
+
+
 def test_readme_command_table_matches_the_parser():
     # one row per subcommand, naming every flag it takes
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = {m[1]: set(re.findall(r"`(--[a-z-]+)`", m[2]))
              for m in re.finditer(r"^\| `([a-z0-9]+)` \| (.*) \|$", readme, re.MULTILINE)}
-    sub = next(a for a in _build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    parsed = {name: {o for a in p._actions for o in a.option_strings
-                     if o.startswith("--") and o != "--help"}
-              for name, p in sub.choices.items()}
-    assert table == parsed
+    assert table == _parser_flags()
+
+
+def test_cli_config_subcommands_take_no_input_flag():
+    # each input has one source: a config-driven subcommand reads seeds, output names
+    # and check parameters from its config, and its flags say only where and how to run
+    driven = {name: flags for name, flags in _parser_flags().items() if "--config" in flags}
+    assert sorted(driven) == ["check", "experiment", "generate", "limit", "report"]
+    for name, flags in driven.items():
+        assert flags == {"--config", "--out-dir"} | ({"--threads"} if name == "experiment"
+                                                     else set()), name
 
 
 def test_cli_check_threshold(tmp_path, capsys):
-    code = cli_main(["check", "--gamma", "0.25", "--a", "0.2",
-                     "--out-dir", str(tmp_path)])
+    cfg = tmp_path / "threshold.json"
+    cfg.write_text(json.dumps(_THRESHOLD))
+    code = cli_main(["check", "--config", str(cfg), "--out-dir", str(tmp_path)])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "converges"
@@ -460,7 +475,6 @@ def test_cli_generate_and_compare(tmp_path, capsys):
         "process": {"variant": "iid", "model": {"kind": "uniform", "lo": 0, "hi": 1}},
         "n": 50,
         "seed": 3,
-        "out": "path.csv",
     }
     cfg_file = tmp_path / "gen.json"
     cfg_file.write_text(json.dumps(cfg))
@@ -548,6 +562,7 @@ def test_cli_writes_strict_json(tmp_path, capsys):
     configs = {
         "generate": {**_GENERATE, "process": {"variant": "doubling",
                                               "observable_exponent": 0.25, "burn_in": 5}},
+        "threshold": _THRESHOLD,
         "alpha": {"schema_version": 1, "kind": "alpha", "gamma": 0.5,
                   "model": {"kind": "pareto_tail", "scale": 1, "exponent": 2}},
         "limit": _LIMIT,
@@ -561,7 +576,7 @@ def test_cli_writes_strict_json(tmp_path, capsys):
     commands = [
         ["generate", "--config", str(cfg / "generate.json")],
         ["check", "--config", str(cfg / "alpha.json")],
-        ["check", "--gamma", "0.25", "--a", "0.2"],
+        ["check", "--config", str(cfg / "threshold.json")],
         ["limit", "--config", str(cfg / "limit.json")],
         ["experiment", "--config", str(cfg / "experiment.json")],
         ["compare", "--a", str(out / "tn_8.csv"), "--b", str(out / "limit.csv")],
@@ -705,8 +720,12 @@ _PROBE = ["probe", "--gamma", "0.25", "--a", "0.4", "--out-dir", "{out}", "--n-v
 
 
 @pytest.mark.parametrize("argv, config, named", [
-    (["check", "--gamma", "0.25", "--a", "0.2", "--threads", "0"], None, "--threads"),
-    (["check", "--gamma", "0.25"], None, "check needs either --gamma and --a, or --config"),
+    (["check", *_CFG, "--threads", "0"], _THRESHOLD, "unrecognized arguments: --threads 0"),
+    (["check", *_CFG, "--gamma", "0.25", "--a", "0.2"], _THRESHOLD,
+     "unrecognized arguments: --gamma 0.25 --a 0.2"),
+    (["check", "--gamma", "0.25", "--a", "0.2"], None, "required: --config"),
+    (["generate", *_CFG, "--seed", "5"], _GENERATE, "unrecognized arguments: --seed 5"),
+    (["limit", *_CFG, "--seed", "5"], _LIMIT, "unrecognized arguments: --seed 5"),
     (["w1", "--x", "{csv}", "--y", "{csv}", "--seed", "5"], None, "--seed"),
     (["experiment", *_CFG, "--seed", "5"], _EXPERIMENT, "--seed"),
     (["probe", "--gamma", "0.25", "--a", "0.4", "--n-values", "64,128", "--config", "x.json"],
@@ -724,7 +743,9 @@ _PROBE = ["probe", "--gamma", "0.25", "--a", "0.4", "--out-dir", "{out}", "--n-v
     (["limit", *_CFG], {**_LIMIT, "lag": 3}, "lag"),
     (["limit", *_CFG], {**_LIMIT, "lag_cutoff": 2}, "lag_cutoff"),
     (["generate", *_CFG], {**_GENERATE, "seeds": 3}, "seeds"),
-    (["generate", *_CFG], {**_GENERATE, "out": "../path.csv"}, "../path.csv"),
+    (["generate", *_CFG], {**_GENERATE, "out": "path.csv"}, "generate config key(s) ['out']"),
+    (["generate", *_CFG], {**_GENERATE, "out": "../path.csv"}, "generate config key(s) ['out']"),
+    (["limit", *_CFG], {**_LIMIT, "out": "limit.csv"}, "limit config key(s) ['out']"),
     (["check", *_CFG], {**_THRESHOLD, "verbose": True}, "verbose"),
     (["experiment", *_CFG], {**_EXPERIMENT, "reference": {"calibraton_length": 100}},
      "calibraton_length"),
@@ -763,7 +784,7 @@ _PROBE = ["probe", "--gamma", "0.25", "--a", "0.4", "--out-dir", "{out}", "--n-v
     (["check", *_CFG], {**_ALPHA, "terms": 200}, "unknown alpha check config key(s) ['terms']"),
     (["check", *_CFG], {**_LINEAR, "mode": "moment_313", "r": 1e999}, "finite r > 2, got inf"),
     (["check", *_CFG], {**_LINEAR, "mode": "tail_314", "r": 1e999}, "finite r > 2, got inf"),
-    (["check", "--gamma", "0.25", "--a", "inf"], None, "a must be finite and positive, got inf"),
+    (["check", *_CFG], {**_THRESHOLD, "a": math.inf}, "a must be finite and positive, got inf"),
     (["check", *_CFG], {**_LINEAR, "r": 4}, "does not read 'r'"),
     (["check", *_CFG], {**_LINEAR, "mode": "exact_311", "r": 4, "marginal": _UNIFORM},
      "does not read 'r'"),
@@ -778,10 +799,11 @@ _PROBE = ["probe", "--gamma", "0.25", "--a", "0.4", "--out-dir", "{out}", "--n-v
     (["experiment", *_CFG], {**_EXPERIMENT, "n_values": [0, 5], "process": _INTERMITTENT,
                              "reference": {"calibration_length": 50}}, "n_values"),
     (["experiment", *_CFG], {**_EXPERIMENT, "reference": 5}, "reference must be an object"),
-], ids=["check-threads", "check-half-threshold", "w1-seed", "experiment-seed", "probe-config", "probe-threads",
+], ids=["check-threads", "check-gamma-a", "check-flags-only", "generate-seed", "limit-seed",
+        "w1-seed", "experiment-seed", "probe-config", "probe-threads",
         "model-typo", "spec-typo", "coefficients-typo", "limit-key", "iid-limit-lag",
-        "generate-key", "out-path", "check-key", "reference-typo", "string-number",
-        "scalar-list", "grid-scheme", "report-same-n", "zero-tail-tol",
+        "generate-key", "generate-out", "out-path", "limit-out", "check-key", "reference-typo",
+        "string-number", "scalar-list", "grid-scheme", "report-same-n", "zero-tail-tol",
         "step-pushforward-base", "zero-calibration-grid", "negative-calibration-grid",
         "nan-tabulated-cdf", "inf-tabulated-knot", "inf-pareto-scale", "inf-pareto-exponent",
         "inf-polynomial-beta", "inf-polynomial-offset", "linear-terms",
