@@ -210,8 +210,34 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
 
 
+class _MissingRequired(Exception):
+    """argparse's missing-required message, before the unrecognized arguments are known."""
+
+
 class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        try:
+            return super().parse_known_args(args, namespace)
+        except _MissingRequired as missing:
+            # argparse checks required arguments before it collects unrecognized
+            # ones; parse again without the requirement to name both in one message
+            required = [a for a in self._actions if a.required]
+            for action in required:
+                action.required = False
+            try:
+                extras = super().parse_known_args(args, namespace)[1]
+            finally:
+                for action in required:
+                    action.required = True
+            stray = f"; unrecognized arguments: {' '.join(extras)}" if extras else ""
+            self._fail(f"{missing}{stray}")
+
     def error(self, message):
+        if message.startswith("the following arguments are required"):
+            raise _MissingRequired(message)
+        self._fail(message)
+
+    def _fail(self, message):
         # a usage error is bad input: exit 1 through cli_main, not argparse's exit 2
         self.print_usage(sys.stderr)
         raise ValidationError(f"{self.prog}: {message}")

@@ -551,9 +551,18 @@ class Tabulated(DistributionModel):
         # (s - r) [2 Q(hi) + (2/3) (Q(lo) - Q(hi)) (2s + r) / (s + r)] with
         # s = sqrt(hi), r = sqrt(lo): no term exceeds the quantiles, so a nearly
         # flat cdf piece (a huge slope of Q) cancels nothing
-        drop = (q_lo - q_hi) / (u_hi - u_lo)
+        span = u_hi - u_lo
+        with np.errstate(over="ignore"):
+            drop = (q_lo - q_hi) / span
+        # a piece of subnormal tail mass can have a slope past the float range;
+        # its clipped ends are then taken as fractions of the piece
+        far = np.isinf(drop)
+        drop[far] = 0.0
         at_lo = q_hi + drop * (u_hi - lo)
         at_hi = q_hi + drop * (u_hi - hi)
+        gap = (q_lo - q_hi)[far]
+        at_lo[far] += gap * ((u_hi - lo)[far] / span[far])
+        at_hi[far] += gap * ((u_hi - hi)[far] / span[far])
         s, r = np.sqrt(hi), np.sqrt(lo)
         pieces = (hi - lo) / (s + r) * (2.0 * at_hi
                                         + (2.0 / 3.0) * (at_lo - at_hi) * (2.0 * s + r) / (s + r))

@@ -33,9 +33,11 @@ default truncation rule and the truncation error bound of a polynomial
 family.  Every other generator runs on numpy alone.
 
 Randomness is counter-split: stream `s` of a run with base seed `k` draws
-from ``Philox(key=k, counter=[0, 0, purpose, s])``.  Streams are disjoint for
-fewer than 2**128 draws each, so replication-level parallelism cannot change
-any result.
+from ``Philox(key=k, counter=[0, 0, purpose, s])``, its words written exactly
+for every s below 2**64.  Streams are disjoint for fewer than 2**128 draws
+each, so replication-level parallelism cannot change any result.  The row
+generators and lane starts re-state one generator to each stream in turn;
+``spawn_rng`` builds one for a caller that keeps it.
 """
 from __future__ import annotations
 
@@ -86,15 +88,45 @@ _TRUNCATION_CAP = 2**22
 _TRUNCATION_TOL = 1e-8  # the default truncation J leaves a coefficient tail below this
 
 
+def _philox_state(seed: int, stream: int, purpose: int) -> dict:
+    """The state of ``Philox(key=seed % 2**128, counter=[0, 0, purpose, stream])``
+    before its first draw: the key's two words low first, the counter's four
+    words and an empty buffer.  The words are written as uint64, since numpy
+    turns a counter list holding an int past the int64 range into float64."""
+    key = seed % 2**128
+    return {"bit_generator": "Philox",
+            "state": {"counter": np.array([0, 0, purpose, stream], dtype=np.uint64),
+                      "key": np.array([key % 2**64, key >> 64], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _counter_word(value, name: str) -> int:
+    """A stream or purpose: an int in [0, 2**64), one word of the Philox counter."""
+    value = count(value, name, 0)
+    if value >= 2**64:
+        raise ValidationError(f"{name} must fit in 64 bits")
+    return value
+
+
+def _stream_rngs(seed: int, streams, purpose: int = PURPOSE_PATH):
+    """The generator of each stream s in turn: one generator re-stated in place,
+    so each must be spent before the next is taken.  Setting a state costs about
+    a tenth of building a Philox, most of whose cost is seeding it."""
+    rng = np.random.Generator(np.random.Philox(0))
+    for stream in streams:
+        rng.bit_generator.state = _philox_state(seed, stream, purpose)
+        yield rng
+
+
 def spawn_rng(seed: int, stream: int = 0, purpose: int = PURPOSE_PATH) -> np.random.Generator:
-    """Independent generator for (seed, stream, purpose) via Philox counters."""
-    stream = count(stream, "stream", 0)
-    if stream >= 2**64:
-        raise ValidationError("stream must fit in 64 bits")
-    key = count(seed, "seed") % 2**128
-    return np.random.Generator(
-        np.random.Philox(key=key, counter=[0, 0, count(purpose, "purpose", 0), stream])
-    )
+    """Independent generator for (seed, stream, purpose) via Philox counters,
+    one of its own, for a caller that keeps it."""
+    state = _philox_state(count(seed, "seed"), _counter_word(stream, "stream"),
+                          _counter_word(purpose, "purpose"))
+    rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = state
+    return rng
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +403,7 @@ def _intermittent_orbit_batch(spec: IntermittentMap, n: int, seed: int,
                               streams: range) -> np.ndarray:
     gamma = np.float64(spec.gamma)
     c = 2.0**spec.gamma
-    x = np.array([_intermittent_start(spawn_rng(seed, s, PURPOSE_PATH)) for s in streams])
+    x = np.array([_intermittent_start(rng) for rng in _stream_rngs(seed, streams)])
     rngs, reseeds = {}, 0
     out = np.empty((len(streams), n))
     y, lower = np.empty_like(x), np.empty(x.shape, dtype=bool)
@@ -413,8 +445,8 @@ def _intermittent_orbit_batch(spec: IntermittentMap, n: int, seed: int,
 
 def _iid_rows(spec: IID, n: int, seed: int, streams) -> np.ndarray:
     out = np.empty((len(streams), n))
-    for r, stream in enumerate(streams):
-        out[r] = spec.model.quantile(spawn_rng(seed, stream).random(n))
+    for r, rng in enumerate(_stream_rngs(seed, streams)):
+        out[r] = spec.model.quantile(rng.random(n))
     return out
 
 
@@ -442,8 +474,8 @@ def _doubling_rows(spec: DoublingMap, n: int, seed: int, streams) -> np.ndarray:
     n_words = (spec.burn_in + n - 1) // 64 + 4
     shifts = np.arange(64, dtype=np.uint64)
     out = np.empty((len(streams), n))
-    for r, stream in enumerate(streams):
-        words = spawn_rng(seed, stream).integers(
+    for r, rng in enumerate(_stream_rngs(seed, streams)):
+        words = rng.integers(
             0, np.iinfo(np.uint64).max, size=n_words, dtype=np.uint64, endpoint=True
         )[first:]
         # entry 64 m + s is the 64-bit window at bit s of word m (numpy's >> 64
@@ -525,8 +557,8 @@ def _linear_rows(spec: CausalLinear, n: int, seed: int, streams) -> np.ndarray:
     for start in range(0, len(streams), block):
         rows = streams[start:start + block]
         eps = np.empty((len(rows), n + j_max))
-        for r, stream in enumerate(rows):
-            eps[r] = spec.innovation.quantile(spawn_rng(seed, stream).random(n + j_max))
+        for r, rng in enumerate(_stream_rngs(seed, rows)):
+            eps[r] = spec.innovation.quantile(rng.random(n + j_max))
         spectrum = np.fft.rfft(eps, size, axis=1)
         spectrum *= transfer
         out[start:start + len(rows)] = np.fft.irfft(spectrum, size, axis=1)[:, j_max:j_max + n]
@@ -550,7 +582,7 @@ def _rows(spec: ProcessSpec, n: int, seed: int, streams) -> np.ndarray:
 
 def generate(spec: ProcessSpec, n: int, seed: int, stream: int = 0) -> Path:
     """Realize one trajectory of length n; bitwise reproducible given inputs."""
-    n, seed, stream = count(n, "n", 1), count(seed, "seed"), count(stream, "stream", 0)
+    n, seed, stream = count(n, "n", 1), count(seed, "seed"), _counter_word(stream, "stream")
     if isinstance(spec, IntermittentMap):
         return Path(_intermittent_orbit(spec, n, seed, stream), spec, seed, stream)
     explicit = with_truncation(spec)

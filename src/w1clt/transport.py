@@ -6,12 +6,15 @@ sample-vs-model comparisons (signed antiderivative differences on each
 order-statistic interval, split at Q(i/n) only where it lies inside).
 ``w1_sample_vs_model`` scores every sample as a stack of rows (a 1-D sample
 is a one-row stack): it computes the level terms i/n, Q(i/n) and A(Q(i/n))
-once per call and scores the rows in blocks of 2**14 to 2**15 values, one
-vector call per model function and block, with one W1 per row.  An interval
-with Q(i/n) outside it takes one signed difference; only the few holding
-Q(i/n) are split there.  The same distance equals the
-supremum of mean differences over 1-Lipschitz test functions; that dual
-form is recorded here as an identity only and never computed.
+once per call and scores the rows in blocks of 2**15 to 2**16 values, one
+sort and one call per model function a block, with one W1 per row.  Along a
+row i/n - F changes sign only O(sqrt(n)) times, as sqrt(n) (F_n - F) is close
+to a Gaussian process, so a whole run of intervals of one sign takes one
+difference of A between its ends, and only the few intervals holding Q(i/n)
+are split there: A is evaluated at run ends, not at every order statistic.
+The same distance equals the supremum of mean differences over 1-Lipschitz
+test functions; that dual form is recorded here as an identity only and
+never computed.
 
 Of the tail integrals, ``lambda21`` is half ``quantile_tail_integral`` at
 alpha = 1 (a Fubini identity); the quadrature in t of ``sqrt_tail_integral``
@@ -49,10 +52,11 @@ __all__ = [
 ]
 
 # values per block of rows that a stacked W1 call scores at once, rounded up to
-# whole rows (so a block holds 2**14 to 2**15 values, or one longer row); on a
-# 2-vCPU x86-64 machine 2**13 to 2**15 were within a few percent of each other
-# at n = 128 to 8192, and 2**12 or 2**16 slower
-_W1_BLOCK_VALUES = 2**14
+# whole rows (so a block holds 2**15 to 2**16 values, or one longer row); on a
+# 2-vCPU x86-64 machine 2**15 took 12-20% less time than 2**14 and 12-32% less
+# than 2**16 at n = 512 to 10**4, against Pareto, Uniform and 2,050-knot
+# Tabulated references
+_W1_BLOCK_VALUES = 2**15
 
 
 @dataclass(frozen=True)
@@ -136,9 +140,10 @@ def w1_sample_vs_model(sample, model: DistributionModel,
     one-row stack whose W1 is returned as a float, so a 1-D call on a row
     equals that row of the stacked result bit for bit.  The levels i/n,
     Q(i/n) and A(Q(i/n)) are computed once per call and shared by every row.
-    The rows are scored in blocks of ``ceil(_W1_BLOCK_VALUES / n)`` rows, 2**14
-    to 2**15 values unless one row is longer: one row-wise sort, one
-    antiderivative call and one upper-tail call per block.
+    The rows are scored in blocks of ``ceil(_W1_BLOCK_VALUES / n)`` rows, 2**15
+    to 2**16 values unless one row is longer: one row-wise sort, one
+    antiderivative call at the ends of the runs where i/n - F keeps one sign
+    (see ``_w1_sorted``) and one upper-tail call per block.
 
     Raises
     ------
@@ -171,29 +176,66 @@ def w1_sample_vs_model(sample, model: DistributionModel,
 
 
 def _w1_sorted(s, model: DistributionModel, terms):
-    """W1 of each row of a 2-D block ``s`` of sorted samples."""
+    """W1 of each row of a 2-D block ``s`` of sorted samples, scored by runs.
+
+    On the interval [s_j, s_j+1] at level L = (j + 1)/n, with q = Q(L) outside
+    it, F - L keeps one sign: + where q < s_j, - where q > s_j+1.  A maximal
+    run of such intervals of one sign sigma, from point a to point b, adds
+    ``max(sigma ((A(s_b) - A(s_a)) - sum_j L (s_j+1 - s_j)), 0)``: the interval
+    pieces telescope, so A is evaluated only at run ends.  An interval holding
+    q is a segment of its own, split at q as ``A(q)`` is known.  A row's
+    segments tile its n - 1 intervals, and their ends, the row's first and
+    last point among them, are the only points A is evaluated at: at most
+    #sign changes + 2 #crossings + 2 of them.  Each segment sum is taken over
+    the segment alone, and the segments are added up row by row in order, so
+    a row's bits do not depend on its block.
+
+    Rounding, with the A values taken as given: with u = 2**-53 and
+    g_k = k u / (1 - k u), a segment of m intervals errs by at most
+    g_(m+2) (|A(s_a)| + |A(s_b)| + S), S its level sum sum L (s_j+1 - s_j) of
+    nonnegative terms; a crossing's two halves err by g_3 each, and add
+    2 |A(q)| to that sum.  The k segments, A(s_0) and the upper tail U(s_n-1)
+    are added with k + 2 roundings more, so with m, k < n a row errs by at most
+    g_(2n+4) times |A(s_0)| + |U(s_n-1)| + the sum over segments of
+    |A(s_a)| + |A(s_b)| + S + the sum over crossings of 2 |A(q)|.  (numpy sums
+    each segment pairwise, so the error is far below this in practice.)
+    Clamping at 0 only moves a segment toward its exact value, which is
+    nonnegative.  Summing signed pieces over a whole row, not run by run,
+    would cancel far larger partial sums.
+    """
     levels, q, a_q = terms
-    a_s = model.cdf_antiderivative(s)
+    rows, n = s.shape
     lo, hi = s[:, :-1], s[:, 1:]
-    a_lo, a_hi = a_s[:, :-1], a_s[:, 1:]
-    # On an interval [lo, hi] with q = Q(i/n) outside it, i/n - F keeps one sign
-    # and the piece is +-d: +d where q < lo (F above i/n), -d where q > hi.  The
-    # negation is exact and + 0.0 turns -0.0 into 0.0, as the sum of the two
-    # clipped halves of the crossing formula below does.
-    piece = (a_hi - a_lo) - levels * (hi - lo)
-    over = q > hi
-    np.negative(piece, out=piece, where=over)
-    np.maximum(piece, 0.0, out=piece)
-    piece += 0.0
-    # the few intervals holding q split there; A(q) is known.  (The row and
-    # column of each come from its flat index: 2-D nonzero is ten times slower.)
-    r, c = np.divmod(np.flatnonzero(~over & (q >= lo)), piece.shape[1])
-    qc, ac, lv = q[c], a_q[c], levels[c]
-    below = lv * (qc - lo[r, c]) - (ac - a_lo[r, c])
-    above = (a_hi[r, c] - ac) - lv * (hi[r, c] - qc)
-    piece[r, c] = np.maximum(below, 0.0) + np.maximum(above, 0.0)
-    # int_{-inf}^{s_(1)} F dt, the n - 1 inner pieces, then the upper tail
-    return (a_s[:, 0] + np.sum(piece, axis=1)) + model.upper_mean_excess(s[:, -1])
+    over, under = q > hi, q < lo
+    # a point ends a segment unless the intervals on its two sides are one run
+    ends = np.ones((rows, n), dtype=bool)
+    np.logical_not((over[:, :-1] & over[:, 1:]) | (under[:, :-1] & under[:, 1:]),
+                   out=ends[:, 1:-1])
+    at = np.flatnonzero(ends)
+    flat = s.ravel()
+    a = model.cdf_antiderivative(flat[at])
+    col = at % n
+    # segment k runs from end b[k] (point at[b[k]], in row r[k]) to end b[k] + 1;
+    # its first interval has flat index j[k] = at[b[k]] - r[k] and level index col[b[k]]
+    b = np.flatnonzero(col != n - 1)
+    r = at[b] // n
+    j = at[b] - r
+    width = hi - lo
+    width *= levels
+    seg = (a[b + 1] - a[b]) - np.add.reduceat(width.ravel(), j)
+    sign = over.ravel()[j]
+    np.negative(seg, out=seg, where=sign)
+    # the few intervals holding q split there
+    k = np.flatnonzero(~(sign | under.ravel()[j]))
+    bk, ck = b[k], col[b[k]]
+    qc, ac, lv = q[ck], a_q[ck], levels[ck]
+    below = lv * (qc - flat[at[bk]]) - (ac - a[bk])
+    above = (a[bk + 1] - ac) - lv * (flat[at[bk] + 1] - qc)
+    seg[k] = np.maximum(below, 0.0) + np.maximum(above, 0.0)
+    np.maximum(seg, 0.0, out=seg)
+    # int_{-inf}^{s_(1)} F dt, the segments row by row, then the upper tail
+    inner = np.bincount(r, weights=seg, minlength=rows)
+    return (a[col == 0] + inner) + model.upper_mean_excess(s[:, -1])
 
 
 def _divergence_diag(r: float, power: float, context: str) -> str:

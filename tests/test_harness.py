@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -118,13 +119,15 @@ def test_experiment_deterministic_across_thread_counts():
 def test_experiment_rows_equal_one_stream_recomputation(cfg):
     # 300 replicates make chunks of 256 and 44 rows at one process, and two of
     # 150 rows at two (the intermittent case: one 300-lane batch, then two of
-    # 150). At n = 100 a stacked W1 block holds 163 rows, so the 256-row chunk
-    # and the 300-lane batch end in a ragged block
-    assert transport._W1_BLOCK_VALUES // 100 == 163
+    # 150). With blocks of 2**14 values a stacked W1 block at n = 100 holds 164
+    # rows, so the 256-row chunk and the 300-lane batch end in a ragged block;
+    # the forked helpers inherit the patched block size
     reference, _ = resolve_reference(cfg)
     assert isinstance(reference, Tabulated) == (cfg.reference_model is None)
     for threads in (1, 2):
-        out = run_clt_experiment(cfg, threads=threads)
+        with mock.patch.object(transport, "_W1_BLOCK_VALUES", 2**14):
+            assert -(-transport._W1_BLOCK_VALUES // 100) == 164
+            out = run_clt_experiment(cfg, threads=threads)
         for i, n in enumerate(cfg.n_values):
             expected = [
                 math.sqrt(n) * w1_sample_vs_model(
@@ -723,7 +726,9 @@ _PROBE = ["probe", "--gamma", "0.25", "--a", "0.4", "--out-dir", "{out}", "--n-v
     (["check", *_CFG, "--threads", "0"], _THRESHOLD, "unrecognized arguments: --threads 0"),
     (["check", *_CFG, "--gamma", "0.25", "--a", "0.2"], _THRESHOLD,
      "unrecognized arguments: --gamma 0.25 --a 0.2"),
-    (["check", "--gamma", "0.25", "--a", "0.2"], None, "required: --config"),
+    (["check", "--gamma", "0.25", "--a", "0.2"], None,
+     "required: --config; unrecognized arguments: --gamma 0.25 --a 0.2"),
+    (["compare", "--seed", "5"], None, "required: --a, --b; unrecognized arguments: --seed 5"),
     (["generate", *_CFG, "--seed", "5"], _GENERATE, "unrecognized arguments: --seed 5"),
     (["limit", *_CFG, "--seed", "5"], _LIMIT, "unrecognized arguments: --seed 5"),
     (["w1", "--x", "{csv}", "--y", "{csv}", "--seed", "5"], None, "--seed"),
@@ -799,7 +804,8 @@ _PROBE = ["probe", "--gamma", "0.25", "--a", "0.4", "--out-dir", "{out}", "--n-v
     (["experiment", *_CFG], {**_EXPERIMENT, "n_values": [0, 5], "process": _INTERMITTENT,
                              "reference": {"calibration_length": 50}}, "n_values"),
     (["experiment", *_CFG], {**_EXPERIMENT, "reference": 5}, "reference must be an object"),
-], ids=["check-threads", "check-gamma-a", "check-flags-only", "generate-seed", "limit-seed",
+], ids=["check-threads", "check-gamma-a", "check-flags-only", "compare-flags-only",
+        "generate-seed", "limit-seed",
         "w1-seed", "experiment-seed", "probe-config", "probe-threads",
         "model-typo", "spec-typo", "coefficients-typo", "limit-key", "iid-limit-lag",
         "generate-key", "generate-out", "out-path", "limit-out", "check-key", "reference-typo",

@@ -132,11 +132,19 @@ def test_intermittent_exact_zero_states_reseed_in_order(monkeypatch, caplog):
     real_spawn = processes.spawn_rng
     scripts = {processes.PURPOSE_PATH: [0.0, 0.75], processes.PURPOSE_RESEED: [0.75]}
 
+    real_streams = processes._stream_rngs
+
     def scripted_spawn(seed, stream=0, purpose=processes.PURPOSE_PATH):
         rng = real_spawn(seed, stream, purpose)
         return _ScriptedRng(scripts[purpose], rng) if stream == 1 else rng
 
+    def scripted_streams(seed, streams, purpose=processes.PURPOSE_PATH):
+        # the lane starts of a batch
+        for stream, rng in zip(streams, real_streams(seed, streams, purpose)):
+            yield _ScriptedRng(scripts[purpose], rng) if stream == 1 else rng
+
     monkeypatch.setattr(processes, "spawn_rng", scripted_spawn)
+    monkeypatch.setattr(processes, "_stream_rngs", scripted_streams)
     spec = IntermittentMap(0.25, 1.0, burn_in=0)
     with caplog.at_level("INFO", logger="w1clt.processes"):
         single = generate(spec, 40, seed=5, stream=1).values
@@ -287,10 +295,14 @@ class _SparseWords:
         return np.where(w % 4 == 0, w >> (w % 64), np.uint64(0))
 
 
+def _sparse_stream_rngs(seed, streams, purpose=processes.PURPOSE_PATH):
+    return (_SparseWords(seed, stream, purpose) for stream in streams)
+
+
 @pytest.mark.parametrize("burn_in", [0, 1, 63, 64, 65])
 def test_doubling_rows_equal_the_bit_window_on_sparse_words(burn_in):
     reference = functools.partial(_reference_doubling_row, rng=_SparseWords)
-    with mock.patch.object(processes, "spawn_rng", _SparseWords):
+    with mock.patch.object(processes, "_stream_rngs", _sparse_stream_rngs):
         values = _assert_rows_equal_reference(DoublingMap(0.25, burn_in=burn_in), 300, 7, 2,
                                               reference).values
     # x**-0.25 is 2**32 at the floor and above 2**2.5 for x below 2**-10
@@ -320,6 +332,41 @@ def test_spawn_rng_streams_differ():
     a = spawn_rng(9, 0).random(4)
     b = spawn_rng(9, 1).random(4)
     assert not np.array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(-2**130, 2**130), purpose=st.integers(0, 2**64 - 1),
+       streams=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
+@example(seed=2**64 + 3, purpose=3, streams=[2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1])
+@example(seed=2**128 - 1, purpose=0, streams=[0])
+def test_restated_streams_draw_as_a_new_philox(seed, purpose, streams):
+    # the row generators re-state one generator per stream; each must draw what a
+    # Philox built with that key and counter draws, the counter given as uint64
+    # words (numpy turns a list holding an int past the int64 range into float64)
+    for stream, rng in zip(streams, processes._stream_rngs(seed, streams, purpose)):
+        fresh = np.random.Generator(np.random.Philox(
+            key=seed % 2**128, counter=np.array([0, 0, purpose, stream], dtype=np.uint64)))
+        assert rng.random(3).tobytes() == fresh.random(3).tobytes()
+        assert rng.integers(0, 2**64 - 1, size=2, dtype=np.uint64, endpoint=True).tobytes() \
+            == fresh.integers(0, 2**64 - 1, size=2, dtype=np.uint64, endpoint=True).tobytes()
+        kept = spawn_rng(seed, stream, purpose)
+        fresh = np.random.Generator(np.random.Philox(
+            key=seed % 2**128, counter=np.array([0, 0, purpose, stream], dtype=np.uint64)))
+        assert kept.random(5).tobytes() == fresh.random(5).tobytes()
+        if max(purpose, stream) < 2**63:  # the list form numpy converts exactly
+            listed = np.random.Generator(np.random.Philox(key=seed % 2**128,
+                                                          counter=[0, 0, purpose, stream]))
+            assert spawn_rng(seed, stream, purpose).random(5).tobytes() \
+                == listed.random(5).tobytes()
+
+
+def test_streams_and_purposes_above_2_to_the_63_are_their_own():
+    # a counter list rounded 2**63 + 5 to 2**63 and 2**64 - 1 to 0
+    draws = [spawn_rng(4, s).random(2).tobytes() for s in (0, 2**63, 2**63 + 5, 2**64 - 1)]
+    draws += [spawn_rng(4, 0, p).random(2).tobytes() for p in (2**63, 2**63 + 5)]
+    assert len(set(draws)) == 6
+    with pytest.raises(ValidationError, match="64 bits"):
+        generate(IID(Uniform(0, 1)), 3, seed=4, stream=2**64)
 
 
 def test_iid_draws_through_model_quantile():
@@ -468,6 +515,7 @@ def test_resource_limit(monkeypatch):
     # coefficients are evaluated or any innovation is drawn
     monkeypatch.setattr(GeometricCoeffs, "coeff", _no_work)
     monkeypatch.setattr(processes, "spawn_rng", _no_work)
+    monkeypatch.setattr(processes, "_stream_rngs", _no_work)
     spec = CausalLinear(GeometricCoeffs(0.5), Uniform(0, 1), truncation=2**20)
     for make in (lambda n: generate(spec, n, seed=0), lambda n: generate_batch(spec, n, 4, 0)):
         with pytest.raises(ValidationError, match="length 16777216, over the resource limit"):
@@ -490,8 +538,10 @@ def test_linear_rows_match_single_streams_across_row_blocks(n, j):
 
 
 def test_stream_rho_and_spec_checks():
-    with pytest.raises(ValidationError, match="64 bits"):
+    with pytest.raises(ValidationError, match="stream must fit in 64 bits"):
         spawn_rng(1, 2**64)
+    with pytest.raises(ValidationError, match="purpose must fit in 64 bits"):
+        spawn_rng(1, 0, 2**64)
     with pytest.raises(ValidationError, match="rho in"):
         GeometricCoeffs(1.0)
     with pytest.raises(ValidationError, match="unknown process spec ProcessSpec"):

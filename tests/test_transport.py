@@ -241,25 +241,51 @@ def test_permutation_invariance():
 # w1_sample_vs_model properties, every model kind
 # ---------------------------------------------------------------------------
 
-def clip_then_antiderivative_w1(sample, model):
-    """The W1 formula with A evaluated at the clipped quantiles.
+_U = 2.0**-53  # unit roundoff of a float
 
-    A copy kept as the bit-for-bit yardstick of the fast path, which selects
-    A(t*) from the values already known at Q(i/n) and at the order statistics.
+
+def _gamma(k):
+    """g_k = k u / (1 - k u), the bound on k roundings in a row."""
+    return k * _U / (1.0 - k * _U)
+
+
+def clip_then_antiderivative_w1(sample, model):
+    """The W1 formula with A evaluated at the clipped quantile of every interval,
+    and a bound on its distance to ``w1_sample_vs_model``.
+
+    An independent cross-check of the kernel, which evaluates A only at the
+    ends of runs of intervals where i/n - F keeps one sign.  On the same A
+    values the two differ, in exact arithmetic, only where this formula clips
+    a negative half at 0 and the kernel lets it cancel within its run: at most
+    ``dropped``, the sum of those negative parts.  Their rounding is bounded as
+    in ``transport._w1_sorted``'s docstring: a kernel row errs by at most
+    g_(2n+4) times |A(s_0)| + |U| + 2 sum_j |A(s_j)| + sum_j L_j (s_j+1 - s_j)
+    + 2 sum_j |A(q_j)| (every point, not only run ends, and every level), and
+    this formula's n - 1 two-halved pieces, whose A(t*) is one of A(s_j),
+    A(s_j+1) and A(q_j), by at most g_(2n+4) times |A(s_0)| + |U| +
+    6 sum_j |A(s_j)| + sum_j L_j (s_j+1 - s_j) + 2 sum_j |A(q_j)|.  The
+    bound is ``dropped`` plus three times g_(2n+4) times the larger sum, to
+    cover the rounding of ``dropped`` itself.
     """
     s = np.sort(np.asarray(sample, dtype=float))
     n = s.size
-    a_s = np.asarray(model.cdf_antiderivative(s), dtype=float)
-    total = float(np.atleast_1d(a_s)[0])
+    a_s = np.atleast_1d(np.asarray(model.cdf_antiderivative(s), dtype=float))
+    upper = float(model.upper_mean_excess(s[-1]))
+    total, dropped, scale = float(a_s[0]), 0.0, abs(float(a_s[0])) + abs(upper)
     if n > 1:
         levels = np.arange(1, n) / n
-        t_star = np.clip(np.asarray(model.quantile(levels), dtype=float), s[:-1], s[1:])
+        q = np.asarray(model.quantile(levels), dtype=float)
+        t_star = np.clip(q, s[:-1], s[1:])
         a_t = np.asarray(model.cdf_antiderivative(t_star), dtype=float)
         below = levels * (t_star - s[:-1]) - (a_t - a_s[:-1])
         above = (a_s[1:] - a_t) - levels * (s[1:] - t_star)
         total += float(np.sum(np.maximum(below, 0.0) + np.maximum(above, 0.0)))
-    total += float(model.upper_mean_excess(s[-1]))
-    return total
+        dropped = float(np.sum(np.maximum(-below, 0.0) + np.maximum(-above, 0.0)))
+        a_q = np.asarray(model.cdf_antiderivative(q), dtype=float)
+        scale += (6.0 * float(np.sum(np.abs(a_s))) + float(np.sum(levels * np.diff(s)))
+                  + 2.0 * float(np.sum(np.abs(a_q))))
+    total += upper
+    return total, dropped + 3.0 * _gamma(2 * n + 4) * scale
 
 
 @st.composite
@@ -283,10 +309,10 @@ _w1_settings = settings(max_examples=100, deadline=None)
 
 @settings(max_examples=200, deadline=None)
 @given(model_and_sample())
-def test_w1_fast_path_matches_clip_formula_bit_for_bit(case):
+def test_w1_run_kernel_meets_the_clip_formula(case):
     model, x = case
-    expected = clip_then_antiderivative_w1(x, model)
-    assert w1_sample_vs_model(x, model) == expected
+    expected, bound = clip_then_antiderivative_w1(x, model)
+    assert abs(w1_sample_vs_model(x, model) - expected) <= bound
 
 
 @st.composite
@@ -319,7 +345,7 @@ def test_w1_stacked_rows_equal_one_row_calls(case):
 @pytest.mark.parametrize("model", [Uniform(0, 1), Exponential(1.0), ParetoTail(1.0, 3.0),
                                    Tabulated([0.0, 0.5, 1.0, 2.0], [0.0, 0.3, 0.8, 1.0],
                                              interp="linear")], ids=repr)
-def test_w1_matches_clip_formula_with_quantiles_on_order_statistics(model):
+def test_w1_meets_the_clip_formula_with_quantiles_on_order_statistics(model):
     # samples drawn from the quantiles Q(i/n) and their float neighbours, with ties,
     # so that Q(i/n) falls exactly on an interval's lower or upper end, or inside
     rng = np.random.default_rng(31)
@@ -328,13 +354,143 @@ def test_w1_matches_clip_formula_with_quantiles_on_order_statistics(model):
         q = model.quantile(np.arange(1, n) / n)
         pool = np.concatenate([q, np.nextafter(q, -np.inf), np.nextafter(q, np.inf)])
         stack = rng.choice(pool, size=(6, n))
+        checks = [clip_then_antiderivative_w1(row, model) for row in stack]
         out = w1_sample_vs_model(stack, model)
-        for row, got in zip(stack, out):
-            assert got == clip_then_antiderivative_w1(row, model)
+        for row, got, (expected, bound) in zip(stack, out, checks):
+            assert abs(got - expected) <= bound
             s = np.sort(row)
             on_lo += np.count_nonzero(q == s[:-1])
             on_hi += np.count_nonzero((q == s[1:]) & (s[:-1] < s[1:]))
     assert on_lo and on_hi
+
+
+def _uniform_ld(lo, hi):
+    """A, U (the upper mean excess), F and Q of Uniform(lo, hi) in long double."""
+    lo, hi = np.longdouble(lo), np.longdouble(hi)
+    w = hi - lo
+
+    def a(t):
+        inside = np.clip(t, lo, hi) - lo
+        return inside * inside / (2 * w) + np.maximum(t - hi, 0)
+
+    def u(t):
+        inside = hi - np.clip(t, lo, hi)
+        return inside * inside / (2 * w) + np.maximum(lo - t, 0)
+
+    return a, u, lambda t: np.clip((t - lo) / w, 0, 1), lambda p: lo + p * w
+
+
+def _pareto_ld(c, r):
+    """A, U, F and Q of ParetoTail(c, r), r > 1, in long double."""
+    c, r = np.longdouble(c), np.longdouble(r)
+
+    def a(t):
+        safe = np.maximum(t, c)
+        return np.where(t < c, 0, (safe - c) - (c - safe * (c / safe) ** r) / (r - 1))
+
+    def u(t):
+        safe = np.maximum(t, c)
+        return np.where(t < c, (c - t) + c / (r - 1), safe * (c / safe) ** r / (r - 1))
+
+    return (a, u, lambda t: np.where(t < c, 0, 1 - (c / np.maximum(t, c)) ** r),
+            lambda p: c * (1 - p) ** (-1 / r))
+
+
+def _segments(s, q):
+    """The points of a sorted row ``s`` that end the kernel's segments, and the
+    intervals holding their float quantile ``q``, by the definitions of
+    ``transport._w1_sorted``'s docstring: a point ends one unless the
+    intervals on its two sides lie on one side of their quantiles, the same
+    side."""
+    over, under = q > s[1:], q < s[:-1]
+    ends = np.ones(s.size, dtype=bool)
+    ends[1:-1] = ~((over[:-1] & over[1:]) | (under[:-1] & under[1:]))
+    return ends, ~(over | under)
+
+
+def _long_double_w1(row, model, law):
+    """W1 of ``row`` against ``model`` in long double (64-bit significand) from the
+    closed forms ``law``, and the bound on the float kernel's error.
+
+    The bound adds the kernel's rounding (its docstring: g_(2n+4) times |A(s_0)|
+    + |U| + 2 sum |A| over segment ends + sum_j L_j (s_j+1 - s_j) + 2 sum |A(q_j)|
+    over crossings) to the error of the data it rounds: each float A at a
+    segment end enters at most twice and each A(q_j) of a crossing twice, U
+    once, each level L_j once times s_j+1 - s_j, and a float quantile q'_j off
+    the true crossing moves a split by at most 2 |q'_j - q_j| |L_j - F(q'_j)|.
+    The data errors are measured here in long double, not assumed.
+    """
+    a_ld, u_ld, f_ld, q_ld = law
+    s = np.sort(row)
+    n = s.size
+    sl = s.astype(np.longdouble)
+    lv = np.arange(1, n, dtype=np.longdouble) / n
+    q = q_ld(lv)
+    a_s = a_ld(sl)
+    lo, hi = sl[:-1], sl[1:]
+    inside = (q >= lo) & (q <= hi)
+    split = np.clip(q, lo, hi)
+    a_t = a_ld(split)
+    crossing = (lv * (split - lo) - (a_t - a_s[:-1])) + ((a_s[1:] - a_t) - lv * (hi - split))
+    pieces = np.where(inside, crossing, np.abs((a_s[1:] - a_s[:-1]) - lv * (hi - lo)))
+    exact = a_s[0] + np.sum(pieces) + u_ld(sl[-1])
+
+    levels = np.arange(1, n) / n
+    qf = np.asarray(model.quantile(levels), dtype=float)
+    ends, cross = _segments(s, qf)
+    af_s = np.asarray(model.cdf_antiderivative(s[ends]), dtype=float)
+    af_q = np.asarray(model.cdf_antiderivative(qf[cross]), dtype=float)
+    uf = float(model.upper_mean_excess(s[-1]))
+    qfl = qf.astype(np.longdouble)
+    data = (2 * np.sum(np.abs(af_s - a_s[ends])) + 2 * np.sum(np.abs(af_q - a_ld(qfl[cross])))
+            + abs(uf - u_ld(sl[-1])) + np.sum(np.abs(levels - lv) * (hi - lo))
+            + 2 * np.sum(np.abs(qfl - q) * np.abs(lv - f_ld(qfl))))
+    scale = (abs(af_s[0]) + abs(uf) + 2 * np.sum(np.abs(af_s)) + np.sum(levels * np.diff(s))
+             + 2 * np.sum(np.abs(af_q)))
+    return exact, float(data) + _gamma(2 * n + 4) * scale
+
+
+@pytest.mark.parametrize("model, law", [
+    (ParetoTail(1.0, 4.0), _pareto_ld(1.0, 4.0)),
+    (ParetoTail(2.0, 2.5), _pareto_ld(2.0, 2.5)),
+    (Uniform(0.0, 1.0), _uniform_ld(0.0, 1.0)),
+    (Uniform(-1.0, 3.0), _uniform_ld(-1.0, 3.0)),
+], ids=["pareto-1-4", "pareto-2-2.5", "uniform-0-1", "uniform-m1-3"])
+def test_w1_meets_a_long_double_oracle(model, law):
+    # draws from the model and, in one row in four, a shift past its support
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 100, 3000):
+        stack = np.asarray(model.quantile(rng.random((8, n))), dtype=float)
+        stack[::4] += 0.3
+        checks = [_long_double_w1(row, model, law) for row in stack]
+        out = w1_sample_vs_model(stack, model)
+        for got, (exact, bound) in zip(out, checks):
+            assert abs(np.longdouble(got) - exact) <= bound
+
+
+def test_w1_evaluates_a_only_at_run_ends():
+    # a row of 2**14 draws: A at the n - 1 levels once per call, then only at
+    # sign changes of i/n - F between intervals, both ends of intervals holding
+    # Q(i/n), and the row's first and last value
+    model = ParetoTail(1.0, 4.0)
+    n = 2**14
+    row = np.sort(np.asarray(model.quantile(np.random.default_rng(23).random(n))))
+    q = np.asarray(model.quantile(np.arange(1, n) / n))
+    over, under = q > row[1:], q < row[:-1]
+    cross = int(np.count_nonzero(~over & ~under))
+    changes = int(np.count_nonzero((over[:-1] & under[1:]) | (under[:-1] & over[1:])))
+    points = []
+    real = ParetoTail.cdf_antiderivative
+
+    def counting(self, t):
+        points.append(np.size(t))
+        return real(self, t)
+
+    with mock.patch.object(ParetoTail, "cdf_antiderivative", counting):
+        w1_sample_vs_model(row, model)
+    assert points[0] == n - 1
+    assert sum(points[1:]) <= changes + 2 * cross + 2
+    assert sum(points[1:]) < n // 16
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -463,6 +619,8 @@ _LAMBDA21_MODELS = st.one_of(_uniform, st.builds(Exponential, st.floats(0.01, 10
 @given(_LAMBDA21_MODELS)
 # a tail mass below an ulp of 1, which 1 - F_|Y| at the folded knots rounded away
 @example(Tabulated([-10.0, 0.0], [2.96059473e-16, 1.0], interp="step"))
+# a subnormal tail mass, whose quantile slope overflowed a float
+@example(Tabulated([-10.0, -10.0 / 3.0, 10.0 / 3.0], [0.0, 2.2250738585072014e-309, 1.0]))
 def test_lambda21_matches_a_t_space_route_for_every_kind(model):
     # lambda21 is half the quantile tail integral at 1; both references integrate
     # sqrt(tail) in t.  Tabulated and Uniform tails have kinks at |knots|, which the
