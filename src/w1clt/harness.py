@@ -3,19 +3,20 @@
 Replicate r of the n_values[i] run draws from stream (i << 32) | r of the
 configured base seed, so outputs are byte-identical for any process count.
 
-``run_clt_experiment`` plans every (n, first stream, count) chunk up front:
-as many rows as fit in one process's share of _CHUNK_BUDGET bytes (one row at
-least, ceil(R / p) at most).  The per-row generators also stop at
-_REPLICATE_CHUNK rows, since larger chunks of theirs ran slower and used more
-memory; the intermittent map's lanes advance together in one numpy loop, so
-its chunks take no such cap.  ``threads`` is the number of processes p: the
+``run_clt_experiment`` plans every (n, first stream, count) chunk up front.
+A chunk of the iid, doubling-map or linear process is ceil(R / p) rows: it
+is generated and scored in blocks of ceil(2**15 / n) rows (``row_blocks``
+fed straight into ``w1_sample_vs_model``), so its memory is one block
+however many rows it has.  The intermittent map's lanes advance together in
+one numpy loop over one ``(rows, n)`` array, so its chunks hold as many rows
+as fit in one process's share of _CHUNK_BUDGET bytes (one row at least,
+ceil(R / p) at most).  ``threads`` is the number of processes p: the
 calling process computes every p-th chunk and p - 1 helper processes, forked
 from it once per call, compute the rest.  p is capped by the CPUs this
 process may run on and by the number of chunks, and is 1 off Linux, where
 fork is unsafe (macOS) or absent (Windows).  The chunks are joined in stream
-order.  Each chunk's T_n values come from one stacked ``w1_sample_vs_model``
-call on its ``(rows, n)`` array, which equals the rows' one-at-a-time calls
-bit for bit.
+order.  Each chunk's T_n values come from one ``w1_sample_vs_model`` call,
+which equals the rows' one-at-a-time calls bit for bit.
 """
 from __future__ import annotations
 
@@ -36,11 +37,12 @@ from .processes import (
     ProcessSpec,
     generate,
     generate_batch,
+    row_blocks,
     spec_from_dict,
     tabulate_cdf,
     with_truncation,
 )
-from .transport import ks_two_sample, w1_sample_vs_model, w1_two_samples
+from .transport import ks_two_sample, w1_block_rows, w1_sample_vs_model, w1_two_samples
 
 __all__ = [
     "ExperimentConfig",
@@ -54,8 +56,7 @@ __all__ = [
     "auto_calibration_grid",
 ]
 
-_REPLICATE_CHUNK = 256
-_CHUNK_BUDGET = 256 * 2**20  # bytes of one chunk's (rows, n) float64 array
+_CHUNK_BUDGET = 256 * 2**20  # bytes of one intermittent chunk's (rows, n) float64 array
 SCHEMA_VERSION = 1
 _CONFIG_KEYS = {"schema_version", "process", "n_values", "replications", "base_seed",
                 "reference", "tail_tol"}
@@ -186,7 +187,11 @@ def resolve_reference(cfg: ExperimentConfig) -> tuple[DistributionModel, dict]:
 
 def _tn_chunk(spec: ProcessSpec, reference: DistributionModel, seed: int,
               n: int, first_stream: int, rows: int) -> np.ndarray:
-    values = generate_batch(spec, n, rows, seed, first_stream=first_stream)
+    if isinstance(spec, IntermittentMap):  # its lanes step together
+        values = generate_batch(spec, n, rows, seed, first_stream=first_stream)
+    else:  # each block is generated and scored while it is in cache
+        values = row_blocks(spec, n, seed, range(first_stream, first_stream + rows),
+                            w1_block_rows(n))
     return math.sqrt(n) * w1_sample_vs_model(values, reference)
 
 
@@ -217,9 +222,9 @@ def _plan_chunks(cfg: ExperimentConfig, processes: int) -> list[tuple[int, int, 
     reps = cfg.replications
     chunks = []
     for i, n in enumerate(cfg.n_values):
-        size = max(1, min(_CHUNK_BUDGET // (8 * n * processes), -(-reps // processes)))
-        if not isinstance(cfg.process, IntermittentMap):
-            size = min(size, _REPLICATE_CHUNK)
+        size = -(-reps // processes)
+        if isinstance(cfg.process, IntermittentMap):
+            size = max(1, min(_CHUNK_BUDGET // (8 * n * processes), size))
         chunks += [(n, (i << 32) + start, min(size, reps - start))
                    for start in range(0, reps, size)]
     return chunks

@@ -9,23 +9,24 @@ with truncated coefficient families.  The geometric and polynomial families
 share their decay laws, c * rho**k and c * (k + offset)**-theta, with the
 dependence bounds of ``conditions``.
 
-The iid, doubling-map and linear generators fill a chunk of rows at a time,
-one preallocated ``(rows, n)`` array, and compute what every row shares once
-per chunk: the linear transform length and its resource check and the
-coefficients' spectrum, or the doubling map's word offset and bit shifts.  A
-doubling row builds one table of every 64-bit window of its words; step k
-reads its high window and, only when that puts x below 2**-10, its low window
-64 entries later.
-``generate`` is the one-row chunk; it alone computes the linear truncation
+The iid, doubling-map and linear variants are per-row: ``row_blocks`` makes
+a chunk of rows as an iterator of blocks, so a caller can score each block
+while it is in cache and never hold the chunk.  What every row shares is
+computed once per chunk: the linear transform length and its resource check
+and the coefficients' spectrum, or the doubling map's word offset and bit
+shifts.  A doubling row builds one table of every 64-bit window of its words;
+step k reads its high window and, only when that puts x below 2**-10, its
+low window 64 entries later.  ``generate`` and ``generate_batch`` take one
+block of all their rows; ``generate`` alone computes the linear truncation
 error bound, which it returns on ``Path``.  The intermittent map has a scalar
 orbit for one path and a lane batch for many, kept as a cross-checking pair.
 
 Linear rows are convolutions by real FFT of length L, the smallest power of
-two >= n + J, in blocks of max(1, 2**14 // L) rows.  A row's floats do not
-depend on its block, but they differ from the direct sums in the last bits,
-within eps * (log2(L) + 2) * sum_j |a_j| * max |eps_k| in the tests.  One
-row's transform takes 32 bytes a point of L, and L is capped at 256 MiB / 32
-= 2**23.
+two >= n + J, in groups of max(1, 2**14 // L) rows of a block.  A row's
+floats do not depend on its group or block, but they differ from the direct
+sums in the last bits, within eps * (log2(L) + 2) * sum_j |a_j| * max |eps_k|
+in the tests.  One row's transform takes 32 bytes a point of L, and L is
+capped at 256 MiB / 32 = 2**23.
 
 Only the decay laws' tails load scipy (``zeta``, and ``gammaincc`` for a
 geometric power tail, imported on first use); of the generators, the linear
@@ -35,8 +36,8 @@ family.  Every other generator runs on numpy alone.
 Randomness is counter-split: stream `s` of a run with base seed `k` draws
 from ``Philox(key=k, counter=[0, 0, purpose, s])``, its words written exactly
 for every s below 2**64.  Streams are disjoint for fewer than 2**128 draws
-each, so replication-level parallelism cannot change any result.  The row
-generators and lane starts re-state one generator to each stream in turn;
+each, so replication-level parallelism cannot change any result.  A chunk's
+rows and lane starts re-state one generator to each stream in turn;
 ``spawn_rng`` builds one for a caller that keeps it.
 """
 from __future__ import annotations
@@ -83,7 +84,7 @@ PURPOSE_BRIDGE = 3
 # bytes of one linear row's transform of length L: four float64 buffers of L points (the
 # innovations, their spectrum, the coefficients' spectrum and the output), so L <= 2**23
 _FFT_BUDGET = 256 * 2**20
-_FFT_BLOCK = 2**14  # points of L per row block; one row at a time ran slower
+_FFT_BLOCK = 2**14  # points of L per transformed group of rows; one row at a time ran slower
 _TRUNCATION_CAP = 2**22
 _TRUNCATION_TOL = 1e-8  # the default truncation J leaves a coefficient tail below this
 
@@ -437,17 +438,20 @@ def _intermittent_orbit_batch(spec: IntermittentMap, n: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# the per-row generators: iid draws, the doubling map and the linear process
+# the per-row variants: iid draws, the doubling map and the linear process
 # ---------------------------------------------------------------------------
 
-# Each fills one (len(streams), n) chunk, row r from stream streams[r], and
-# computes what every row shares once; ``generate`` is the one-row chunk.
+# Each variant's filler computes once what every row of a chunk shares and
+# returns ``fill(out, rngs)``, which fills the rows of one block ``out`` from
+# the chunk's next streams.  ``zip(out, rngs)`` names ``out`` first, so a full
+# block stops the zip before it takes the next block's stream.
 
-def _iid_rows(spec: IID, n: int, seed: int, streams) -> np.ndarray:
-    out = np.empty((len(streams), n))
-    for r, rng in enumerate(_stream_rngs(seed, streams)):
-        out[r] = spec.model.quantile(rng.random(n))
-    return out
+def _iid_filler(spec: IID, n: int):
+    def fill(out, rngs):
+        for x, rng in zip(out, rngs):
+            x[:] = spec.model.quantile(rng.random(n))
+        return out
+    return fill
 
 
 def _unit_float(u: np.ndarray, scale: float) -> np.ndarray:
@@ -466,32 +470,34 @@ def _unit_float(u: np.ndarray, scale: float) -> np.ndarray:
     return high
 
 
-def _doubling_rows(spec: DoublingMap, n: int, seed: int, streams) -> np.ndarray:
+def _doubling_filler(spec: DoublingMap, n: int):
     # Orbit step k of 2x mod 1 from a Lebesgue-random start is the 128-bit
     # window at bit offset k of one random bit stream; drawing the stream
     # lazily realizes the uniform x0 with as many bits as the orbit needs.
     first, lead = divmod(spec.burn_in, 64)  # the word and bit of step 0
     n_words = (spec.burn_in + n - 1) // 64 + 4
     shifts = np.arange(64, dtype=np.uint64)
-    out = np.empty((len(streams), n))
-    for r, rng in enumerate(_stream_rngs(seed, streams)):
-        words = rng.integers(
-            0, np.iinfo(np.uint64).max, size=n_words, dtype=np.uint64, endpoint=True
-        )[first:]
-        # entry 64 m + s is the 64-bit window at bit s of word m (numpy's >> 64
-        # gives 0), so step k's high window is entry lead + k and its low one
-        # lies 64 entries later
-        table = (words[:-1, None] << shifts | words[1:, None] >> (64 - shifts)).ravel()
-        x = out[r]
-        x[:] = _unit_float(table[lead:lead + n], 2.0**-64)
-        # x = t1 + t2 rounded once, t2 = RN(low window * 2**-128) <= 2**-64, and
-        # at least 2**-128.  Where t1 >= 2**-10, ulp(t1) >= 2**-62 > 2 * 2**-64
-        # >= 2 * t2, so t1 + t2 rounds to t1 and the floor cannot bind: only the
-        # few steps below 2**-10 take the low word
-        low = np.flatnonzero(x < 2.0**-10)
-        x[low] = np.maximum(x[low] + _unit_float(table[lead + 64 + low], 2.0**-128), 2.0**-128)
-        x **= -spec.observable_exponent
-    return out
+    back = np.uint64(64) - shifts  # numpy's >> 64 gives 0
+
+    def fill(out, rngs):
+        for x, rng in zip(out, rngs):
+            words = rng.integers(
+                0, np.iinfo(np.uint64).max, size=n_words, dtype=np.uint64, endpoint=True
+            )[first:]
+            # entry 64 m + s is the 64-bit window at bit s of word m, so step k's
+            # high window is entry lead + k and its low one lies 64 entries later
+            table = (words[:-1, None] << shifts | words[1:, None] >> back).ravel()
+            x[:] = _unit_float(table[lead:lead + n], 2.0**-64)
+            # x = t1 + t2 rounded once, t2 = RN(low window * 2**-128) <= 2**-64, and
+            # at least 2**-128.  Where t1 >= 2**-10, ulp(t1) >= 2**-62 > 2 * 2**-64
+            # >= 2 * t2, so t1 + t2 rounds to t1 and the floor cannot bind: only the
+            # few steps below 2**-10 take the low word
+            low = np.flatnonzero(x < 2.0**-10)
+            x[low] = np.maximum(x[low] + _unit_float(table[lead + 64 + low], 2.0**-128),
+                                2.0**-128)
+            x **= -spec.observable_exponent
+        return out
+    return fill
 
 
 def first_index_below(tail, tol: float, cap: int) -> int | None:
@@ -534,14 +540,16 @@ def with_truncation(spec: ProcessSpec) -> ProcessSpec:
     return replace(spec, truncation=max(j, 1))
 
 
-def _linear_rows(spec: CausalLinear, n: int, seed: int, streams) -> np.ndarray:
-    """Rows of Y for a spec whose truncation J is explicit (``with_truncation``).
+def _linear_filler(spec: CausalLinear, n: int):
+    """The filler of a spec whose truncation J is explicit (``with_truncation``).
 
     Each row is the circular convolution of length L, the smallest power of
     two >= n + J, of the coefficients and the row's n + J innovations; on the
     kept outputs [J, J + n) it equals the linear one, since nothing wraps
-    around.  The coefficients' spectrum is taken once per chunk and the
-    innovations are transformed in blocks of rows, one 2-D transform each.
+    around.  The resource check and the coefficients' spectrum come once per
+    chunk; a block's innovations are transformed in groups of
+    max(1, 2**14 // L) rows, one 2-D transform each, so a transform stays
+    bounded by L however many rows a block holds.
     """
     j_max = spec.truncation
     size = 1 << (n + j_max - 1).bit_length()
@@ -552,28 +560,41 @@ def _linear_rows(spec: CausalLinear, n: int, seed: int, streams) -> np.ndarray:
         )
     coeffs = np.asarray(spec.coefficients.coeff(np.arange(j_max + 1)), dtype=float)
     transfer = np.fft.rfft(coeffs, size)
-    block = max(1, _FFT_BLOCK // size)
-    out = np.empty((len(streams), n))
-    for start in range(0, len(streams), block):
-        rows = streams[start:start + block]
-        eps = np.empty((len(rows), n + j_max))
-        for r, rng in enumerate(_stream_rngs(seed, rows)):
-            eps[r] = spec.innovation.quantile(rng.random(n + j_max))
-        spectrum = np.fft.rfft(eps, size, axis=1)
-        spectrum *= transfer
-        out[start:start + len(rows)] = np.fft.irfft(spectrum, size, axis=1)[:, j_max:j_max + n]
-    return out
+    group = max(1, _FFT_BLOCK // size)
+
+    def fill(out, rngs):
+        for start in range(0, len(out), group):
+            rows = out[start:start + group]
+            eps = np.empty((len(rows), n + j_max))
+            for e, rng in zip(eps, rngs):
+                e[:] = spec.innovation.quantile(rng.random(n + j_max))
+            spectrum = np.fft.rfft(eps, size, axis=1)
+            spectrum *= transfer
+            rows[:] = np.fft.irfft(spectrum, size, axis=1)[:, j_max:j_max + n]
+        return out
+    return fill
 
 
-def _rows(spec: ProcessSpec, n: int, seed: int, streams) -> np.ndarray:
-    """A chunk of a per-row variant; a linear spec's truncation is explicit."""
+def row_blocks(spec: ProcessSpec, n: int, seed: int, streams, rows: int):
+    """The rows of a per-row variant, row r from stream streams[r], as an
+    iterator of blocks of ``rows`` rows (the last may hold fewer).
+
+    What the chunk's rows share is computed once, before this returns: the
+    linear resource check and spectrum, or the doubling word offset and bit
+    shifts, and one Philox re-stated to each stream in turn.  A row's floats
+    do not depend on its block.  A linear spec's truncation is explicit.
+    """
     if isinstance(spec, IID):
-        return _iid_rows(spec, n, seed, streams)
-    if isinstance(spec, DoublingMap):
-        return _doubling_rows(spec, n, seed, streams)
-    if isinstance(spec, CausalLinear):
-        return _linear_rows(spec, n, seed, streams)
-    raise ValidationError(f"unknown process spec {type(spec).__name__}")
+        fill = _iid_filler(spec, n)
+    elif isinstance(spec, DoublingMap):
+        fill = _doubling_filler(spec, n)
+    elif isinstance(spec, CausalLinear):
+        fill = _linear_filler(spec, n)
+    else:
+        raise ValidationError(f"unknown process spec {type(spec).__name__}")
+    rngs = _stream_rngs(seed, streams)
+    return (fill(np.empty((min(rows, len(streams) - start), n)), rngs)
+            for start in range(0, len(streams), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +607,7 @@ def generate(spec: ProcessSpec, n: int, seed: int, stream: int = 0) -> Path:
     if isinstance(spec, IntermittentMap):
         return Path(_intermittent_orbit(spec, n, seed, stream), spec, seed, stream)
     explicit = with_truncation(spec)
-    values = _rows(explicit, n, seed, (stream,))[0]
+    values = next(row_blocks(explicit, n, seed, (stream,), 1))[0]
     bound = 0.0
     if isinstance(explicit, CausalLinear):  # E|Y_k - its truncation at J|
         tail = explicit.coefficients.abs_tail(explicit.truncation)
@@ -601,9 +622,10 @@ def generate_batch(spec: ProcessSpec, n: int, n_paths: int, seed: int,
     Row r equals ``generate(spec, n, seed, first_stream + r).values`` bit for
     bit, for every stream below 2**64.  The intermittent map iterates all
     lanes at once; lane values do not depend on how a batch is chunked, so
-    parallel replication is scheduling-invariant.  A linear batch takes the
-    coefficients' spectrum once and transforms its innovations in blocks of
-    max(1, 2**14 // L) rows; a row's floats do not depend on its block.
+    parallel replication is scheduling-invariant.  A batch of a per-row
+    variant is one block of ``row_blocks``: a linear batch takes the
+    coefficients' spectrum once and transforms its innovations in groups of
+    max(1, 2**14 // L) rows; a row's floats do not depend on its group.
     """
     n, n_paths, seed = count(n, "n", 1), count(n_paths, "n_paths", 1), count(seed, "seed")
     first_stream = count(first_stream, "first_stream", 0)
@@ -612,7 +634,7 @@ def generate_batch(spec: ProcessSpec, n: int, n_paths: int, seed: int,
     streams = range(first_stream, first_stream + n_paths)
     if isinstance(spec, IntermittentMap):
         return _intermittent_orbit_batch(spec, n, seed, streams)
-    return _rows(with_truncation(spec), n, seed, streams)
+    return next(row_blocks(with_truncation(spec), n, seed, streams, n_paths))
 
 
 def tabulate_cdf(values, grid) -> Tabulated:

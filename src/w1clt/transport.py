@@ -7,7 +7,9 @@ order-statistic interval, split at Q(i/n) only where it lies inside).
 ``w1_sample_vs_model`` scores every sample as a stack of rows (a 1-D sample
 is a one-row stack): it computes the level terms i/n, Q(i/n) and A(Q(i/n))
 once per call and scores the rows in blocks of 2**15 to 2**16 values, one
-sort and one call per model function a block, with one W1 per row.  Along a
+sort and one call per model function a block, with one W1 per row.  It also
+takes the blocks as an iterator and scores each as it arrives, which is how
+the harness scores rows generated block by block.  Along a
 row i/n - F changes sign only O(sqrt(n)) times, as sqrt(n) (F_n - F) is close
 to a Gaussian process, so a whole run of intervals of one sign takes one
 difference of A between its ends, and only the few intervals holding Q(i/n)
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +49,7 @@ __all__ = [
     "ks_two_sample",
     "w1_two_samples",
     "w1_sample_vs_model",
+    "w1_block_rows",
     "lambda21",
     "quantile_tail_integral",
     "sqrt_tail_integral",
@@ -122,6 +126,11 @@ def w1_two_samples(x, y) -> float:
     return float(np.sum(gaps[:-1] * np.diff(merged)))
 
 
+def w1_block_rows(n: int) -> int:
+    """Rows of n values in one W1 block: ceil(_W1_BLOCK_VALUES / n)."""
+    return -(-_W1_BLOCK_VALUES // n)
+
+
 def w1_sample_vs_model(sample, model: DistributionModel,
                        tail_tol: float = 1e-12) -> float | np.ndarray:
     """Exact ``int |F_n - F| dt`` for a sample against a reference model.
@@ -138,12 +147,16 @@ def w1_sample_vs_model(sample, model: DistributionModel,
     A 2-D ``sample`` is a stack of samples of one size n, one per row, and
     the result is an array of one W1 per row; a 1-D (or 0-d) sample is a
     one-row stack whose W1 is returned as a float, so a 1-D call on a row
-    equals that row of the stacked result bit for bit.  The levels i/n,
-    Q(i/n) and A(Q(i/n)) are computed once per call and shared by every row.
-    The rows are scored in blocks of ``ceil(_W1_BLOCK_VALUES / n)`` rows, 2**15
-    to 2**16 values unless one row is longer: one row-wise sort, one
-    antiderivative call at the ends of the runs where i/n - F keeps one sign
-    (see ``_w1_sorted``) and one upper-tail call per block.
+    equals that row of the stacked result bit for bit.  The rows are scored
+    in blocks of ``w1_block_rows(n)`` rows, 2**15 to 2**16 values unless one
+    row is longer: one row-wise sort, one antiderivative call at the ends of
+    the runs where i/n - F keeps one sign (see ``_w1_sorted``) and one
+    upper-tail call per block.  ``sample`` may also be an iterator of such
+    blocks, 2-D stacks of one row length: each is scored as it arrives, so a
+    caller that generates rows block by block never holds them all, and the
+    result equals the call on the stacked blocks bit for bit.  Either way the
+    levels i/n, Q(i/n) and A(Q(i/n)) are computed once per call and shared by
+    every row.
 
     Raises
     ------
@@ -158,21 +171,35 @@ def w1_sample_vs_model(sample, model: DistributionModel,
             "W1 against a model with infinite mean diverges",
             diagnostic=f"tail exponent r={r} <= 1: integral of 1-F diverges like t^{1 - r}",
         )
-    x = np.asarray(sample, dtype=float)
-    if x.ndim > 2:
-        raise ValidationError("sample must be 1-D, or 2-D for a stack of samples; "
-                              f"got {x.ndim} dimensions")
-    if x.size == 0:
+    if isinstance(sample, Iterator):
+        blocks, stacked = sample, True
+    else:
+        x = np.asarray(sample, dtype=float)
+        if x.ndim > 2:
+            raise ValidationError("sample must be 1-D, or 2-D for a stack of samples; "
+                                  f"got {x.ndim} dimensions")
+        if x.size == 0:
+            raise ValidationError("sample must be nonempty")
+        stack = x if x.ndim == 2 else x.reshape(1, -1)
+        step = w1_block_rows(stack.shape[1])
+        blocks, stacked = (stack[i:i + step] for i in range(0, len(stack), step)), x.ndim == 2
+    scores, n = [], None
+    for block in blocks:
+        block = np.asarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[1] != (n or block.shape[1]):
+            raise ValidationError("blocks must be 2-D stacks of rows of one length; "
+                                  f"got a block of shape {block.shape}")
+        s = as_sorted_sample(block, rows=True)
+        if n is None:
+            n = s.shape[1]
+            levels = np.arange(1, n) / n
+            q = model.quantile(levels)
+            terms = (levels, q, model.cdf_antiderivative(q))
+        scores.append(_w1_sorted(s, model, terms))
+    if not scores:
         raise ValidationError("sample must be nonempty")
-    stack = x if x.ndim == 2 else x.reshape(1, -1)
-    n = stack.shape[1]
-    levels = np.arange(1, n) / n
-    q = model.quantile(levels)
-    terms = (levels, q, model.cdf_antiderivative(q))
-    step = -(-_W1_BLOCK_VALUES // n)
-    out = np.concatenate([_w1_sorted(as_sorted_sample(stack[i:i + step], rows=True), model, terms)
-                          for i in range(0, len(stack), step)])
-    return out if x.ndim == 2 else float(out[0])
+    out = np.concatenate(scores)
+    return out if stacked else float(out[0])
 
 
 def _w1_sorted(s, model: DistributionModel, terms):

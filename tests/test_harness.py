@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import re
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -25,7 +26,8 @@ from w1clt.harness import (
 )
 from w1clt.limitlaw import StatisticSample
 from w1clt.models import ParetoTail, Tabulated, Uniform
-from w1clt.processes import IID, CausalLinear, IntermittentMap, PolynomialCoeffs, generate
+from w1clt.processes import (IID, CausalLinear, DoublingMap, IntermittentMap, PolynomialCoeffs,
+                             generate, generate_batch)
 from w1clt.transport import w1_sample_vs_model
 
 
@@ -115,18 +117,25 @@ def test_experiment_deterministic_across_thread_counts():
                      [16, 48, 100], 300, 6, calibration_length=2000),
     ExperimentConfig(IID(ParetoTail(1.0, 3.0)), [16, 48, 100], 300, 7,
                      reference_model=ParetoTail(1.0, 3.0)),
-], ids=["intermittent", "causal_linear", "iid_pareto"])
+    ExperimentConfig(DoublingMap(0.25, burn_in=100), [16, 48, 100], 300, 8,
+                     reference_model=ParetoTail(1.0, 4.0)),
+    ExperimentConfig(CausalLinear(PolynomialCoeffs(2.5), Uniform(-1, 1), truncation=2000),
+                     [16, 48, 100], 300, 9, calibration_length=2000),
+], ids=["intermittent", "causal_linear", "iid_pareto", "doubling", "causal_linear_long"])
 def test_experiment_rows_equal_one_stream_recomputation(cfg):
-    # 300 replicates make chunks of 256 and 44 rows at one process, and two of
-    # 150 rows at two (the intermittent case: one 300-lane batch, then two of
-    # 150). With blocks of 2**14 values a stacked W1 block at n = 100 holds 164
-    # rows, so the 256-row chunk and the 300-lane batch end in a ragged block;
-    # the forked helpers inherit the patched block size
+    # At one process a chunk is all 300 replicates, at two 150.  With blocks of
+    # 2**14 values a W1 block at n = 100 holds 164 rows, so the 300-row chunk
+    # (and the intermittent 300-lane batch) ends in a ragged block of 136; the
+    # forked helpers inherit the patched block size.  The doubling burn-in is
+    # not a whole number of 64-bit words, and J = 2000 puts 8 or 4 rows in a
+    # transform group of a linear block (L = 2048 or 4096), the last group of a
+    # 300-row block at n = 48 ragged.  The rows equal one-stream calls and
+    # generate_batch + w1_sample_vs_model, bit for bit.
     reference, _ = resolve_reference(cfg)
     assert isinstance(reference, Tabulated) == (cfg.reference_model is None)
     for threads in (1, 2):
         with mock.patch.object(transport, "_W1_BLOCK_VALUES", 2**14):
-            assert -(-transport._W1_BLOCK_VALUES // 100) == 164
+            assert transport.w1_block_rows(100) == 164
             out = run_clt_experiment(cfg, threads=threads)
         for i, n in enumerate(cfg.n_values):
             expected = [
@@ -136,19 +145,36 @@ def test_experiment_rows_equal_one_stream_recomputation(cfg):
                 for r in range(cfg.replications)
             ]
             assert out[n].values.tolist() == expected
+            batch = generate_batch(cfg.process, n, cfg.replications, cfg.base_seed, i << 32)
+            assert out[n].values.tobytes() == (
+                math.sqrt(n) * w1_sample_vs_model(batch, reference)).tobytes()
 
 
-def _record_batches(monkeypatch, log):
-    """Log (pid, n, rows) of every generate_batch call to the file ``log``."""
-    real = harness.generate_batch
-
-    def recording(spec, n, n_paths, seed, first_stream=0):
+def _record_chunks(monkeypatch, log, process):
+    """Log (pid, n, rows) of every chunk to the file ``log``, from the call that
+    makes its rows: ``generate_batch`` for the intermittent map's lane batch,
+    ``row_blocks`` for a per-row variant."""
+    def write(n, rows):
         # a file, so that the calls made in forked helpers are seen too
         with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()} {n} {n_paths}\n")
-        return real(spec, n, n_paths, seed, first_stream=first_stream)
+            fh.write(f"{os.getpid()} {n} {rows}\n")
 
-    monkeypatch.setattr(harness, "generate_batch", recording)
+    if isinstance(process, IntermittentMap):
+        real_batch = harness.generate_batch
+
+        def recording(spec, n, n_paths, seed, first_stream=0):
+            write(n, n_paths)
+            return real_batch(spec, n, n_paths, seed, first_stream=first_stream)
+
+        monkeypatch.setattr(harness, "generate_batch", recording)
+    else:
+        real_blocks = harness.row_blocks
+
+        def recording(spec, n, seed, streams, rows):
+            write(n, len(streams))
+            return real_blocks(spec, n, seed, streams, rows)
+
+        monkeypatch.setattr(harness, "row_blocks", recording)
 
 
 def _read_batches(log):
@@ -161,13 +187,15 @@ def _read_batches(log):
     ExperimentConfig(IID(Uniform(0, 1)), [16, 48], 61, 5, reference_model=Uniform(0, 1)),
 ], ids=["intermittent", "iid"])
 def test_chunks_split_by_budget(cfg, monkeypatch, tmp_path):
-    # 8 * 48 * 8 bytes: a process's share is 8 // p rows at n = 48 and 24 // p at
-    # n = 16, so 61 replicates make at least 3 chunks per n, the last one ragged,
-    # for every p up to 4
+    # 8 * 48 * 8 bytes: a process's share is 8 // p lanes at n = 48 and 24 // p at
+    # n = 16, so 61 intermittent replicates make at least 3 chunks per n, the last
+    # one ragged, for every p up to 4.  A per-row chunk holds one block at a time,
+    # so the budget does not bind it: its chunks are ceil(61 / p) rows
     monkeypatch.setattr(harness, "_CHUNK_BUDGET", 8 * 48 * 8)
     reference, _ = resolve_reference(cfg)
     log = tmp_path / "calls.txt"
-    _record_batches(monkeypatch, log)
+    _record_chunks(monkeypatch, log, cfg.process)
+    lane_batch = isinstance(cfg.process, IntermittentMap)
     for threads in (1, 4):
         log.write_text("")
         out = run_clt_experiment(cfg, threads=threads)
@@ -176,11 +204,15 @@ def test_chunks_split_by_budget(cfg, monkeypatch, tmp_path):
         pids = {pid for pid, _, _ in calls}
         assert len(pids) <= p and os.getpid() in pids
         for i, n in enumerate(cfg.n_values):
-            lanes = harness._CHUNK_BUDGET // (8 * n * p)
+            if lane_batch:
+                lanes = harness._CHUNK_BUDGET // (8 * n * p)
+            else:
+                lanes = -(-cfg.replications // p)
             sizes = [count for _, m, count in calls if m == n]
-            assert len(sizes) >= 3 and sum(sizes) == cfg.replications
-            # helpers finish in any order: every batch full but one ragged
-            assert max(sizes) == lanes and sizes.count(lanes) == len(sizes) - 1
+            assert len(sizes) >= 3 or not lane_batch
+            # helpers finish in any order: every chunk full but one ragged
+            full, rest = divmod(cfg.replications, lanes)
+            assert sorted(sizes, reverse=True) == [lanes] * full + [rest] * (rest > 0)
             expected = [
                 math.sqrt(n) * w1_sample_vs_model(
                     generate(cfg.process, n, cfg.base_seed, (i << 32) | r).values, reference
@@ -195,7 +227,7 @@ def test_one_n_per_row_run_splits_across_processes(monkeypatch, tmp_path):
     # 200 replicates at 2 processes make two 100-row chunks, the second a helper's
     cfg = _uniform_config(n_values=[64], replications=200)
     log = tmp_path / "calls.txt"
-    _record_batches(monkeypatch, log)
+    _record_chunks(monkeypatch, log, cfg.process)
     out = run_clt_experiment(cfg, threads=2)
     calls = _read_batches(log)
     assert sorted(rows for _, _, rows in calls) == [100, 100]
@@ -211,25 +243,45 @@ def test_one_n_per_row_run_splits_across_processes(monkeypatch, tmp_path):
     DivergenceError("chunk diverges", diagnostic="tail exponent r=0.5"),
 ], ids=["validation", "divergence"])
 def test_helper_errors_reach_the_caller_and_no_helper_outlives_the_call(monkeypatch, error):
-    # 600 replicates make three 256-row chunks per n; at 2 processes the caller
-    # computes chunks 0, 2 and 4 and a helper the rest, so stream 256 (chunk 1)
-    # is a helper's
+    # 600 replicates make two 300-row chunks per n at 2 processes; the caller
+    # computes chunks 0 and 2 and a helper the rest, so stream 300 (chunk 1) is
+    # a helper's
     cfg = _uniform_config(n_values=[16, 64], replications=600)
+    assert harness._plan_chunks(cfg, 2)[1] == (16, 300, 300)
     run_clt_experiment(cfg, threads=2)
     assert multiprocessing.active_children() == []
-    real = harness.generate_batch
+    real = harness.row_blocks
 
-    def failing(spec, n, n_paths, seed, first_stream=0):
-        if first_stream == 256:
+    def failing(spec, n, seed, streams, rows):
+        if streams[0] == 300:
             raise error
-        return real(spec, n, n_paths, seed, first_stream=first_stream)
+        return real(spec, n, seed, streams, rows)
 
-    monkeypatch.setattr(harness, "generate_batch", failing)
+    monkeypatch.setattr(harness, "row_blocks", failing)
     with pytest.raises(type(error)) as caught:
         run_clt_experiment(cfg, threads=2)
     assert type(caught.value) is type(error) and str(caught.value) == str(error)
     assert getattr(caught.value, "diagnostic", None) == getattr(error, "diagnostic", None)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("spec, reference, n, rows, bound", [
+    (DoublingMap(0.25, burn_in=0), ParetoTail(1.0, 4.0), 10_000, 256, 4 * 2**20),
+    (CausalLinear(PolynomialCoeffs(3.0), Uniform(-1, 1), truncation=7070), Uniform(-2, 2),
+     64, 512, 8 * 2**20),
+], ids=["doubling", "linear"])
+def test_per_row_chunk_memory_is_about_one_block(spec, reference, n, rows, bound):
+    # A (256, 10**4) chunk array alone is 19.5 MiB; a block is 4 rows of it.  At
+    # n = 64 and J = 7,070 a block holds 512 rows, and a transform of all of
+    # them at L = 8,192 would take 128 MiB: the groups keep it at 2 rows.
+    harness._tn_chunk(spec, reference, 3, n, 0, rows)  # numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        harness._tn_chunk(spec, reference, 3, n, 0, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_experiment_statistics_are_nonnegative_and_reasonable():

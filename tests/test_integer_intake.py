@@ -125,10 +125,10 @@ def _no_work(*args, **kwargs):
                          ids=[f"{c[0]}-{c[1]}" for c in CASES])
 def test_counts_seeds_and_streams_are_integers_checked_before_any_work(
         entry, name, least, call, monkeypatch):
-    for module, attr in ((processes, "_rows"), (processes, "_intermittent_orbit"),
+    for module, attr in ((processes, "row_blocks"), (processes, "_intermittent_orbit"),
                          (processes, "_intermittent_orbit_batch"), (harness, "generate"),
-                         (harness, "generate_batch"), (limitlaw, "generate"),
-                         (limitlaw, "spawn_rng")):
+                         (harness, "generate_batch"), (harness, "row_blocks"),
+                         (limitlaw, "generate"), (limitlaw, "spawn_rng")):
         monkeypatch.setattr(module, attr, _no_work)
     for bad in (2.5, True, "3") + (() if (entry, name) in NONE_ALLOWED else (None,)):
         with pytest.raises(ValidationError, match=f"{name} must be an integer"):

@@ -332,14 +332,18 @@ def model_and_stack(draw):
 @_w1_settings
 @given(model_and_stack())
 def test_w1_stacked_rows_equal_one_row_calls(case):
-    # a 1-D call is a one-row stack; blocks of one row up to every row must
-    # give the same bits
+    # a 1-D call is a one-row stack; blocks of one row up to every row, cut by
+    # the call or passed in as an iterator, must give the same bits
     model, stack, block = case
     single = np.array([w1_sample_vs_model(row, model) for row in stack])
     with mock.patch.object(transport, "_W1_BLOCK_VALUES", block):
         out = w1_sample_vs_model(stack, model)
+        rows = transport.w1_block_rows(stack.shape[1])
     assert type(out) is np.ndarray and out.shape == (len(stack),)
     assert out.tobytes() == single.tobytes()
+    streamed = w1_sample_vs_model(iter([stack[i:i + rows] for i in range(0, len(stack), rows)]),
+                                  model)
+    assert streamed.tobytes() == single.tobytes()
 
 
 @pytest.mark.parametrize("model", [Uniform(0, 1), Exponential(1.0), ParetoTail(1.0, 3.0),
@@ -508,6 +512,14 @@ def test_w1_stack_with_one_bad_value_raises(bad, block):
 def test_w1_rejects_empty_or_3d_stacks(sample):
     with pytest.raises(ValidationError, match="nonempty|2-D"):
         w1_sample_vs_model(sample, Uniform(0, 1))
+
+
+@pytest.mark.parametrize("blocks", [[], [np.ones(3)], [np.ones((2, 3)), np.ones((2, 4))],
+                                    [np.ones((2, 3)), np.zeros((0, 3))]],
+                         ids=["no blocks", "1-D block", "unequal rows", "empty block"])
+def test_w1_rejects_bad_block_iterators(blocks):
+    with pytest.raises(ValidationError, match="nonempty|2-D"):
+        w1_sample_vs_model(iter(blocks), Uniform(0, 1))
 
 
 @_w1_settings

@@ -19,17 +19,27 @@ trees are compared by the SHA-256 digest of their bytes.  A layer ratio is
 evidence about one call, not an end-to-end gain; the benchmark's
 alternating pairs stay the gate.
 
-The cases are the exact W1 against each reference kind and stream seeding:
+The cases are the exact W1 against each reference kind, stream seeding, and
+the T_n rows of the two per-row dependent variants end to end:
 
 * ``w1_pareto``: 64 rows of 10**4 draws against ``ParetoTail(1, 4)``;
 * ``w1_tabulated``: 64 rows of 8,192 heavy-tailed draws against a 2,050-knot
   ``Tabulated`` table calibrated from 2**17 draws of the same law;
 * ``w1_uniform``: 256 rows of 2,048 uniform draws against ``Uniform(0, 1)``;
 * ``stream_seeding``: ``generate_batch`` of 1,536 one-value iid rows, one
-  stream each, so that seeding the streams is most of the call.
+  stream each, so that seeding the streams is most of the call;
+* ``tn_doubling``: ``run_clt_experiment`` at one process of 256 doubling-map
+  rows of 10**4 values against ``ParetoTail(1, 4)``, ``doubling_dependent``'s
+  rows at half its replicates;
+* ``tn_linear``: ``run_clt_experiment`` at one process of 256 MA(inf) rows
+  (``PolynomialCoeffs(3)``, J = 1,024, uniform innovations) at each of n =
+  1,024 and 2,048 against a table calibrated from 20,480 values, as in
+  ``linear_long_memory``.
 
-Their inputs come from numpy's own generator, not from w1clt, so both trees
-score the same bytes.  It needs only numpy and the standard library.
+The W1 inputs come from numpy's own generator, not from w1clt, so both trees
+score the same bytes; the T_n cases' rows come from w1clt's seeded streams,
+so their equal bytes show that both trees generate and score alike.  It
+needs only numpy and the standard library.
 """
 from __future__ import annotations
 
@@ -45,7 +55,8 @@ from pathlib import Path
 
 import numpy as np
 
-CASES = ("w1_pareto", "w1_tabulated", "w1_uniform", "stream_seeding")
+CASES = ("w1_pareto", "w1_tabulated", "w1_uniform", "stream_seeding", "tn_doubling",
+         "tn_linear")
 TREES = ("parent", "child")
 
 
@@ -129,9 +140,11 @@ def summarize(run: dict) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _inputs(case: str):
-    """The call of ``case``, its inputs built from numpy's generator."""
+    """The call of ``case``; a W1 case's inputs are built from numpy's generator."""
+    from w1clt.harness import ExperimentConfig, run_clt_experiment
     from w1clt.models import ParetoTail, Uniform
-    from w1clt.processes import IID, generate_batch, tabulate_cdf
+    from w1clt.processes import (IID, CausalLinear, DoublingMap, PolynomialCoeffs,
+                                 generate_batch, tabulate_cdf)
     from w1clt.transport import w1_sample_vs_model
 
     rng = np.random.default_rng(20240501)
@@ -149,7 +162,15 @@ def _inputs(case: str):
         return lambda: w1_sample_vs_model(rows, Uniform(0.0, 1.0))
     if case == "stream_seeding":
         return lambda: generate_batch(IID(Uniform(0.0, 1.0)), 1, 1536, seed=7)
-    raise SystemExit(f"ab: unknown case {case}")
+    if case == "tn_doubling":
+        cfg = ExperimentConfig(DoublingMap(0.25, burn_in=0), [10_000], 256, 3,
+                               reference_model=ParetoTail(1.0, 4.0))
+    elif case == "tn_linear":
+        cfg = ExperimentConfig(CausalLinear(PolynomialCoeffs(3.0), Uniform(-1.0, 1.0), 1024),
+                               [1024, 2048], 256, 3, calibration_length=20_480)
+    else:
+        raise SystemExit(f"ab: unknown case {case}")
+    return lambda: np.concatenate([s.values for s in run_clt_experiment(cfg).values()])
 
 
 def _serve() -> None:
